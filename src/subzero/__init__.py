@@ -13,12 +13,11 @@ from .numcore import (FiniteDiffOracle, GaussianStream, derive_seed,
                       fd_gradient, fro_norm, gaussian_matrix, qr_orthonormal,
                       stack_params, unstack_params)
 from .perturbation import (LayerPlan, LayerShape, PerturbSpec, ProjectionPair,
-                           alignment_scales, build_pairs, generate_proj_pair,
+                           axpy_perturbation, build_pairs, generate_proj_pair,
                            iter_perturbation_layers, low_rank_perturbation,
                            norm_alignment_factor, pairs_from_plan, plan_layers,
                            perturb_params_inplace, reshape_near_square,
-                           reshaped_view, subspace_dimension,
-                           uniform_alignment_factor)
+                           reshaped_view, subspace_dimension)
 from .problems import (LogisticProblem, Minibatch, MlpProblem,
                        QuadraticProblem, QuarticProblem, full_batch,
                        sample_minibatch)
@@ -49,7 +48,7 @@ __all__ = [
     "NonFiniteLoss", "OptimizerConfig", "PerturbSpec", "ProjectionPair",
     "QuadraticProblem", "QuarticProblem", "RankDeficient", "RunRecord",
     "ScaleRefused", "ShapeError", "StepFailure", "StepRecord", "SubzeroError",
-    "TrainerState", "alignment_scales", "build_pairs", "check_bias_bound",
+    "TrainerState", "axpy_perturbation", "build_pairs", "check_bias_bound",
     "check_convergence_rate", "check_cosine_identity",
     "check_expectation_identity", "check_second_moment",
     "convergence_battery", "default_schedule", "dense_subspace_probe",
@@ -63,5 +62,5 @@ __all__ = [
     "run_default_battery", "sample_minibatch", "spsa_dense_subspace",
     "spsa_full", "stack_params", "step", "subspace_dimension",
     "subzero_estimate", "theoretical_step_size", "train",
-    "two_sided_loss_diff", "uniform_alignment_factor", "unstack_params",
+    "two_sided_loss_diff", "unstack_params",
 ]

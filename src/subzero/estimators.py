@@ -16,15 +16,15 @@ estimator avoids, and refuses projections beyond an entry budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import AllocationRefused, NonFiniteLoss, ShapeError
 from .numcore import GaussianStream, stack_params
-from .perturbation import (ProjectionPair, iter_perturbation_layers,
-                           subspace_dimension)
+from .perturbation import (ProjectionPair, axpy_perturbation,
+                           iter_perturbation_layers, subspace_dimension)
 
 DENSE_ENTRY_CAP = 10 ** 8
 
@@ -81,6 +81,29 @@ def _checked(value: float, sign: str) -> float:
     return float(value)
 
 
+def _probe(problem, params: Sequence[np.ndarray], batch, epsilon: float,
+           apply: Callable[[float], None]) -> LossDifference:
+    """The (+eps, -2 eps, +eps) probe around ``apply(coeff)``, which adds
+    ``coeff`` times one fixed direction to the parameters in place.  On any
+    error the net coefficient applied so far is taken back, which restores
+    the parameters to rounding when a failed ``apply`` undoes itself."""
+    applied = 0.0
+    try:
+        apply(epsilon)
+        applied = epsilon
+        loss_plus = _checked(problem.loss(params, batch), "+")
+        apply(-2.0 * epsilon)
+        applied = -epsilon
+        loss_minus = _checked(problem.loss(params, batch), "-")
+        apply(epsilon)
+        applied = 0.0
+    except BaseException:
+        if applied:
+            apply(-applied)
+        raise
+    return LossDifference(loss_plus=loss_plus, loss_minus=loss_minus, epsilon=epsilon)
+
+
 def two_sided_loss_diff(
     problem,
     params: Sequence[np.ndarray],
@@ -93,33 +116,16 @@ def two_sided_loss_diff(
     """Probe the loss at ``+epsilon`` and ``-epsilon`` along one seeded
     perturbation, restoring the parameters before returning.
 
-    The three in-place passes (+1, -2, +1) replay the same seed, so nothing
-    layer-sized is retained between passes.  If a loss evaluation raises,
-    the net perturbation applied so far is undone before the error
-    propagates, leaving the parameters restored to working precision.
+    The three in-place passes replay the same seed through
+    :func:`axpy_perturbation`, so nothing layer-sized is retained between
+    passes.  If a loss evaluation or a pass raises, the parameters are
+    restored to working precision before the error propagates.
     """
 
-    def apply(direction: int) -> None:
-        scale = float(direction) * epsilon
-        for w, delta in zip(params, iter_perturbation_layers(params, pairs, seed, z_scales)):
-            np.multiply(delta, scale, out=delta)
-            np.add(w, delta, out=w)
+    def apply(coeff: float) -> None:
+        axpy_perturbation(params, pairs, seed, coeff, z_scales)
 
-    applied = 0
-    try:
-        apply(+1)
-        applied = 1
-        loss_plus = _checked(problem.loss(params, batch), "+")
-        apply(-2)
-        applied = -1
-        loss_minus = _checked(problem.loss(params, batch), "-")
-        apply(+1)
-        applied = 0
-    except BaseException:
-        if applied:
-            apply(-applied)
-        raise
-    return LossDifference(loss_plus=loss_plus, loss_minus=loss_minus, epsilon=epsilon)
+    return _probe(problem, params, batch, epsilon, apply)
 
 
 def subzero_estimate(
@@ -138,8 +144,6 @@ def subzero_estimate(
     the perturbation is regenerated from the seed and scaled by rho, so the
     estimate costs two loss evaluations and no stored directions.
     """
-    if len(params) != len(pairs):
-        raise ShapeError("params and pairs must align layer by layer")
     ld = two_sided_loss_diff(problem, params, pairs, batch, epsilon, seed, z_scales)
     rho = ld.rho
     layers = []
@@ -153,18 +157,11 @@ def subzero_estimate(
 
 def spsa_full(problem, params: Sequence[np.ndarray], batch,
               epsilon: float, seed: int) -> GradEstimate:
-    """Full-space two-point estimate: every layer perturbed by a dense
-    Gaussian of its own shape, seed-replayed like the low-rank path."""
-    pairs: list[Optional[ProjectionPair]] = [None] * len(params)
-    ld = two_sided_loss_diff(problem, params, pairs, batch, epsilon, seed)
-    rho = ld.rho
-    layers = []
-    for delta in iter_perturbation_layers(params, pairs, seed):
-        np.multiply(delta, rho, out=delta)
-        layers.append(delta)
-    d = sum(w.size for w in params)
-    meta = EstimateMeta(family="spsa_full", seed=seed, epsilon=epsilon, q=d)
-    return GradEstimate(layers=layers, meta=meta)
+    """Full-space two-point estimate: :func:`subzero_estimate` with every
+    layer on the dense Gaussian fallback."""
+    _, est = subzero_estimate(problem, params, [None] * len(params), batch,
+                              epsilon, seed)
+    return replace(est, meta=replace(est.meta, family="spsa_full", pairs=None))
 
 
 def _dense_direction(params: Sequence[np.ndarray], q: int, seed: int,
@@ -223,21 +220,7 @@ def dense_subspace_probe(
         for w, c in zip(params, chunks):
             w += scale * c
 
-    applied = 0
-    try:
-        apply(epsilon)
-        applied = 1
-        loss_plus = _checked(problem.loss(params, batch), "+")
-        apply(-2.0 * epsilon)
-        applied = -1
-        loss_minus = _checked(problem.loss(params, batch), "-")
-        apply(epsilon)
-        applied = 0
-    except BaseException:
-        if applied:
-            apply(-applied * epsilon)
-        raise
-    ld = LossDifference(loss_plus=loss_plus, loss_minus=loss_minus, epsilon=epsilon)
+    ld = _probe(problem, params, batch, epsilon, apply)
     layers = [np.ascontiguousarray(ld.rho * c) for c in chunks]
     meta = EstimateMeta(family="spsa_dense_subspace", seed=seed,
                         epsilon=epsilon, q=q)

@@ -87,16 +87,11 @@ class GaussianStream:
             raise ValueError("stream index must be non-negative")
         self._index = index
 
-    def _uniform(self, k: int) -> float:
-        # open-interval uniform in (0, 1): top 53 bits, offset by half an ulp
-        x = _mix64((self._key + _GOLDEN * (k + 1)) & _MASK64)
-        return ((x >> 11) + 0.5) * _INV_2_53
-
     def normal_at(self, j: int) -> float:
         """The j-th value of the stream, independent of the counter."""
-        u1 = self._uniform(2 * j)
-        u2 = self._uniform(2 * j + 1)
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+        probe = GaussianStream(self.seed)
+        probe.reset(j)
+        return float(probe.normals(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
         """Consume and return the next ``n`` values as a float64 vector."""
@@ -109,6 +104,7 @@ class GaussianStream:
             k = 2 * (base + i)
             x1 = _mix64((key + _GOLDEN * (k + 1)) & _MASK64)
             x2 = _mix64((key + _GOLDEN * (k + 2)) & _MASK64)
+            # open-interval uniforms in (0, 1): top 53 bits, offset by half an ulp
             u1 = ((x1 >> 11) + 0.5) * _INV_2_53
             u2 = ((x2 >> 11) + 0.5) * _INV_2_53
             out[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)

@@ -1,10 +1,10 @@
 """Training loop around the two-point estimators.
 
 A step of the layer-wise family never forms a gradient object.  It probes
-the loss twice along a seeded perturbation, then walks the layers once more
-replaying the same seed, subtracting ``lr * rho`` times each layer's
-perturbation in place.  Peak transient memory is therefore one layer buffer,
-however many layers the model has.
+the loss twice along a seeded perturbation, then replays the same seed in
+one more ``axpy_perturbation`` pass with coefficient ``-lr * rho``.  Peak
+transient memory is therefore one layer buffer, however many layers the
+model has, and a failed step leaves the parameters where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``
 through tagged hashes, with the step index mixed in.  Per-step perturbation
@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, StepFailure, SubzeroError
 from .numcore import GaussianStream, derive_seed
-from .perturbation import (LayerPlan, ProjectionPair, iter_perturbation_layers,
-                           pairs_from_plan, plan_alignment_scales, plan_layers,
-                           plan_uniform_factor)
+from .perturbation import (LayerPlan, ProjectionPair, axpy_perturbation,
+                           pairs_from_plan, plan_alignment_scales, plan_layers)
 from .estimators import dense_subspace_probe, two_sided_loss_diff
 from .problems import full_batch, sample_minibatch
 
@@ -35,7 +34,7 @@ _TAG_PAIRS = 0x52
 
 FAMILIES = ("subzero", "spsa_full", "spsa_dense_subspace", "exact_sgd")
 SCHEDULES = ("constant", "linear")
-ALIGNMENTS = ("none", "scale_z", "scale_hyper")
+ALIGNMENTS = ("none", "scale_z")
 
 
 def default_schedule(family: str) -> str:
@@ -109,8 +108,6 @@ class TrainerState:
     pairs: Optional[list[Optional[ProjectionPair]]] = None
     plans: Optional[list[LayerPlan]] = None
     z_scales: Optional[list[float]] = None
-    epsilon: float = 1e-3
-    lr_scale: float = 1.0
     pinned_pairs: bool = False
 
 
@@ -152,7 +149,7 @@ def init_state(problem, config: OptimizerConfig,
                params: Optional[Sequence[np.ndarray]] = None,
                pairs: Optional[list[Optional[ProjectionPair]]] = None) -> TrainerState:
     """Set up a run: copy the starting point, plan the layer routing, and
-    resolve the norm alignment mode into effective hyperparameters."""
+    resolve the norm alignment mode into per-layer core scales."""
     if params is None:
         work = problem.initial_params()
     else:
@@ -160,17 +157,13 @@ def init_state(problem, config: OptimizerConfig,
     for w in work:
         if w.ndim not in (1, 2):
             raise ShapeError(f"parameters must be 1-D or 2-D, got ndim={w.ndim}")
-    state = TrainerState(params=work, epsilon=config.epsilon)
+    state = TrainerState(params=work)
     if config.family == "spsa_full":
         state.pairs = [None] * len(work)
     elif config.family == "subzero":
         state.plans = plan_layers(work, config.rank, config.reshape)
         if config.alignment == "scale_z":
-            state.z_scales = plan_alignment_scales(state.plans, "scale_z")
-        elif config.alignment == "scale_hyper":
-            mu = plan_uniform_factor(state.plans)
-            state.epsilon = config.epsilon * mu
-            state.lr_scale = mu * mu
+            state.z_scales = plan_alignment_scales(state.plans)
         if pairs is not None:
             if len(pairs) != len(work):
                 raise ShapeError("pinned pairs must align with the parameters")
@@ -193,26 +186,21 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
     """Advance the run by one step, updating parameters in place."""
     t = state.step
     begin = time.perf_counter()
-    lr = config.learning_rate_at(t) * state.lr_scale
+    lr = config.learning_rate_at(t)
     batch = sample_minibatch(problem, config.master_seed, t, config.batch_size)
+    seed_t = derive_seed(config.master_seed, _TAG_STEP, t)
     try:
         if config.family in ("subzero", "spsa_full"):
             if config.family == "subzero":
                 _refresh_pairs(state, config)
-            seed_t = derive_seed(config.master_seed, _TAG_STEP, t)
             ld = two_sided_loss_diff(problem, state.params, state.pairs, batch,
-                                     state.epsilon, seed_t, state.z_scales)
-            scale = lr * ld.rho
-            deltas = iter_perturbation_layers(state.params, state.pairs,
-                                              seed_t, state.z_scales)
-            for w, delta in zip(state.params, deltas):
-                np.multiply(delta, scale, out=delta)
-                np.subtract(w, delta, out=w)
+                                     config.epsilon, seed_t, state.z_scales)
+            axpy_perturbation(state.params, state.pairs, seed_t,
+                              -(lr * ld.rho), state.z_scales)
             loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
         elif config.family == "spsa_dense_subspace":
-            seed_t = derive_seed(config.master_seed, _TAG_STEP, t)
             ld, est = dense_subspace_probe(problem, state.params, batch,
-                                           state.epsilon, config.dense_q, seed_t)
+                                           config.epsilon, config.dense_q, seed_t)
             for w, g in zip(state.params, est.layers):
                 w -= lr * g
             loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho

@@ -7,12 +7,12 @@ fresh every step.  Vector layers (biases and the like) have no useful
 low-rank structure; they fall back to a full Gaussian perturbation and are
 marked by a ``None`` entry in the pairs list.
 
-Perturbations are never stored.  ``perturb_params_inplace`` seeds a stream,
-walks the layers in order drawing exactly ``r_i**2`` values per matrix layer
-(``size`` values per vector layer), and adds the scaled perturbation into the
-parameters.  Replaying the same seed with direction ``-2`` then ``+1``
-implements the two-sided probe and restore without any per-layer state
-beyond one transient buffer.
+Perturbations are never stored.  ``axpy_perturbation`` seeds a stream, walks
+the layers in order drawing exactly ``r_i**2`` values per matrix layer
+(``size`` values per vector layer), and adds a multiple of each layer's
+perturbation in place.  Replaying one seed with coefficients ``+eps``,
+``-2 eps``, ``+eps`` and then ``-lr * rho`` implements the probe, the restore
+and the update with no per-layer state beyond one transient buffer.
 """
 
 from __future__ import annotations
@@ -238,9 +238,9 @@ def iter_perturbation_layers(
 
     Layer ``i`` is ``z`` (full Gaussian, layer-shaped) when ``pairs[i]`` is
     ``None`` and ``scale * U Z V^T`` otherwise, always in the layer's native
-    shape.  Draw order and counts match ``perturb_params_inplace``, so the
-    same seed reproduces exactly what was added to the parameters, scaled by
-    ``direction * epsilon``.
+    shape.  Every pass of :func:`axpy_perturbation` walks this sequence, so
+    the same seed reproduces exactly what a pass added to the parameters,
+    up to its coefficient.
     """
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
@@ -248,23 +248,47 @@ def iter_perturbation_layers(
         raise ShapeError("z_scales must align layer by layer")
     stream = GaussianStream(seed)
     for i, (w, pair) in enumerate(zip(params, pairs)):
-        scale = 1.0 if z_scales is None else float(z_scales[i])
         if pair is None:
             delta = stream.normals(w.size).reshape(w.shape)
-            if scale != 1.0:
-                np.multiply(delta, scale, out=delta)
-            yield delta
-            continue
-        u, v = pair.u, pair.v
-        if w.size != u.shape[0] * v.shape[0]:
-            raise ShapeError(
-                f"pair geometry {pair.shape} does not cover a layer of shape {w.shape}")
-        r = u.shape[1]
-        z = stream.normals(r * r).reshape(r, r)
-        delta = u @ (z @ v.T)
+        else:
+            u, v = pair.u, pair.v
+            if w.size != u.shape[0] * v.shape[0]:
+                raise ShapeError(
+                    f"pair geometry {pair.shape} does not cover a layer of shape {w.shape}")
+            r = u.shape[1]
+            z = stream.normals(r * r).reshape(r, r)
+            delta = (u @ (z @ v.T)).reshape(w.shape)
+        scale = 1.0 if z_scales is None else float(z_scales[i])
         if scale != 1.0:
             np.multiply(delta, scale, out=delta)
-        yield delta.reshape(w.shape)
+        yield delta
+
+
+def axpy_perturbation(
+    params: Sequence[np.ndarray],
+    pairs: Sequence[Optional[ProjectionPair]],
+    seed: int,
+    coeff: float,
+    z_scales: Optional[Sequence[float]] = None,
+) -> None:
+    """Add ``coeff`` times the seeded perturbation to params, in place.
+
+    Works layer by layer with one transient buffer, so peak extra memory is
+    the largest single layer, never the full parameter count.  Atomic: if
+    anything raises partway, the layers already added are replayed with
+    ``-coeff`` before the error propagates.
+    """
+    done = 0
+    try:
+        for w, delta in zip(params, iter_perturbation_layers(params, pairs, seed, z_scales)):
+            np.multiply(delta, coeff, out=delta)
+            np.add(w, delta, out=w)
+            done += 1
+    except BaseException:
+        if done:
+            axpy_perturbation(params[:done], pairs[:done], seed, -coeff,
+                              None if z_scales is None else z_scales[:done])
+        raise
 
 
 def perturb_params_inplace(
@@ -273,89 +297,22 @@ def perturb_params_inplace(
     spec: PerturbSpec,
     z_scales: Optional[Sequence[float]] = None,
 ) -> None:
-    """Add ``direction * epsilon`` times the seeded perturbation to params.
+    """Add ``direction * epsilon`` times the seeded perturbation to params;
+    see :func:`axpy_perturbation`."""
+    axpy_perturbation(params, pairs, spec.seed,
+                      float(spec.direction) * spec.epsilon, z_scales)
 
-    Works layer by layer with one transient buffer, so peak extra memory is
-    the largest single layer, never the full parameter count.
+
+def plan_alignment_scales(plans: Sequence[LayerPlan]) -> list[float]:
+    """Per-layer core scales implementing norm alignment (``"scale_z"``).
+
+    Each matrix layer's core draw is multiplied by ``sqrt(m * n) / r`` so
+    the low-rank perturbation has the Frobenius norm a full Gaussian would;
+    vector layers already are full Gaussians and get scale one.
     """
-    step = float(spec.direction) * spec.epsilon
-    for w, delta in zip(params, iter_perturbation_layers(params, pairs, spec.seed, z_scales)):
-        np.multiply(delta, step, out=delta)
-        np.add(w, delta, out=w)
-
-
-def _plans_of(params: Sequence[np.ndarray],
-              pairs: Sequence[Optional[ProjectionPair]]) -> list[LayerPlan]:
-    plans = []
-    for w, pair in zip(params, pairs):
-        if pair is None:
-            plans.append(LayerPlan(shape=None, rank=w.size))
-        else:
-            plans.append(LayerPlan(shape=pair.shape, rank=pair.rank))
-    return plans
-
-
-def plan_alignment_scales(plans: Sequence[LayerPlan],
-                          mode: str = "none") -> Optional[list[float]]:
-    """Per-layer core scales implementing norm alignment.
-
-    ``"scale_z"`` multiplies each matrix layer's core draw by
-    ``sqrt(m * n) / r`` so the low-rank perturbation has the Frobenius norm
-    a full Gaussian would; vector layers already are full Gaussians and get
-    scale one.  ``"none"`` (and ``"scale_hyper"``, which moves the factor
-    into the hyperparameters instead) leaves draws unscaled.
-    """
-    if mode not in ("none", "scale_z", "scale_hyper"):
-        raise ValueError(f"unknown alignment mode {mode!r}")
-    if mode != "scale_z":
-        return None
-    scales = []
-    for plan in plans:
-        if plan.shape is None:
-            scales.append(1.0)
-        else:
-            scales.append(norm_alignment_factor(
-                plan.shape.rows, plan.shape.cols, plan.rank))
-    return scales
-
-
-def alignment_scales(
-    params: Sequence[np.ndarray],
-    pairs: Sequence[Optional[ProjectionPair]],
-    mode: str = "none",
-) -> Optional[list[float]]:
-    """Alignment scales for an existing pairs list; see
-    :func:`plan_alignment_scales`."""
-    return plan_alignment_scales(_plans_of(params, pairs), mode)
-
-
-def plan_uniform_factor(plans: Sequence[LayerPlan]) -> float:
-    """The common alignment factor for ``"scale_hyper"`` mode.
-
-    Folding the scale into the step size and probe radius is only exact when
-    every matrix layer shares one factor; mixed geometries must use
-    ``"scale_z"`` instead.
-    """
-    factors = set()
-    for plan in plans:
-        if plan.shape is not None:
-            factors.add(norm_alignment_factor(
-                plan.shape.rows, plan.shape.cols, plan.rank))
-    if not factors:
-        return 1.0
-    if len(factors) > 1:
-        raise ShapeError(
-            "scale_hyper alignment needs a single shared factor; "
-            f"got {sorted(factors)}; use scale_z for mixed layer geometries")
-    return factors.pop()
-
-
-def uniform_alignment_factor(pairs: Sequence[Optional[ProjectionPair]],
-                             params: Optional[Sequence[np.ndarray]] = None) -> float:
-    """Pair-based wrapper around :func:`plan_uniform_factor`."""
-    factors = [LayerPlan(shape=p.shape, rank=p.rank)
-               for p in pairs if p is not None]
-    return plan_uniform_factor(factors)
+    return [1.0 if plan.shape is None
+            else norm_alignment_factor(plan.shape.rows, plan.shape.cols, plan.rank)
+            for plan in plans]
 
 
 def subspace_dimension(params: Sequence[np.ndarray],

@@ -20,8 +20,8 @@ and the fixed-subspace convergence battery with its hitting-time slope fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -148,6 +148,21 @@ def _report(check: str, n_mc: int, estimate: float, target: float,
                             passed=bool(passed))
 
 
+def _mc_mean(samples: Iterable):
+    """``(mean, stderr)`` of scalar or array samples; for arrays the
+    standard error sums the unbiased per-component variances, so it is the
+    error of the mean in euclidean norm."""
+    n = 0
+    acc = acc_sq = 0.0
+    for x in samples:
+        acc = acc + x
+        acc_sq = acc_sq + x * x
+        n += 1
+    mean = acc / n
+    var = np.maximum(acc_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
+    return mean, math.sqrt(float(np.sum(var)) / n)
+
+
 def _resolve_batch(problem, batch) -> Minibatch:
     return full_batch(problem) if batch is None else batch
 
@@ -177,18 +192,10 @@ def check_expectation_identity(problem, pairs, params, n_mc: int, *,
     g = stack_params(grads)
     proj = materialize_projector(pairs, vector_sizes=[w.size for w in params])
     target_vec = proj.matrix @ (proj.matrix.T @ g)
-    d = g.size
-    acc = np.zeros(d)
-    acc_sq = np.zeros(d)
-    for k in range(n_mc):
-        _, est = subzero_estimate(problem, params, pairs, batch, epsilon,
-                                  derive_seed(seed, _TAG_MC, k))
-        x = est.stacked()
-        acc += x
-        acc_sq += x * x
-    mean = acc / n_mc
-    var = np.maximum(acc_sq / n_mc - mean * mean, 0.0) * (n_mc / max(n_mc - 1, 1))
-    stderr = math.sqrt(float(np.sum(var)) / n_mc)
+    mean, stderr = _mc_mean(
+        subzero_estimate(problem, params, pairs, batch, epsilon,
+                         derive_seed(seed, _TAG_MC, k))[1].stacked()
+        for k in range(n_mc))
     deviation = float(np.linalg.norm(mean - target_vec))
     target_norm = float(np.linalg.norm(target_vec))
     return _report("expectation_identity", n_mc, float(np.linalg.norm(mean)),
@@ -217,20 +224,13 @@ def check_second_moment(problem, pairs, params, n_mc: int, *,
         target = (d + 2) * float(g @ g)
     else:
         raise ValueError(f"no second-moment target for family {family!r}")
-    acc = 0.0
-    acc_sq = 0.0
-    for k in range(n_mc):
-        s = derive_seed(seed, _TAG_MC, k)
-        if family == "subzero":
-            _, est = subzero_estimate(problem, params, pairs, batch, epsilon, s)
-        else:
-            est = spsa_full(problem, params, batch, epsilon, s)
-        sq = sum(float(np.sum(layer * layer)) for layer in est.layers)
-        acc += sq
-        acc_sq += sq * sq
-    mean = acc / n_mc
-    var = max(acc_sq / n_mc - mean * mean, 0.0) * (n_mc / max(n_mc - 1, 1))
-    stderr = math.sqrt(var / n_mc)
+
+    def sq_norm(k: int) -> float:
+        est = _family_estimate(family, problem, params, batch, epsilon,
+                               derive_seed(seed, _TAG_MC, k), pairs, None)
+        return sum(float(np.sum(layer * layer)) for layer in est.layers)
+
+    mean, stderr = _mc_mean(sq_norm(k) for k in range(n_mc))
     deviation = abs(mean - target)
     return _report(f"second_moment_{family}", n_mc, mean, target, deviation,
                    stderr, rel_tol * abs(target))
@@ -247,9 +247,8 @@ def check_cosine_identity(problem, pairs, params, n_mc: int, *,
         raise DegenerateGradient("projected gradient is numerically zero")
     q = subspace_dimension(params, pairs)
     target = 1.0 / q
-    acc = 0.0
-    acc_sq = 0.0
-    for k in range(n_mc):
+
+    def cos_sq(k: int) -> float:
         _, est = subzero_estimate(problem, params, pairs, batch, epsilon,
                                   derive_seed(seed, _TAG_MC, k))
         inner = sum(float(np.sum(g * e)) for g, e in zip(grads, est.layers))
@@ -257,12 +256,9 @@ def check_cosine_identity(problem, pairs, params, n_mc: int, *,
         if est_sq == 0.0:
             raise DegenerateGradient(
                 "zero-norm estimate; measure-zero event, aborting the check")
-        ratio = inner * inner / (proj_sq * est_sq)
-        acc += ratio
-        acc_sq += ratio * ratio
-    mean = acc / n_mc
-    var = max(acc_sq / n_mc - mean * mean, 0.0) * (n_mc / max(n_mc - 1, 1))
-    stderr = math.sqrt(var / n_mc)
+        return inner * inner / (proj_sq * est_sq)
+
+    mean, stderr = _mc_mean(cos_sq(k) for k in range(n_mc))
     deviation = abs(mean - target)
     return _report("cosine_identity", n_mc, mean, target, deviation, stderr,
                    rel_tol * target)
@@ -284,20 +280,14 @@ def measure_bias(problem, pairs, params, epsilon: float, n_mc: int, *,
     """
     batch = _resolve_batch(problem, batch)
     g = stack_params(problem.exact_gradient(params, batch))
-    d = g.size
-    acc = np.zeros(d)
-    acc_sq = np.zeros(d)
-    for k in range(n_mc):
+
+    def controlled(k: int) -> np.ndarray:
         s = derive_seed(seed, _TAG_MC, k)
         _, est = subzero_estimate(problem, params, pairs, batch, epsilon, s)
-        x = est.stacked()
         delta = stack_params(list(iter_perturbation_layers(params, pairs, s)))
-        cv = x - (g @ delta) * delta
-        acc += cv
-        acc_sq += cv * cv
-    mean = acc / n_mc
-    var = np.maximum(acc_sq / n_mc - mean * mean, 0.0) * (n_mc / max(n_mc - 1, 1))
-    stderr = math.sqrt(float(np.sum(var)) / n_mc)
+        return est.stacked() - (g @ delta) * delta
+
+    mean, stderr = _mc_mean(controlled(k) for k in range(n_mc))
     return float(np.linalg.norm(mean)), stderr
 
 
@@ -396,14 +386,10 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
     batch = _resolve_batch(problem, batch)
-    d = sum(w.size for w in params)
-
-    mean = np.zeros(d)
-    for k in range(n_mc):
-        est = _family_estimate(estimator_family, problem, params, batch, epsilon,
-                               derive_seed(seed, _TAG_MC, k), pairs, dense_q)
-        mean += est.stacked()
-    mean /= n_mc
+    mean, _ = _mc_mean(
+        _family_estimate(estimator_family, problem, params, batch, epsilon,
+                         derive_seed(seed, _TAG_MC, k), pairs, dense_q).stacked()
+        for k in range(n_mc))
     g_norm = float(np.linalg.norm(mean))
     if g_norm < 1e-12:
         raise DegenerateGradient("estimated mean gradient is numerically zero")
@@ -432,7 +418,7 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
     if estimator_family == "subzero":
         q_or_d = subspace_dimension(params, pairs)
     elif estimator_family == "spsa_full":
-        q_or_d = d
+        q_or_d = sum(w.size for w in params)
     else:
         q_or_d = int(dense_q)
     return DiagnosticsRow(family=estimator_family, q_or_d=q_or_d, cosine=cosine,
@@ -673,15 +659,15 @@ def run_default_battery(n_mc: int = 20000, n_mc_bias: int = 20000,
     for name, shapes, rank in BATTERY_SHAPES:
         problem, params, pairs = battery_cell(shapes, rank, base)
         rep = check_expectation_identity(problem, pairs, params, n_mc, seed=seed)
-        reports.append(_rename(rep, f"expectation_identity[{name}]"))
+        reports.append(replace(rep, check=f"expectation_identity[{name}]"))
     for name, shapes, rank in BATTERY_SHAPES:
         problem, params, pairs = battery_cell(shapes, rank, base)
         rep = check_second_moment(problem, pairs, params, n_mc, seed=seed)
-        reports.append(_rename(rep, f"second_moment[{name}]"))
+        reports.append(replace(rep, check=f"second_moment[{name}]"))
     for q, shapes, rank in COSINE_CELLS:
         problem, params, pairs = battery_cell(shapes, rank, base + 1)
         rep = check_cosine_identity(problem, pairs, params, n_mc, seed=seed)
-        reports.append(_rename(rep, f"cosine_identity[q={q}]"))
+        reports.append(replace(rep, check=f"cosine_identity[q={q}]"))
 
     quartic = QuarticProblem.generate(base + 2, [(3, 3)])
     q_params = quartic.initial_params()
@@ -691,7 +677,7 @@ def run_default_battery(n_mc: int = 20000, n_mc_bias: int = 20000,
     for eps in BIAS_EPSILONS:
         rep = check_bias_bound(quartic, q_pairs, q_params, eps, n_mc_bias, seed=seed)
         biases.append(rep.estimate)
-        reports.append(_rename(rep, f"bias_bound[eps={eps:g}]"))
+        reports.append(replace(rep, check=f"bias_bound[eps={eps:g}]"))
     slope = fit_loglog_slope(BIAS_EPSILONS, biases)
     reports.append(_report("bias_slope", n_mc_bias, slope, 2.0,
                            abs(slope - 2.0), 0.0, 0.2))
@@ -712,10 +698,3 @@ def run_default_battery(n_mc: int = 20000, n_mc_bias: int = 20000,
                            max(0.0, sub.rel_variance - full.rel_variance),
                            0.0, 0.0))
     return reports
-
-
-def _rename(report: MonteCarloReport, name: str) -> MonteCarloReport:
-    return MonteCarloReport(check=name, n_mc=report.n_mc, estimate=report.estimate,
-                            target=report.target, abs_deviation=report.abs_deviation,
-                            rel_deviation=report.rel_deviation, stderr=report.stderr,
-                            abs_tol=report.abs_tol, passed=report.passed)

@@ -8,15 +8,15 @@ import pytest
 from subzero.errors import ShapeError
 from subzero.numcore import GaussianStream, gaussian_matrix
 from subzero.perturbation import (LayerPlan, LayerShape, PerturbSpec,
-                                  ProjectionPair, alignment_scales,
+                                  ProjectionPair, axpy_perturbation,
                                   build_pairs, generate_proj_pair,
                                   iter_perturbation_layers,
                                   low_rank_perturbation,
                                   norm_alignment_factor, pairs_from_plan,
-                                  perturb_params_inplace, plan_layers,
+                                  perturb_params_inplace,
+                                  plan_alignment_scales, plan_layers,
                                   reshape_near_square, reshaped_view,
-                                  subspace_dimension,
-                                  uniform_alignment_factor)
+                                  subspace_dimension)
 
 
 def two_layer_params(seed=0):
@@ -286,15 +286,22 @@ class TestPerturbRestore:
         for w, b in zip(params, before):
             assert np.max(np.abs(w - b)) <= 1e-12
 
-    def test_plus_pass_lands_where_expected(self):
+    @pytest.mark.parametrize("apply, coeff, z_scales", [
+        (lambda p, pairs: perturb_params_inplace(
+            p, pairs, PerturbSpec(epsilon=0.5, seed=8, direction=1)), 0.5, None),
+        (lambda p, pairs: axpy_perturbation(p, pairs, 8, -0.3), -0.3, None),
+        (lambda p, pairs: axpy_perturbation(p, pairs, 8, 0.5, [3.0, 1.0]),
+         0.5, [3.0, 1.0]),
+    ], ids=["perturb_spec", "axpy_negative", "axpy_z_scales"])
+    def test_plus_pass_lands_where_expected(self, apply, coeff, z_scales):
         params = two_layer_params(3)
         before = [w.copy() for w in params]
         pairs = build_pairs(GaussianStream(1), params, 2)
-        deltas = list(iter_perturbation_layers(params, pairs, seed=8))
-        perturb_params_inplace(params, pairs,
-                               PerturbSpec(epsilon=0.5, seed=8, direction=1))
+        deltas = list(iter_perturbation_layers(params, pairs, seed=8,
+                                               z_scales=z_scales))
+        apply(params, pairs)
         for w, b, d in zip(params, before, deltas):
-            assert np.max(np.abs(w - (b + 0.5 * d))) < 1e-15
+            assert np.array_equal(w, b + coeff * d)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -313,23 +320,9 @@ class TestAlignment:
             norm_alignment_factor(4, 3, 5)
 
     def test_scale_z_matches_factor_per_layer(self):
-        params = two_layer_params()
-        pairs = build_pairs(GaussianStream(0), params, 2)
-        scales = alignment_scales(params, pairs, "scale_z")
+        scales = plan_alignment_scales(plan_layers(two_layer_params(), 2))
         assert scales[0] == pytest.approx(math.sqrt(12) / 2)
         assert scales[1] == 1.0
-
-    def test_none_and_hyper_modes_return_no_scales(self):
-        params = two_layer_params()
-        pairs = build_pairs(GaussianStream(0), params, 2)
-        assert alignment_scales(params, pairs, "none") is None
-        assert alignment_scales(params, pairs, "scale_hyper") is None
-
-    def test_unknown_mode_raises(self):
-        params = two_layer_params()
-        pairs = build_pairs(GaussianStream(0), params, 2)
-        with pytest.raises(ValueError):
-            alignment_scales(params, pairs, "rescale")
 
     def test_aligned_norm_matches_full_gaussian_in_expectation(self):
         # E||mu * U Z V^T||_F^2 = mu^2 r^2 = m n = E||full draw||_F^2
@@ -343,15 +336,3 @@ class TestAlignment:
                                                 z_scales=[mu])
             acc += float(np.sum(delta * delta))
         assert acc / n == pytest.approx(24.0, rel=0.1)
-
-    def test_uniform_factor_requires_shared_geometry(self):
-        params = [np.zeros((6, 6)), np.zeros((6, 6)), np.zeros(3)]
-        pairs = build_pairs(GaussianStream(0), params, 2)
-        assert uniform_alignment_factor(pairs) == pytest.approx(3.0)
-        mixed = [np.zeros((6, 6)), np.zeros((8, 2))]
-        mixed_pairs = build_pairs(GaussianStream(0), mixed, 2, reshape="never")
-        with pytest.raises(ShapeError):
-            uniform_alignment_factor(mixed_pairs)
-
-    def test_uniform_factor_all_vectors_is_one(self):
-        assert uniform_alignment_factor([None, None]) == 1.0
