@@ -86,6 +86,36 @@ class TestGaussianStream:
         b = np.concatenate(chunks)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("index", [0, 5, 2 ** 63 - 7, 2 ** 64 - 40])
+    def test_values_match_the_definition_bit_for_bit(self, index):
+        # draws of every size up to past the memoized ones, drawn and then
+        # replayed, so the scalar loop, whole and partial vectorized blocks
+        # and memo hits are all compared with the scalar definition
+        seed = 0xC0FFEE
+        key = _mix64(seed ^ 0x8BADF00D5EEDC0DE)
+
+        def uniform(k):
+            x = _mix64((key + 0x9E3779B97F4A7C15 * (k + 1)) & MASK64)
+            return ((x >> 11) + 0.5) * 2.0 ** -53
+
+        expected = np.array([
+            math.sqrt(-2.0 * math.log(uniform(2 * j)))
+            * math.cos(2.0 * math.pi * uniform(2 * j + 1))
+            for j in range(index, index + 140)])
+        s = GaussianStream(seed)
+        for n in range(141):
+            for _ in range(2):
+                s.reset(index)
+                assert s.normals(n).tobytes() == expected[:n].tobytes(), n
+
+    def test_replayed_draw_is_a_fresh_array(self):
+        s = GaussianStream(4)
+        first = s.normals(3)
+        expected = first.copy()
+        first[:] = 0.0
+        s.reset()
+        assert np.array_equal(s.normals(3), expected)
+
     def test_normal_at_matches_normals(self):
         s = GaussianStream(9)
         batch = s.normals(16)
