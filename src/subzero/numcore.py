@@ -89,20 +89,14 @@ class GaussianStream:
 
     def normal_at(self, j: int) -> float:
         """The j-th value of the stream, independent of the counter."""
-        probe = GaussianStream(self.seed)
-        probe.reset(j)
-        return float(probe.normals(1)[0])
+        return float(_draw(self._key, j, 1)[0])
 
     def normals(self, n: int) -> np.ndarray:
         """Consume and return the next ``n`` values as a float64 vector."""
         if n < 0:
             raise ValueError("cannot draw a negative number of values")
-        base = self._index
-        if n <= _RECENT_VALUES:
-            out = _recent_draw(self._key, base, n)
-        else:
-            out = _draw(self._key, base, n)
-        self._index = base + n
+        out = _draw(self._key, self._index, n)
+        self._index += n
         return out
 
     def skip(self, n: int) -> None:
@@ -112,81 +106,45 @@ class GaussianStream:
         self._index += n
 
 
-# Value j hashes the counters 2j + 1 and 2j + 2.  The scalar loop and the
-# vectorized block compute the same integers and the same float operations
-# (``math.log`` and ``math.cos`` from the platform libm, correctly rounded
-# sqrt and products), so a value does not depend on which of them drew it.
-_BLOCK = 32         # values per vectorized block; bounds the scratch memory of a draw
-_VECTOR_MIN = 12    # below this many values the scalar loop is faster
-_GOLDEN_2 = (2 * _GOLDEN) & _MASK64
+# Draws of _VECTOR_MIN or more values hash in uint64 blocks (about 2 kB of
+# scratch), which wrap modulo 2**64 like the masked int ops and still take
+# math.log and math.cos per value, so each value equals the scalar loop's bit
+# for bit.  On a 2-vCPU VM a block costs 2.1x the loop at 4 values, 1.0x at 10.
+_BLOCK = 32
+_VECTOR_MIN = 10
 _BLOCK_STEPS = np.arange(2 * _BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
-_U64_MIX_A, _U64_MIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
-_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(s) for s in (11, 27, 30, 31))
-
-# The passes of one probe and its update replay the same seed, so a short
-# draw (a core Z or a small vector layer) is usually drawn again within a
-# few calls.  The most recent short draws are kept, keyed by (stream key,
-# first index, count); the key fixes the values, so a hit returns exactly
-# what drawing would.  At most 64 * 128 values (64 KiB) are held.
-_RECENT_ENTRIES = 64
-_RECENT_VALUES = 128
-_recent: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _recent_draw(key: int, base: int, n: int) -> np.ndarray:
-    memo_key = (key, base, n)
-    values = _recent.get(memo_key)
-    if values is None:
-        values = _draw(key, base, n)
-        if len(_recent) >= _RECENT_ENTRIES:
-            del _recent[next(iter(_recent))]
-        _recent[memo_key] = values
-    return values.copy()
 
 
 def _draw(key: int, base: int, n: int) -> np.ndarray:
     """Values ``base .. base + n - 1`` of the stream keyed ``key``."""
     out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _BLOCK):
-        chunk = out[start:start + _BLOCK]
-        fill = _fill_scalar if chunk.size < _VECTOR_MIN else _fill_block
-        fill(key, base + start, chunk)
+    if n >= _VECTOR_MIN:
+        for start in range(0, n, _BLOCK):
+            _fill_block(key, base + start, out[start:start + _BLOCK])
+        return out
+    for i in range(n):
+        k = 2 * (base + i)
+        x1 = _mix64((key + _GOLDEN * (k + 1)) & _MASK64)
+        x2 = _mix64((key + _GOLDEN * (k + 2)) & _MASK64)
+        # open-interval uniforms in (0, 1): top 53 bits, offset by half an ulp
+        u1 = ((x1 >> 11) + 0.5) * _INV_2_53
+        u2 = ((x2 >> 11) + 0.5) * _INV_2_53
+        out[i] = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
     return out
 
 
-def _fill_scalar(key: int, base: int, out: np.ndarray) -> None:
-    c = (key + _GOLDEN * (2 * base + 1)) & _MASK64
-    log, cos, sqrt = math.log, math.cos, math.sqrt
-    for i in range(out.size):
-        x = ((c ^ (c >> 30)) * _MIX_A) & _MASK64
-        x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
-        y = (c + _GOLDEN) & _MASK64
-        y = ((y ^ (y >> 30)) * _MIX_A) & _MASK64
-        y = ((y ^ (y >> 27)) * _MIX_B) & _MASK64
-        # open-interval uniforms in (0, 1): top 53 bits, offset by half an ulp
-        u1 = (((x ^ (x >> 31)) >> 11) + 0.5) * _INV_2_53
-        u2 = (((y ^ (y >> 31)) >> 11) + 0.5) * _INV_2_53
-        out[i] = sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2)
-        c = (c + _GOLDEN_2) & _MASK64
-
-
 def _fill_block(key: int, base: int, out: np.ndarray) -> None:
-    # uint64 array arithmetic wraps modulo 2**64, like the masked int ops
     m = out.size
     x = _BLOCK_STEPS[:2 * m] + np.uint64((key + _GOLDEN * (2 * base + 1)) & _MASK64)
-    x ^= x >> _U64_30
-    x *= _U64_MIX_A
-    x ^= x >> _U64_27
-    x *= _U64_MIX_B
-    x ^= x >> _U64_31
-    x >>= _U64_11
-    u = x + 0.5
-    u *= _INV_2_53
-    radius = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, m)
-    radius *= -2.0
-    np.sqrt(radius, out=out)
-    angle = u[1::2] * _TWO_PI
-    out *= np.fromiter(map(math.cos, angle.tolist()), np.float64, m)
+    x ^= x >> 30
+    x *= np.uint64(_MIX_A)
+    x ^= x >> 27
+    x *= np.uint64(_MIX_B)
+    x ^= x >> 31
+    u = ((x >> 11) + 0.5) * _INV_2_53
+    log_u1 = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, m)
+    cos_u2 = np.fromiter(map(math.cos, (_TWO_PI * u[1::2]).tolist()), np.float64, m)
+    np.multiply(np.sqrt(-2.0 * log_u1), cos_u2, out=out)
 
 
 def gaussian_matrix(stream: GaussianStream, m: int, n: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from .perturbation import (ProjectionPair, build_pairs,
                            iter_perturbation_layers, subspace_dimension)
 from .estimators import GradEstimate, spsa_dense_subspace, spsa_full, subzero_estimate
 from .optimizer import OptimizerConfig, init_state, step, theoretical_step_size
-from .problems import Minibatch, full_batch
+from .problems import Minibatch, QuadraticProblem, QuarticProblem, full_batch
 
 _TAG_MC = 0x61
 _TAG_START = 0x62
@@ -163,10 +163,6 @@ def _mc_mean(samples: Iterable):
     return mean, math.sqrt(float(np.sum(var)) / n)
 
 
-def _resolve_batch(problem, batch) -> Minibatch:
-    return full_batch(problem) if batch is None else batch
-
-
 def check_expectation_identity(problem, pairs, params, n_mc: int, *,
                                epsilon: float = 1e-3, seed: int = 0,
                                rel_tol: float = 0.03,
@@ -178,7 +174,7 @@ def check_expectation_identity(problem, pairs, params, n_mc: int, *,
     is the euclidean norm of the difference of means; the standard error
     aggregates per-component variances.
     """
-    batch = _resolve_batch(problem, batch)
+    batch = full_batch(problem) if batch is None else batch
     for w, pair in zip(params, pairs):
         # the stacked projector and the stacked gradient must flatten the
         # same geometry; relayouted pairs would silently compare different
@@ -213,7 +209,7 @@ def check_second_moment(problem, pairs, params, n_mc: int, *,
     one problem is the variance-reduction ordering at the point where it is
     exact.
     """
-    batch = _resolve_batch(problem, batch)
+    batch = full_batch(problem) if batch is None else batch
     grads = problem.exact_gradient(params, batch)
     if family == "subzero":
         q = subspace_dimension(params, pairs)
@@ -240,7 +236,7 @@ def check_cosine_identity(problem, pairs, params, n_mc: int, *,
                           epsilon: float = 1e-3, seed: int = 0,
                           rel_tol: float = 0.05, batch=None) -> MonteCarloReport:
     """Mean of ``<grad, est>**2 / (||P^T grad||**2 ||est||**2)`` equals 1/q."""
-    batch = _resolve_batch(problem, batch)
+    batch = full_batch(problem) if batch is None else batch
     grads = problem.exact_gradient(params, batch)
     proj_sq = projected_gradient_sq_norm(grads, pairs)
     if proj_sq < 1e-24:
@@ -278,7 +274,7 @@ def measure_bias(problem, pairs, params, epsilon: float, n_mc: int, *,
     so the measurement resolves the bias instead of drowning it in the
     O(1) sampling noise of the raw estimator.  Returns ``(bias, stderr)``.
     """
-    batch = _resolve_batch(problem, batch)
+    batch = full_batch(problem) if batch is None else batch
     g = stack_params(problem.exact_gradient(params, batch))
 
     def controlled(k: int) -> np.ndarray:
@@ -385,7 +381,7 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
         raise ShapeError("dense-subspace diagnostics need a subspace dimension")
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    batch = _resolve_batch(problem, batch)
+    batch = full_batch(problem) if batch is None else batch
     mean, _ = _mc_mean(
         _family_estimate(estimator_family, problem, params, batch, epsilon,
                          derive_seed(seed, _TAG_MC, k), pairs, dense_q).stacked()
@@ -415,13 +411,7 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
         rel_variance = norm_var / (g_norm ** 2)
     else:
         rel_variance = math.nan
-    if estimator_family == "subzero":
-        q_or_d = subspace_dimension(params, pairs)
-    elif estimator_family == "spsa_full":
-        q_or_d = sum(w.size for w in params)
-    else:
-        q_or_d = int(dense_q)
-    return DiagnosticsRow(family=estimator_family, q_or_d=q_or_d, cosine=cosine,
+    return DiagnosticsRow(family=estimator_family, q_or_d=est.meta.q, cosine=cosine,
                           rel_variance=rel_variance, n_mc=n_mc)
 
 
@@ -553,11 +543,7 @@ def check_convergence_rate(problem, cfg: ConvergenceConfig,
     ``log(q / eps)`` over the targets and passes iff the slope lies in the
     configured band.  Pairs are drawn once and pinned for the whole run,
     the setting the convergence guarantee describes."""
-    template = problem.initial_params()
-    pairs = build_pairs(GaussianStream(derive_seed(cfg.master_seed, _TAG_PAIRS, 0)),
-                        template, cfg.rank, reshape="never")
-    cells = convergence_hitting_times(problem, pairs, eps_targets, cfg)
-    return _slope_report(cells, cfg.slope_band)
+    return convergence_battery([problem], cfg, eps_targets)
 
 
 def convergence_battery(problems: Sequence, cfg: ConvergenceConfig,
@@ -607,8 +593,6 @@ BIAS_EPSILONS: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
 
 def battery_cell(shapes: tuple[tuple[int, int], ...], rank: int, seed: int):
     """A quadratic instance plus pinned pairs for one battery cell."""
-    from .problems import QuadraticProblem
-
     problem = QuadraticProblem.generate(seed, list(shapes))
     params = problem.initial_params()
     pairs = build_pairs(GaussianStream(derive_seed(seed, _TAG_PAIRS, 0)),
@@ -618,8 +602,6 @@ def battery_cell(shapes: tuple[tuple[int, int], ...], rank: int, seed: int):
 
 def _structure_defect(seed: int, instances: int = 5) -> float:
     """Worst orthonormality / stacking defect over a few random layerings."""
-    from .problems import QuadraticProblem
-
     worst = 0.0
     for k in range(instances):
         shapes = [(3, 2), (4, 3), (2, 2)]
@@ -652,8 +634,6 @@ def run_default_battery(n_mc: int = 20000, n_mc_bias: int = 20000,
     projector structure defect, and the variance-reduction ordering against
     the full-space estimator.
     """
-    from .problems import QuadraticProblem, QuarticProblem
-
     reports: list[MonteCarloReport] = []
     base = BATTERY_SEEDS[0]
     for name, shapes, rank in BATTERY_SHAPES:
@@ -685,10 +665,7 @@ def run_default_battery(n_mc: int = 20000, n_mc_bias: int = 20000,
     defect = _structure_defect(base + 3)
     reports.append(_report("projector_structure", 5, defect, 0.0, defect, 0.0, 1e-10))
 
-    ordering_problem = QuadraticProblem.generate(base + 4, [(10, 10)])
-    o_params = ordering_problem.initial_params()
-    o_pairs = build_pairs(GaussianStream(derive_seed(base + 4, _TAG_PAIRS, 0)),
-                          o_params, 2, reshape="never")
+    ordering_problem, o_params, o_pairs = battery_cell(((10, 10),), 2, base + 4)
     sub = estimator_diagnostics(ordering_problem, o_params, "subzero", n_mc,
                            pairs=o_pairs, seed=seed)
     full = estimator_diagnostics(ordering_problem, o_params, "spsa_full", n_mc,
