@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AllocationRefused, NonFiniteLoss, ShapeError
 from .numcore import GaussianStream, stack_params
-from .perturbation import (ProjectionPair, axpy_perturbation,
+from .perturbation import (ProjectionPair, _axpy_stored, axpy_perturbation,
                            iter_perturbation_layers, subspace_dimension)
 
 DENSE_ENTRY_CAP = 10 ** 8
@@ -216,11 +216,8 @@ def dense_subspace_probe(
     direction = _dense_direction(params, q, seed, max_entries, projection)
     chunks = _split_rowmajor(direction, params)
 
-    def apply(scale: float) -> None:
-        for w, c in zip(params, chunks):
-            w += scale * c
-
-    ld = _probe(problem, params, batch, epsilon, apply)
+    ld = _probe(problem, params, batch, epsilon,
+                lambda coeff: _axpy_stored(params, chunks, coeff))
     layers = [np.ascontiguousarray(ld.rho * c) for c in chunks]
     meta = EstimateMeta(family="spsa_dense_subspace", seed=seed,
                         epsilon=epsilon, q=q)

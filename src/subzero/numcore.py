@@ -20,7 +20,6 @@ order.  Under this convention a low-rank update ``U Z V^T`` flattens to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,11 +177,6 @@ def qr_orthonormal(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(q * signs)
 
 
-def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm (2-norm of the flattened array)."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
 def stack_params(params: list[np.ndarray]) -> np.ndarray:
     """Flatten a parameter list into one vector, column-major per 2-D layer."""
     if not params:
@@ -217,26 +211,17 @@ def unstack_params(x: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndar
     return out
 
 
-@dataclass(frozen=True)
-class FiniteDiffOracle:
-    """Configuration for entrywise central differences."""
-
-    delta: float = 1e-6
-
-    def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("finite difference step must be positive")
-
-
 def fd_gradient(problem, params: list[np.ndarray], batch,
-                oracle: FiniteDiffOracle = FiniteDiffOracle()) -> list[np.ndarray]:
-    """Central-difference gradient of ``problem.loss`` per parameter entry.
+                delta: float = 1e-6) -> list[np.ndarray]:
+    """Central-difference gradient of ``problem.loss`` per parameter entry,
+    with step ``delta``.
 
     Slow by construction (two loss evaluations per entry); intended as an
     independent oracle for analytic gradients on desk-scale problems, not
     for use inside training loops.
     """
-    delta = oracle.delta
+    if delta <= 0.0:
+        raise ValueError("finite difference step must be positive")
     work = [np.array(w, dtype=np.float64) for w in params]
     grads = []
     for w in work:

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, StepFailure, SubzeroError
 from .numcore import GaussianStream, derive_seed
-from .perturbation import (LayerPlan, ProjectionPair, axpy_perturbation,
-                           pairs_from_plan, plan_alignment_scales, plan_layers)
+from .perturbation import (LayerPlan, ProjectionPair, _axpy_stored,
+                           axpy_perturbation, pairs_from_plan,
+                           plan_alignment_scales, plan_layers)
 from .estimators import dense_subspace_probe, two_sided_loss_diff
 from .problems import full_batch, sample_minibatch
 
@@ -35,12 +36,6 @@ _TAG_PAIRS = 0x52
 FAMILIES = ("subzero", "spsa_full", "spsa_dense_subspace", "exact_sgd")
 SCHEDULES = ("constant", "linear")
 ALIGNMENTS = ("none", "scale_z")
-
-
-def default_schedule(family: str) -> str:
-    """Constant step size for the zeroth-order families, linear decay for
-    exact SGD."""
-    return "linear" if family == "exact_sgd" else "constant"
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ class OptimizerConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.alignment not in ALIGNMENTS:
             raise ConfigError(f"unknown alignment mode {self.alignment!r}")
-        if self.reshape not in ("auto", "always", "never"):
+        if self.reshape not in ("auto", "never"):
             raise ConfigError(f"unknown reshape policy {self.reshape!r}")
         if self.steps < 0:
             raise ConfigError("steps must be non-negative")
@@ -201,15 +196,12 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
         elif config.family == "spsa_dense_subspace":
             ld, est = dense_subspace_probe(problem, state.params, batch,
                                            config.epsilon, config.dense_q, seed_t)
-            for w, g in zip(state.params, est.layers):
-                w -= lr * g
+            _axpy_stored(state.params, est.layers, -lr)
             loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
         elif config.family == "exact_sgd":
-            batch_loss = problem.loss(state.params, batch)
+            loss_plus = loss_minus = problem.loss(state.params, batch)
             grads = problem.exact_gradient(state.params, batch)
-            for w, g in zip(state.params, grads):
-                w -= lr * g
-            loss_plus = loss_minus = batch_loss
+            _axpy_stored(state.params, grads, -lr)
             rho = math.nan
         else:  # unreachable, config validated
             raise ConfigError(f"unknown estimator family {config.family!r}")

@@ -162,11 +162,6 @@ class LayerPlan:
     shape: Optional[LayerShape]
     rank: int
 
-    @property
-    def draw_count(self) -> int:
-        """Stream values one perturbation pass consumes for this layer."""
-        return self.rank ** 2
-
 
 def plan_layers(params: Sequence[np.ndarray], rank: int,
                 reshape: str = "auto") -> list[LayerPlan]:
@@ -176,8 +171,6 @@ def plan_layers(params: Sequence[np.ndarray], rank: int,
 
     * ``"never"``: use each layer's own shape; rank is clamped to
       ``min(m, n)`` when the layer cannot support the requested rank.
-    * ``"always"``: every matrix layer is viewed at its most nearly square
-      factorization.
     * ``"auto"``: relayout only layers with ``min(m, n) < rank``, i.e. only
       when the requested rank does not fit the native shape.
 
@@ -186,7 +179,7 @@ def plan_layers(params: Sequence[np.ndarray], rank: int,
     """
     if rank < 1:
         raise ShapeError(f"rank must be positive, got {rank}")
-    if reshape not in ("auto", "always", "never"):
+    if reshape not in ("auto", "never"):
         raise ValueError(f"unknown reshape policy {reshape!r}")
     plans: list[LayerPlan] = []
     for w in params:
@@ -196,7 +189,7 @@ def plan_layers(params: Sequence[np.ndarray], rank: int,
         if w.ndim != 2:
             raise ShapeError(f"parameters must be 1-D or 2-D, got ndim={w.ndim}")
         m, n = w.shape
-        if reshape == "always" or (reshape == "auto" and min(m, n) < rank):
+        if reshape == "auto" and min(m, n) < rank:
             geom = reshape_near_square(m, n)
             m, n = geom.rows, geom.cols
         plans.append(LayerPlan(shape=LayerShape(m, n), rank=min(rank, m, n)))
@@ -288,6 +281,22 @@ def axpy_perturbation(
         if done:
             axpy_perturbation(params[:done], pairs[:done], seed, -coeff,
                               None if z_scales is None else z_scales[:done])
+        raise
+
+
+def _axpy_stored(params: Sequence[np.ndarray], layers: Sequence[np.ndarray],
+                 coeff: float) -> None:
+    """Add ``coeff * layers[i]`` to ``params[i]`` in place, for a direction
+    that is stored rather than seeded.  Atomic like
+    :func:`axpy_perturbation`: on error the layers done are taken back."""
+    done = 0
+    try:
+        for w, g in zip(params, layers):
+            w += coeff * g
+            done += 1
+    except BaseException:
+        for w, g in zip(params[:done], layers[:done]):
+            w -= coeff * g
         raise
 
 

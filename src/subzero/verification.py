@@ -420,7 +420,8 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
-    """Knobs of the fixed-subspace convergence measurement."""
+    """Knobs of the fixed-subspace convergence measurement.  ``chunk`` is
+    not read; it is kept so that callers which set it still work."""
 
     rank: int = 2
     runs: int = 32
@@ -478,78 +479,58 @@ def convergence_hitting_times(problem, pairs, targets: Sequence[float],
                               cfg: ConvergenceConfig = ConvergenceConfig()) -> list[ConvergenceCell]:
     """Hitting times of the running-average suboptimality for each target.
 
-    Runs ``cfg.runs`` independent trajectories from one subspace start with
-    the theory step size, averages their loss curves, and reports for each
-    target the first N with ``mean_{k<=N}(loss_k - f*) <= target``.  The
-    minimum is zero by construction (quadratic, no linear term, start in
-    the subspace).  Raises :class:`BudgetExceeded` if even the largest
-    target is not reached within the step cap.
+    Advances ``cfg.runs`` independent trajectories from one subspace start
+    in lockstep with the theory step size, and reports for each target the
+    first N with ``mean_{k<=N}(loss_k - f*) <= target``, where ``loss_k`` is
+    the probe loss after k steps averaged over the runs; ``f*`` is zero by
+    construction (quadratic, no linear term, start in the subspace).  Stops
+    at the first N that hits the tightest target (every looser one is hit
+    by then) or at ``N = cfg.step_cap``; an unhit target reports ``None``,
+    and :class:`BudgetExceeded` is raised if even the largest is unhit;
+    ``ValueError`` if there is no target or no run.
     """
-    template = problem.initial_params()
-    q = subspace_dimension(template, pairs)
+    targets = sorted(float(t) for t in targets)
+    if not targets or cfg.runs < 1:
+        raise ValueError("hitting times need at least one target and one run")
+    q = subspace_dimension(problem.initial_params(), pairs)
     eta = theoretical_step_size(q, problem.smoothness)
     x0 = subspace_start(problem, pairs,
                         derive_seed(cfg.master_seed, _TAG_START, q), cfg.start_value)
-    states: list = []
-    curves: list = []
-    targets = sorted(float(t) for t in targets)
-    n_steps = cfg.chunk
-    hits: dict[float, Optional[int]] = {t: None for t in targets}
-    while True:
-        mean_curve = _advance_runs(problem, pairs, eta, cfg, x0, n_steps,
-                                   states, curves)
-        averages = np.cumsum(mean_curve) / np.arange(1, mean_curve.size + 1)
-        for t in targets:
-            if hits[t] is None:
-                below = np.nonzero(averages <= t)[0]
-                if below.size:
-                    hits[t] = int(below[0])
-        if all(h is not None for h in hits.values()):
-            break
-        if n_steps >= cfg.step_cap:
-            if hits[targets[-1]] is None:
-                raise BudgetExceeded(
-                    f"largest target {targets[-1]} unreached in {cfg.step_cap} steps")
-            break
-        n_steps = min(n_steps * 2, cfg.step_cap)
-    return [ConvergenceCell(q=q, target=t, hit=hits[t], eta=eta) for t in targets]
-
-
-def _advance_runs(problem, pairs, eta: float, cfg: ConvergenceConfig,
-                  x0: Sequence[np.ndarray], n_steps: int,
-                  states: list, curves: list) -> np.ndarray:
+    # pinned pairs never refresh, and a constant step size never reads steps
+    base = OptimizerConfig(family="subzero", batch_size=cfg.batch_size,
+                           learning_rate=eta, schedule="constant",
+                           epsilon=cfg.epsilon, rank=cfg.rank)
+    runs = [replace(base, master_seed=derive_seed(cfg.master_seed, _TAG_RUN, j))
+            for j in range(cfg.runs)]
+    states = [init_state(problem, run, params=x0, pairs=list(pairs)) for run in runs]
     probe = Minibatch(indices=np.zeros(1, dtype=np.int64))
-    if not states:
-        for j in range(cfg.runs):
-            run_cfg = OptimizerConfig(
-                family="subzero", steps=cfg.step_cap, batch_size=cfg.batch_size,
-                learning_rate=eta, schedule="constant", epsilon=cfg.epsilon,
-                rank=cfg.rank, refresh_period=cfg.step_cap,
-                master_seed=derive_seed(cfg.master_seed, _TAG_RUN, j),
-                eval_interval=cfg.step_cap)
-            states.append((init_state(problem, run_cfg, params=x0, pairs=list(pairs)),
-                           run_cfg))
-            curves.append([problem.loss(states[-1][0].params, probe)])
-    for (state, run_cfg), curve in zip(states, curves):
-        while state.step < n_steps:
-            step(problem, state, run_cfg)
-            curve.append(problem.loss(state.params, probe))
-    return np.mean([np.asarray(c) for c in curves], axis=0)
-
-
-def check_convergence_rate(problem, cfg: ConvergenceConfig,
-                           eps_targets: Sequence[float]) -> ConvergenceReport:
-    """Hitting-time scaling for one problem: fits ``log N`` against
-    ``log(q / eps)`` over the targets and passes iff the slope lies in the
-    configured band.  Pairs are drawn once and pinned for the whole run,
-    the setting the convergence guarantee describes."""
-    return convergence_battery([problem], cfg, eps_targets)
+    hits: dict[float, int] = {}
+    total = 0.0
+    for n in range(cfg.step_cap + 1):
+        if n:
+            for state, run in zip(states, runs):
+                step(problem, state, run)
+        # run order, then one division: the mean over runs, bit for bit
+        loss = 0.0
+        for state in states:
+            loss += problem.loss(state.params, probe)
+        total += loss / cfg.runs
+        for t in targets:
+            if t not in hits and total / (n + 1) <= t:
+                hits[t] = n
+        if targets[0] in hits:
+            break
+    if targets[-1] not in hits:
+        raise BudgetExceeded(
+            f"largest target {targets[-1]} unreached in {cfg.step_cap} steps")
+    return [ConvergenceCell(q=q, target=t, hit=hits.get(t), eta=eta) for t in targets]
 
 
 def convergence_battery(problems: Sequence, cfg: ConvergenceConfig,
                         eps_targets: Sequence[float]) -> ConvergenceReport:
-    """Pooled hitting-time fit across problems with different subspace
-    dimensions; this is where the q-scaling becomes visible."""
+    """Pooled fit of ``log N`` against ``log(q / eps)`` across problems with
+    different subspace dimensions, each with pinned pairs; passes iff every
+    cell is hit and the slope lies in the configured band."""
     cells: list[ConvergenceCell] = []
     for i, problem in enumerate(problems):
         template = problem.initial_params()

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from subzero.errors import ConfigError, ShapeError, StepFailure
-from subzero.estimators import two_sided_loss_diff
+from subzero.estimators import dense_subspace_probe, two_sided_loss_diff
 from subzero.numcore import GaussianStream, derive_seed, stack_params
-from subzero.optimizer import (OptimizerConfig, TrainerState, default_schedule,
-                               init_state, step, theoretical_step_size, train,
-                               _TAG_STEP)
+from subzero.optimizer import (OptimizerConfig, TrainerState, init_state, step,
+                               theoretical_step_size, train, _TAG_STEP)
 from subzero.perturbation import build_pairs, iter_perturbation_layers
 from subzero.problems import (Minibatch, QuadraticProblem, full_batch,
                               sample_minibatch)
@@ -40,6 +39,7 @@ class TestConfigValidation:
         {"master_seed": -1},
         {"family": "spsa_full", "alignment": "scale_z"},
         {"alignment": "scale_hyper"},
+        {"reshape": "always"},
     ])
     def test_rejections(self, overrides):
         with pytest.raises(ConfigError):
@@ -51,11 +51,6 @@ class TestConfigValidation:
         lin = OptimizerConfig(learning_rate=0.2, schedule="linear", steps=10)
         assert lin.learning_rate_at(0) == pytest.approx(0.2)
         assert lin.learning_rate_at(5) == pytest.approx(0.1)
-
-    def test_default_schedule_per_family(self):
-        assert default_schedule("exact_sgd") == "linear"
-        for fam in ("subzero", "spsa_full", "spsa_dense_subspace"):
-            assert default_schedule(fam) == "constant"
 
 
 class TestTheoreticalStepSize:
@@ -234,14 +229,18 @@ class TestFailureHandling:
 
 # native 4x3, relayout of 8x2 to 4x4 at rank 3, and a vector layer
 _INJECT_LAYERS = ((4, 3), (8, 2), (5,))
+# passes per target: subzero's seeded probe and step, then the writes of a
+# stored direction (the dense-subspace probe and step, the exact-SGD update)
+_INJECT_PASSES = {"probe": 3, "step": 4, "dense_probe": 3, "dense_step": 4,
+                  "sgd_step": 1}
 
 
 def _injection_cases():
-    # every pass draws each layer's values with one normals() call, so the
-    # k-th call of a probe (3 passes) or a step (3 probe passes, 1 update)
-    # is pass k // n, layer k % n
+    # every pass touches each layer once, in layer order: one normals() call
+    # for a seeded pass, one in-place add for a stored direction, so the
+    # k-th touch is pass k // n, layer k % n
     n = len(_INJECT_LAYERS)
-    for target, passes in (("probe", 3), ("step", 4)):
+    for target, passes in _INJECT_PASSES.items():
         for k in range(passes * n):
             for exc in (ShapeError, MemoryError, KeyboardInterrupt):
                 yield pytest.param(
@@ -253,27 +252,51 @@ def _injection_cases():
 def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
                                                        monkeypatch):
     prob = QuadraticProblem.generate(6, list(_INJECT_LAYERS), dataset_size=32)
-    cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=3,
-                          alignment="scale_z", master_seed=2)
-    pairs = build_pairs(GaussianStream(1), prob.initial_params(), 3)
-    state = init_state(prob, cfg, pairs=pairs)
-    before = [w.copy() for w in state.params]
-    draws = 0
-    normals = GaussianStream.normals
+    touches = 0
 
-    def failing_normals(self, n):
-        nonlocal draws
-        draws += 1
-        if draws == fail_at + 1:
+    def touch():
+        nonlocal touches
+        touches += 1
+        if touches == fail_at + 1:
             raise exc("injected")
-        return normals(self, n)
 
-    monkeypatch.setattr(GaussianStream, "normals", failing_normals)
+    if target in ("probe", "step"):
+        cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=3,
+                              alignment="scale_z", master_seed=2)
+        pairs = build_pairs(GaussianStream(1), prob.initial_params(), 3)
+        state = init_state(prob, cfg, pairs=pairs)
+        normals = GaussianStream.normals
+
+        def failing_normals(self, n):
+            touch()
+            return normals(self, n)
+
+        monkeypatch.setattr(GaussianStream, "normals", failing_normals)
+    else:
+        family = "exact_sgd" if target == "sgd_step" else "spsa_dense_subspace"
+        cfg = OptimizerConfig(family=family, steps=1, batch_size=8, dense_q=8,
+                              master_seed=2)
+        state = init_state(prob, cfg)
+
+        class FailingAdd(np.ndarray):
+            def __iadd__(self, other):
+                touch()
+                return super().__iadd__(other)
+
+            def __isub__(self, other):
+                touch()
+                return super().__isub__(other)
+
+        state.params = [w.view(FailingAdd) for w in state.params]
+    before = [np.array(w) for w in state.params]
+    batch = sample_minibatch(prob, 2, 0, 8)
     with pytest.raises((exc, StepFailure)):
         if target == "probe":
-            two_sided_loss_diff(prob, state.params, pairs,
-                                sample_minibatch(prob, 2, 0, 8), cfg.epsilon,
+            two_sided_loss_diff(prob, state.params, pairs, batch, cfg.epsilon,
                                 seed=5, z_scales=state.z_scales)
+        elif target == "dense_probe":
+            dense_subspace_probe(prob, state.params, batch, cfg.epsilon,
+                                 cfg.dense_q, seed=5)
         else:
             step(prob, state, cfg)
     assert state.step == 0

@@ -146,7 +146,6 @@ class TestPlanLayers:
         plans = plan_layers(two_layer_params(), rank=2)
         assert plans[0] == LayerPlan(shape=LayerShape(4, 3), rank=2)
         assert plans[1] == LayerPlan(shape=None, rank=5)
-        assert plans[1].draw_count == 25  # rank**2 convention also covers vectors
 
     def test_never_clamps_rank(self):
         plans = plan_layers([np.zeros((5, 2))], rank=4, reshape="never")
@@ -159,10 +158,6 @@ class TestPlanLayers:
         assert plans[1].shape == LayerShape(6, 6)  # fits natively, untouched
         fits = plan_layers([np.zeros((2048, 8))], rank=4)
         assert fits[0].shape == LayerShape(2048, 8)
-
-    def test_always_reshapes_everything(self):
-        plans = plan_layers([np.zeros((12, 3))], rank=2, reshape="always")
-        assert plans[0].shape == LayerShape(6, 6)
 
     def test_bad_inputs(self):
         with pytest.raises(ShapeError):

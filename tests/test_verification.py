@@ -4,7 +4,8 @@ The projector assembly and the four identity checks are exercised against
 hand-built references: explicit Kronecker blocks, a closed-form curvature
 bias for the full-space fallback on a quartic, and exact per-sample
 identities at rank one.  The convergence machinery runs at reduced scale
-and is judged on doubling ratios rather than absolute hitting times.
+and is judged on doubling ratios, plus one pinned set of hitting times and
+the step count at which the runs stop.
 """
 
 import math
@@ -22,10 +23,10 @@ from subzero import (
     QuarticProblem,
     build_pairs,
     check_bias_bound,
-    check_convergence_rate,
     check_cosine_identity,
     check_expectation_identity,
     check_second_moment,
+    convergence_battery,
     derive_seed,
     estimator_diagnostics,
     fit_loglog_slope,
@@ -41,6 +42,7 @@ from subzero import (
     theoretical_step_size,
     train,
 )
+from subzero import verification
 from subzero.errors import (
     BudgetExceeded,
     DegenerateGradient,
@@ -474,6 +476,26 @@ class TestConvergence:
         for wide, tight in zip(hits, hits[1:]):
             assert 1.4 <= tight / wide <= 3.0, hits
 
+    def test_runs_stop_at_the_tightest_hit(self, monkeypatch):
+        problem = QuadraticProblem.generate(34, [(6, 6)])
+        pairs = build_pairs(GaussianStream(derive_seed(3, 0x64, 0)),
+                            problem.initial_params(), 2, reshape="never")
+        calls = 0
+        real_step = verification.step
+
+        def counting_step(*args):
+            nonlocal calls
+            calls += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(verification, "step", counting_step)
+        cells = convergence_hitting_times(problem, pairs,
+                                          [0.1, 0.05, 0.025], SMALL_CFG)
+        assert [c.target for c in cells] == [0.025, 0.05, 0.1]
+        assert [c.hit for c in cells] == [681, 340, 167]
+        # every run stops right after the step that hits the tightest target
+        assert calls == SMALL_CFG.runs * 681
+
     def test_budget_exhaustion_raises(self):
         problem = QuadraticProblem.generate(34, [(6, 6)])
         pairs = build_pairs(GaussianStream(derive_seed(3, 0x64, 0)),
@@ -483,9 +505,18 @@ class TestConvergence:
         with pytest.raises(BudgetExceeded):
             convergence_hitting_times(problem, pairs, [1e-9], tiny)
 
+    @pytest.mark.parametrize("targets, runs", [([], 2), ([0.1], 0)])
+    def test_no_targets_or_runs_rejected(self, targets, runs):
+        problem = QuadraticProblem.generate(34, [(6, 6)])
+        pairs = build_pairs(GaussianStream(derive_seed(3, 0x64, 0)),
+                            problem.initial_params(), 2, reshape="never")
+        cfg = ConvergenceConfig(rank=2, runs=runs, step_cap=128)
+        with pytest.raises(ValueError):
+            convergence_hitting_times(problem, pairs, targets, cfg)
+
     def test_single_problem_rate_in_band(self):
         problem = QuadraticProblem.generate(35, [(6, 6)])
-        report = check_convergence_rate(problem, SMALL_CFG, [0.1, 0.025])
+        report = convergence_battery([problem], SMALL_CFG, [0.1, 0.025])
         assert report.passed, report
         assert 0.7 <= report.slope <= 1.3
         assert len(report.cells) == 2
