@@ -148,7 +148,7 @@ def subzero_estimate(
     rho = ld.rho
     layers = []
     for delta in iter_perturbation_layers(params, pairs, seed, z_scales):
-        np.multiply(delta, rho, out=delta)
+        delta *= rho
         layers.append(delta)
     meta = EstimateMeta(family="subzero", seed=seed, epsilon=epsilon,
                         q=subspace_dimension(params, pairs), pairs=tuple(pairs))

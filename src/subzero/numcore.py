@@ -116,15 +116,18 @@ _BLOCK_STEPS = np.arange(2 * _BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 def _draw(key: int, base: int, n: int) -> np.ndarray:
     """Values ``base .. base + n - 1`` of the stream keyed ``key``."""
-    out = np.empty(n, dtype=np.float64)
+    out = np.empty(n)
     if n >= _VECTOR_MIN:
         for start in range(0, n, _BLOCK):
             _fill_block(key, base + start, out[start:start + _BLOCK])
         return out
+    # value j hashes key + golden * (2j + 1) and key + golden * (2j + 2);
+    # _mix64 reduces its argument modulo 2**64
+    h = key + _GOLDEN * (2 * base + 1)
     for i in range(n):
-        k = 2 * (base + i)
-        x1 = _mix64((key + _GOLDEN * (k + 1)) & _MASK64)
-        x2 = _mix64((key + _GOLDEN * (k + 2)) & _MASK64)
+        x1 = _mix64(h)
+        x2 = _mix64(h + _GOLDEN)
+        h += 2 * _GOLDEN
         # open-interval uniforms in (0, 1): top 53 bits, offset by half an ulp
         u1 = ((x1 >> 11) + 0.5) * _INV_2_53
         u2 = ((x2 >> 11) + 0.5) * _INV_2_53

@@ -221,6 +221,13 @@ def build_pairs(stream: GaussianStream, params: Sequence[np.ndarray], rank: int,
     return pairs_from_plan(stream, plan_layers(params, rank, reshape))
 
 
+# ndarray.dot makes the same BLAS calls as @, bit for bit, and skips matmul's
+# ufunc dispatch, which costs more than the product on a small layer; but it
+# zero-fills its output first.  On a 2-vCPU VM dot takes 0.84x the time of @
+# for a 64x64 layer at rank 16, 1.01x at 128x64 and 1.6x at 512x512.
+_DOT_MAX_ENTRIES = 4096
+
+
 def iter_perturbation_layers(
     params: Sequence[np.ndarray],
     pairs: Sequence[Optional[ProjectionPair]],
@@ -250,10 +257,15 @@ def iter_perturbation_layers(
                     f"pair geometry {pair.shape} does not cover a layer of shape {w.shape}")
             r = u.shape[1]
             z = stream.normals(r * r).reshape(r, r)
-            delta = (u @ (z @ v.T)).reshape(w.shape)
+            if w.size <= _DOT_MAX_ENTRIES:
+                delta = u.dot(z.dot(v.T))
+            else:
+                delta = u @ (z @ v.T)
+            if delta.shape != w.shape:
+                delta = delta.reshape(w.shape)
         scale = 1.0 if z_scales is None else float(z_scales[i])
         if scale != 1.0:
-            np.multiply(delta, scale, out=delta)
+            delta *= scale
         yield delta
 
 
@@ -274,8 +286,8 @@ def axpy_perturbation(
     done = 0
     try:
         for w, delta in zip(params, iter_perturbation_layers(params, pairs, seed, z_scales)):
-            np.multiply(delta, coeff, out=delta)
-            np.add(w, delta, out=w)
+            delta *= coeff
+            w += delta
             done += 1
     except BaseException:
         if done:

@@ -121,7 +121,7 @@ class QuadraticProblem:
 
     def loss(self, params, batch) -> float:
         x = stack_params(params)
-        return _check_finite(x @ (self.h @ x) + self.b @ x, "quadratic loss")
+        return _check_finite(x.dot(self.h.dot(x)) + self.b.dot(x), "quadratic loss")
 
     def exact_gradient(self, params, batch) -> list[np.ndarray]:
         x = stack_params(params)

@@ -224,7 +224,7 @@ def check_second_moment(problem, pairs, params, n_mc: int, *,
     def sq_norm(k: int) -> float:
         est = _family_estimate(family, problem, params, batch, epsilon,
                                derive_seed(seed, _TAG_MC, k), pairs, None)
-        return sum(float(np.sum(layer * layer)) for layer in est.layers)
+        return sum(float((layer * layer).sum()) for layer in est.layers)
 
     mean, stderr = _mc_mean(sq_norm(k) for k in range(n_mc))
     deviation = abs(mean - target)

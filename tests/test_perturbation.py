@@ -238,6 +238,21 @@ class TestIterPerturbationLayers:
         square = pairs[0].u @ (z @ pairs[0].v.T)
         assert np.array_equal(delta.ravel(), square.ravel())
 
+    @pytest.mark.parametrize("shape, rank", [
+        ((3, 2), 1), ((6, 6), 2), ((40, 30), 4), ((64, 64), 16),
+        ((65, 64), 16), ((512, 8), 16), ((96, 96), 3)],
+        ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else f"r{x}")
+    def test_core_product_equals_matmul_bit_for_bit(self, shape, rank):
+        # small layers take ndarray.dot, large ones @; both must give the
+        # bytes of u @ (z @ v.T)
+        params = [np.zeros(shape)]
+        (pair,) = build_pairs(GaussianStream(4), params, rank)
+        (delta,) = iter_perturbation_layers(params, [pair], seed=9)
+        r = pair.rank
+        z = gaussian_matrix(GaussianStream(9), r, r)
+        expected = (pair.u @ (z @ pair.v.T)).reshape(shape)
+        assert delta.tobytes() == expected.tobytes()
+
     def test_low_rank_in_reshaped_geometry(self):
         params = [np.zeros((2048, 8))]
         pairs = build_pairs(GaussianStream(2), params, 32)
