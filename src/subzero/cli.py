@@ -23,10 +23,11 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError, SubzeroError
+from .errors import ConfigError
 from .numcore import GaussianStream, derive_seed
 from .perturbation import build_pairs, plan_layers
 from .estimators import DENSE_ENTRY_CAP
@@ -324,17 +325,20 @@ def _run_cell(payload: tuple) -> tuple:
     """Train one sweep cell; returns rows for the run CSV and the summary.
 
     Top level so worker processes can unpickle it; rebuilds the problem from
-    its spec, which is cheaper to ship than the dataset.
+    its spec, which is cheaper to ship than the dataset.  Any exception but
+    an interrupt or exit fails this cell alone: its traceback goes to stderr
+    and its summary row reads ``failed: <type>: <message>``.
     """
     index, run_id, problem_spec, cell = payload
-    problem = build_problem(problem_spec)
     try:
-        record = train(problem, cell)
-    except SubzeroError as exc:
+        record = train(build_problem(problem_spec), cell)
+    except Exception as exc:    # contained to this cell; interrupts propagate
+        print(f"bench: cell {run_id} failed", file=sys.stderr)
+        traceback.print_exc()
         summary = (run_id, cell.family, cell.rank, cell.refresh_period,
                    cell.epsilon, cell.learning_rate, cell.batch_size,
                    cell.master_seed, cell.steps, math.nan, math.nan,
-                   f"failed: {exc}")
+                   f"failed: {type(exc).__name__}: {exc}")
         return index, [], summary
     rows = [(run_id, s.step, s.loss_plus, s.loss_minus, s.rho, s.lr, s.wall_ms)
             for s in record.steps]

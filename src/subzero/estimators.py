@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import AllocationRefused, NonFiniteLoss, ShapeError
 from .numcore import GaussianStream, stack_params
-from .perturbation import (ProjectionPair, _axpy_stored, axpy_perturbation,
+from .perturbation import (Direction, ProjectionPair, _axpy_stored,
+                           axpy_perturbation, draw_direction,
                            iter_perturbation_layers, subspace_dimension)
 
 DENSE_ENTRY_CAP = 10 ** 8
@@ -110,20 +111,22 @@ def two_sided_loss_diff(
     pairs: Sequence[Optional[ProjectionPair]],
     batch,
     epsilon: float,
-    seed: int,
+    seed: int | Direction,
     z_scales: Optional[Sequence[float]] = None,
 ) -> LossDifference:
     """Probe the loss at ``+epsilon`` and ``-epsilon`` along one seeded
     perturbation, restoring the parameters before returning.
 
-    The three in-place passes replay the same seed through
-    :func:`axpy_perturbation`, so nothing layer-sized is retained between
-    passes.  If a loss evaluation or a pass raises, the parameters are
-    restored to working precision before the error propagates.
+    ``seed`` is an int or a :class:`~subzero.perturbation.Direction`.  The
+    matrix cores are drawn once and the three in-place passes of
+    :func:`axpy_perturbation` share them, so nothing layer-sized is retained
+    between passes.  If a loss evaluation or a pass raises, the parameters
+    are restored to working precision before the error propagates.
     """
+    direction = draw_direction(params, pairs, seed)
 
     def apply(coeff: float) -> None:
-        axpy_perturbation(params, pairs, seed, coeff, z_scales)
+        axpy_perturbation(params, pairs, direction, coeff, z_scales)
 
     return _probe(problem, params, batch, epsilon, apply)
 
@@ -134,23 +137,27 @@ def subzero_estimate(
     pairs: Sequence[Optional[ProjectionPair]],
     batch,
     epsilon: float,
-    seed: int,
+    seed: int | Direction,
     z_scales: Optional[Sequence[float]] = None,
 ) -> tuple[LossDifference, GradEstimate]:
     """Layer-wise low-rank gradient estimate.
 
     Matrix layers are perturbed along ``U Z V^T`` for their projection pair,
-    vector layers (pair ``None``) along a full Gaussian.  After the probe
-    the perturbation is regenerated from the seed and scaled by rho, so the
-    estimate costs two loss evaluations and no stored directions.
+    vector layers (pair ``None``) along a full Gaussian.  The cores are
+    drawn once from ``seed`` (an int or a drawn
+    :class:`~subzero.perturbation.Direction`); after the probe the
+    perturbation is formed once more from them and scaled by rho, so the
+    estimate costs two loss evaluations and stores q floats of direction.
     """
-    ld = two_sided_loss_diff(problem, params, pairs, batch, epsilon, seed, z_scales)
+    direction = draw_direction(params, pairs, seed)
+    ld = two_sided_loss_diff(problem, params, pairs, batch, epsilon, direction,
+                             z_scales)
     rho = ld.rho
     layers = []
-    for delta in iter_perturbation_layers(params, pairs, seed, z_scales):
+    for delta in iter_perturbation_layers(params, pairs, direction, z_scales):
         delta *= rho
         layers.append(delta)
-    meta = EstimateMeta(family="subzero", seed=seed, epsilon=epsilon,
+    meta = EstimateMeta(family="subzero", seed=direction.seed, epsilon=epsilon,
                         q=subspace_dimension(params, pairs), pairs=tuple(pairs))
     return ld, GradEstimate(layers=layers, meta=meta)
 

@@ -1,10 +1,11 @@
 """Training loop around the two-point estimators.
 
-A step of the layer-wise family never forms a gradient object.  It probes
-the loss twice along a seeded perturbation, then replays the same seed in
-one more ``axpy_perturbation`` pass with coefficient ``-lr * rho``.  Peak
-transient memory is therefore one layer buffer, however many layers the
-model has, and a failed step leaves the parameters where it found them.
+A step of the layer-wise family never forms a gradient object.  It draws
+its matrix-layer cores once from the step seed, probes the loss twice along
+that direction, then replays it in one more ``axpy_perturbation`` pass with
+coefficient ``-lr * rho``.  Peak transient memory is therefore the q-float
+cores plus one layer buffer, however many layers the model has, and a
+failed step leaves the parameters where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``
 through tagged hashes, with the step index mixed in.  Per-step perturbation
@@ -24,9 +25,9 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, StepFailure, SubzeroError
 from .numcore import GaussianStream, derive_seed
-from .perturbation import (LayerPlan, ProjectionPair, _axpy_stored,
-                           axpy_perturbation, pairs_from_plan,
-                           plan_alignment_scales, plan_layers)
+from .perturbation import (RESHAPE_POLICIES, LayerPlan, ProjectionPair,
+                           _axpy_stored, axpy_perturbation, draw_direction,
+                           pairs_from_plan, plan_alignment_scales, plan_layers)
 from .estimators import dense_subspace_probe, two_sided_loss_diff
 from .problems import full_batch, sample_minibatch
 
@@ -63,7 +64,7 @@ class OptimizerConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.alignment not in ALIGNMENTS:
             raise ConfigError(f"unknown alignment mode {self.alignment!r}")
-        if self.reshape not in ("auto", "never"):
+        if self.reshape not in RESHAPE_POLICIES:
             raise ConfigError(f"unknown reshape policy {self.reshape!r}")
         if self.steps < 0:
             raise ConfigError("steps must be non-negative")
@@ -188,9 +189,10 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
         if config.family in ("subzero", "spsa_full"):
             if config.family == "subzero":
                 _refresh_pairs(state, config)
+            direction = draw_direction(state.params, state.pairs, seed_t)
             ld = two_sided_loss_diff(problem, state.params, state.pairs, batch,
-                                     config.epsilon, seed_t, state.z_scales)
-            axpy_perturbation(state.params, state.pairs, seed_t,
+                                     config.epsilon, direction, state.z_scales)
+            axpy_perturbation(state.params, state.pairs, direction,
                               -(lr * ld.rho), state.z_scales)
             loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
         elif config.family == "spsa_dense_subspace":

@@ -7,12 +7,16 @@ fresh every step.  Vector layers (biases and the like) have no useful
 low-rank structure; they fall back to a full Gaussian perturbation and are
 marked by a ``None`` entry in the pairs list.
 
-Perturbations are never stored.  ``axpy_perturbation`` seeds a stream, walks
-the layers in order drawing exactly ``r_i**2`` values per matrix layer
-(``size`` values per vector layer), and adds a multiple of each layer's
-perturbation in place.  Replaying one seed with coefficients ``+eps``,
-``-2 eps``, ``+eps`` and then ``-lr * rho`` implements the probe, the restore
-and the update with no per-layer state beyond one transient buffer.
+Perturbations are never stored whole.  A step draws its direction once:
+:func:`draw_direction` walks the layers in stream order, draws the
+``r_i**2`` core values of each matrix layer into one flat array of
+``q = sum r_i**2`` floats and skips the ``size`` values each vector layer
+owns.  Every pass of :func:`axpy_perturbation` then reads its matrix cores
+from that array and replays only the vector layers from the seed.
+Replaying one direction with coefficients ``+eps``, ``-2 eps``, ``+eps`` and
+then ``-lr * rho`` implements the probe, the restore and the update; across
+them a step holds the ``8 q`` bytes of its cores, and a pass adds one
+layer-sized transient buffer at a time.
 """
 
 from __future__ import annotations
@@ -163,6 +167,9 @@ class LayerPlan:
     rank: int
 
 
+RESHAPE_POLICIES = ("auto", "never")
+
+
 def plan_layers(params: Sequence[np.ndarray], rank: int,
                 reshape: str = "auto") -> list[LayerPlan]:
     """Decide geometry and rank per layer for a requested rank.
@@ -179,7 +186,7 @@ def plan_layers(params: Sequence[np.ndarray], rank: int,
     """
     if rank < 1:
         raise ShapeError(f"rank must be positive, got {rank}")
-    if reshape not in ("auto", "never"):
+    if reshape not in RESHAPE_POLICIES:
         raise ValueError(f"unknown reshape policy {reshape!r}")
     plans: list[LayerPlan] = []
     for w in params:
@@ -228,35 +235,87 @@ def build_pairs(stream: GaussianStream, params: Sequence[np.ndarray], rank: int,
 _DOT_MAX_ENTRIES = 4096
 
 
+class Direction:
+    """A seeded perturbation with its matrix-layer cores already drawn.
+
+    ``cores`` holds the ``r_i**2`` core values of every matrix layer in
+    layer order, as one flat array of q floats; the values each vector layer
+    owns in the stream are not drawn.  Every function that takes a seed
+    also takes a ``Direction`` in its place, so a step draws its cores once
+    and its passes only replay the vector layers.
+    """
+
+    __slots__ = ("seed", "cores")
+
+    def __init__(self, seed: int, cores: np.ndarray):
+        self.seed = seed
+        self.cores = cores
+
+
+def draw_direction(params: Sequence[np.ndarray],
+                   pairs: Sequence[Optional[ProjectionPair]],
+                   seed: int | Direction) -> Direction:
+    """Draw the matrix-layer cores of a seeded perturbation, skipping the
+    stream range of each vector layer; a ``Direction`` is returned as is."""
+    if isinstance(seed, Direction):
+        return seed
+    if len(params) != len(pairs):
+        raise ShapeError("params and pairs must align layer by layer")
+    stream = GaussianStream(seed)
+    cores = np.empty(sum(pair.rank ** 2 for pair in pairs if pair is not None))
+    at = 0
+    for w, pair in zip(params, pairs):
+        if pair is None:
+            stream.skip(w.size)
+        else:
+            n = pair.rank ** 2
+            cores[at:at + n] = stream.normals(n)
+            at += n
+    return Direction(stream.seed, cores)
+
+
 def iter_perturbation_layers(
     params: Sequence[np.ndarray],
     pairs: Sequence[Optional[ProjectionPair]],
-    seed: int,
+    seed: int | Direction,
     z_scales: Optional[Sequence[float]] = None,
 ) -> Iterator[np.ndarray]:
-    """Yield each layer's unit perturbation for a given seed, one at a time.
+    """Yield each layer's unit perturbation for a seed or a drawn
+    :class:`Direction`, one at a time.
 
     Layer ``i`` is ``z`` (full Gaussian, layer-shaped) when ``pairs[i]`` is
     ``None`` and ``scale * U Z V^T`` otherwise, always in the layer's native
-    shape.  Every pass of :func:`axpy_perturbation` walks this sequence, so
-    the same seed reproduces exactly what a pass added to the parameters,
-    up to its coefficient.
+    shape.  Matrix cores come from the direction (an int seed is drawn
+    first) and vector layers from the stream at their counter offset, so a
+    seed and its drawn direction yield the same values bit for bit.  Every
+    pass of :func:`axpy_perturbation` walks this sequence.
     """
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
     if z_scales is not None and len(z_scales) != len(params):
         raise ShapeError("z_scales must align layer by layer")
-    stream = GaussianStream(seed)
+    direction = draw_direction(params, pairs, seed)
+    cores = direction.cores
+    stream = None
+    index = 0   # stream counter at the current layer
+    at = 0      # offset of the current core in ``cores``
     for i, (w, pair) in enumerate(zip(params, pairs)):
         if pair is None:
+            if stream is None:
+                stream = GaussianStream(direction.seed)
+            stream.reset(index)
             delta = stream.normals(w.size).reshape(w.shape)
+            index += w.size
         else:
             u, v = pair.u, pair.v
             if w.size != u.shape[0] * v.shape[0]:
                 raise ShapeError(
                     f"pair geometry {pair.shape} does not cover a layer of shape {w.shape}")
             r = u.shape[1]
-            z = stream.normals(r * r).reshape(r, r)
+            n = r * r
+            z = cores[at:at + n].reshape(r, r)
+            at += n
+            index += n
             if w.size <= _DOT_MAX_ENTRIES:
                 delta = u.dot(z.dot(v.T))
             else:
@@ -272,26 +331,29 @@ def iter_perturbation_layers(
 def axpy_perturbation(
     params: Sequence[np.ndarray],
     pairs: Sequence[Optional[ProjectionPair]],
-    seed: int,
+    seed: int | Direction,
     coeff: float,
     z_scales: Optional[Sequence[float]] = None,
 ) -> None:
-    """Add ``coeff`` times the seeded perturbation to params, in place.
+    """Add ``coeff`` times the perturbation of a seed or a drawn
+    :class:`Direction` to params, in place.
 
     Works layer by layer with one transient buffer, so peak extra memory is
-    the largest single layer, never the full parameter count.  Atomic: if
-    anything raises partway, the layers already added are replayed with
-    ``-coeff`` before the error propagates.
+    the largest single layer plus the q-float cores, never the full
+    parameter count.  Atomic: if anything raises partway, the layers already
+    added are replayed with ``-coeff`` before the error propagates.
     """
+    direction = draw_direction(params, pairs, seed)
     done = 0
     try:
-        for w, delta in zip(params, iter_perturbation_layers(params, pairs, seed, z_scales)):
+        for w, delta in zip(params, iter_perturbation_layers(params, pairs, direction,
+                                                             z_scales)):
             delta *= coeff
             w += delta
             done += 1
     except BaseException:
         if done:
-            axpy_perturbation(params[:done], pairs[:done], seed, -coeff,
+            axpy_perturbation(params[:done], pairs[:done], direction, -coeff,
                               None if z_scales is None else z_scales[:done])
         raise
 

@@ -339,6 +339,34 @@ class TestBenchCommand:
         nan_final = summary[2][SUMMARY_COLUMNS.index("final_smoothed")]
         assert nan_final == "nan"
 
+    THREE_CELLS = {**BENCH_RAW, "sweep": {"master_seed": [5, 6, 7]}}
+
+    def test_unexpected_error_fails_only_its_cell(self, tmp_path, monkeypatch):
+        train = cli.train
+
+        def failing_train(problem, cell):
+            if cell.master_seed == 6:
+                raise ValueError("injected")
+            return train(problem, cell)
+
+        monkeypatch.setattr(cli, "train", failing_train)
+        rc, out, tag = self.run_bench(tmp_path, self.THREE_CELLS, "contained")
+        assert rc == 1
+        summary = read_rows(out / f"summary_{tag}.csv")
+        assert [r[-1] for r in summary[1:]] == ["ok", "failed: ValueError: injected", "ok"]
+        assert sorted(p.name for p in out.glob("run_*.csv")) == \
+            [f"run_{tag}_000.csv", f"run_{tag}_002.csv"]
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_stops_the_sweep(self, tmp_path, monkeypatch, exc):
+        def interrupted(problem, cell):
+            raise exc()
+
+        monkeypatch.setattr(cli, "train", interrupted)
+        with pytest.raises(exc):
+            self.run_bench(tmp_path, self.THREE_CELLS, "interrupted")
+        assert not list((tmp_path / "interrupted").glob("summary_*.csv"))
+
     def test_invalid_cell_blocks_the_whole_sweep(self, tmp_path):
         raw = {
             "problem": {"family": "quadratic", "layer_shapes": [[6, 6]]},

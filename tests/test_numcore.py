@@ -8,7 +8,7 @@ import pytest
 from subzero.errors import RankDeficient, ShapeError
 from subzero.numcore import (GaussianStream, derive_seed, fd_gradient,
                              gaussian_matrix, qr_orthonormal, stack_params,
-                             unstack_params, _mix64)
+                             unstack_params, _BLOCK, _mix64)
 
 MASK64 = (1 << 64) - 1
 
@@ -87,9 +87,13 @@ class TestGaussianStream:
 
     @pytest.mark.parametrize("index", [0, 5, 2 ** 63 - 7, 2 ** 64 - 40])
     def test_values_match_the_definition_bit_for_bit(self, index):
-        # every draw size up to past four blocks, so the scalar loop, whole
-        # and partial vectorized blocks and counter wrap-around are all
+        # every draw size up to 140, and one short of, exactly and one past
+        # one to four blocks, so the scalar loop, whole, partial and
+        # multi-block vectorized draws and counter wrap-around are all
         # compared with a re-typed scalar definition
+        sizes = list(range(141)) + [k * _BLOCK + d for k in range(1, 5)
+                                    for d in (-1, 0, 1)]
+        longest = max(sizes)
         seed = 0xC0FFEE
         key = _mix64(seed ^ 0x8BADF00D5EEDC0DE)
 
@@ -100,12 +104,12 @@ class TestGaussianStream:
         expected = np.array([
             math.sqrt(-2.0 * math.log(uniform(2 * j)))
             * math.cos(2.0 * math.pi * uniform(2 * j + 1))
-            for j in range(index, index + 140)])
+            for j in range(index, index + longest)])
         s = GaussianStream(seed)
-        for n in range(141):
+        for n in sizes:
             s.reset(index)
             assert s.normals(n).tobytes() == expected[:n].tobytes(), n
-        assert s.normal_at(index + 139) == expected[139]
+        assert s.normal_at(index + longest - 1) == expected[-1]
 
     def test_normal_at_matches_normals(self):
         s = GaussianStream(9)

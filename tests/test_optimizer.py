@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from subzero.errors import ConfigError, ShapeError, StepFailure
-from subzero.estimators import dense_subspace_probe, two_sided_loss_diff
+from subzero.estimators import (dense_subspace_probe, subzero_estimate,
+                                 two_sided_loss_diff)
 from subzero.numcore import GaussianStream, derive_seed, stack_params
 from subzero.optimizer import (OptimizerConfig, TrainerState, init_state, step,
                                theoretical_step_size, train, _TAG_STEP)
@@ -229,23 +230,31 @@ class TestFailureHandling:
 
 # native 4x3, relayout of 8x2 to 4x4 at rank 3, and a vector layer
 _INJECT_LAYERS = ((4, 3), (8, 2), (5,))
+_INJECT_MATRIX_LAYERS = 2
 # passes per target: subzero's seeded probe and step, then the writes of a
 # stored direction (the dense-subspace probe and step, the exact-SGD update)
 _INJECT_PASSES = {"probe": 3, "step": 4, "dense_probe": 3, "dense_step": 4,
                   "sgd_step": 1}
+_INJECT_EXCEPTIONS = (ShapeError, MemoryError, KeyboardInterrupt)
 
 
 def _injection_cases():
-    # every pass touches each layer once, in layer order: one normals() call
-    # for a seeded pass, one in-place add for a stored direction, so the
-    # k-th touch is pass k // n, layer k % n
+    # every pass adds to each layer once, in layer order, so the k-th
+    # in-place add is pass k // n, layer k % n
     n = len(_INJECT_LAYERS)
     for target, passes in _INJECT_PASSES.items():
         for k in range(passes * n):
-            for exc in (ShapeError, MemoryError, KeyboardInterrupt):
+            for exc in _INJECT_EXCEPTIONS:
                 yield pytest.param(
                     target, k, exc,
                     id=f"{target}-pass{k // n}-layer{k % n}-{exc.__name__}")
+    # the seeded targets draw their cores once, one normals() call per
+    # matrix layer, before any pass
+    for target in ("probe", "step"):
+        for k in range(_INJECT_MATRIX_LAYERS):
+            for exc in _INJECT_EXCEPTIONS:
+                yield pytest.param(target + "_draw", k, exc,
+                                   id=f"{target}-draw-layer{k}-{exc.__name__}")
 
 
 @pytest.mark.parametrize("target, fail_at, exc", list(_injection_cases()))
@@ -260,11 +269,28 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
         if touches == fail_at + 1:
             raise exc("injected")
 
+    class FailingAdd(np.ndarray):
+        def __iadd__(self, other):
+            touch()
+            return super().__iadd__(other)
+
+        def __isub__(self, other):
+            touch()
+            return super().__isub__(other)
+
+    in_draw = target.endswith("_draw")
+    target = target.removesuffix("_draw")
     if target in ("probe", "step"):
         cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=3,
                               alignment="scale_z", master_seed=2)
         pairs = build_pairs(GaussianStream(1), prob.initial_params(), 3)
         state = init_state(prob, cfg, pairs=pairs)
+    else:
+        family = "exact_sgd" if target == "sgd_step" else "spsa_dense_subspace"
+        cfg = OptimizerConfig(family=family, steps=1, batch_size=8, dense_q=8,
+                              master_seed=2)
+        state = init_state(prob, cfg)
+    if in_draw:
         normals = GaussianStream.normals
 
         def failing_normals(self, n):
@@ -273,20 +299,6 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
 
         monkeypatch.setattr(GaussianStream, "normals", failing_normals)
     else:
-        family = "exact_sgd" if target == "sgd_step" else "spsa_dense_subspace"
-        cfg = OptimizerConfig(family=family, steps=1, batch_size=8, dense_q=8,
-                              master_seed=2)
-        state = init_state(prob, cfg)
-
-        class FailingAdd(np.ndarray):
-            def __iadd__(self, other):
-                touch()
-                return super().__iadd__(other)
-
-            def __isub__(self, other):
-                touch()
-                return super().__isub__(other)
-
         state.params = [w.view(FailingAdd) for w in state.params]
     before = [np.array(w) for w in state.params]
     batch = sample_minibatch(prob, 2, 0, 8)
@@ -301,7 +313,36 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
             step(prob, state, cfg)
     assert state.step == 0
     for w, b in zip(state.params, before):
+        if in_draw:     # the draw precedes every write
+            assert np.array_equal(w, b)
         assert np.max(np.abs(w - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("call", ["step", "estimate"])
+def test_cores_are_drawn_once_and_vectors_once_per_pass(call, monkeypatch):
+    prob = QuadraticProblem.generate(6, list(_INJECT_LAYERS), dataset_size=32)
+    cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=3,
+                          master_seed=2)
+    pairs = build_pairs(GaussianStream(1), prob.initial_params(), 3)
+    state = init_state(prob, cfg, pairs=pairs)
+    q = sum(pair.rank ** 2 for pair in pairs if pair is not None)
+    vectors = sum(w.size for w, pair in zip(state.params, pairs) if pair is None)
+    assert (q, vectors) == (18, 5)
+    drawn = 0
+    normals = GaussianStream.normals
+
+    def counting_normals(self, n):
+        nonlocal drawn
+        drawn += n
+        return normals(self, n)
+
+    monkeypatch.setattr(GaussianStream, "normals", counting_normals)
+    if call == "step":
+        step(prob, state, cfg)
+    else:
+        subzero_estimate(prob, state.params, pairs, full_batch(prob), 1e-3, seed=5)
+    # four passes (+eps, -2 eps, +eps, then the update or the estimate)
+    assert drawn == q + 4 * vectors
 
 
 class TestAlignmentModes:

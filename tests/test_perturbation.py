@@ -7,9 +7,12 @@ import pytest
 
 from subzero.errors import ShapeError
 from subzero.numcore import GaussianStream, gaussian_matrix
-from subzero.perturbation import (LayerPlan, LayerShape, PerturbSpec,
-                                  ProjectionPair, axpy_perturbation,
-                                  build_pairs, generate_proj_pair,
+from subzero.errors import ConfigError
+from subzero.optimizer import OptimizerConfig
+from subzero.perturbation import (RESHAPE_POLICIES, Direction, LayerPlan,
+                                  LayerShape, PerturbSpec, ProjectionPair,
+                                  axpy_perturbation, build_pairs,
+                                  draw_direction, generate_proj_pair,
                                   iter_perturbation_layers,
                                   low_rank_perturbation,
                                   norm_alignment_factor, pairs_from_plan,
@@ -168,6 +171,19 @@ class TestPlanLayers:
             plan_layers([np.zeros((2, 2, 2))], rank=1)
 
 
+    @pytest.mark.parametrize("policy", RESHAPE_POLICIES)
+    def test_config_and_planner_accept_every_listed_policy(self, policy):
+        assert OptimizerConfig(reshape=policy).reshape == policy
+        plan_layers([np.zeros((8, 2))], rank=3, reshape=policy)
+
+    def test_config_and_planner_reject_an_unlisted_policy(self):
+        assert "always" not in RESHAPE_POLICIES
+        with pytest.raises(ConfigError):
+            OptimizerConfig(reshape="always")
+        with pytest.raises(ValueError):
+            plan_layers([np.zeros((8, 2))], rank=3, reshape="always")
+
+
 class TestBuildPairs:
     def test_one_pair_per_matrix_layer(self):
         params = two_layer_params()
@@ -283,6 +299,64 @@ class TestIterPerturbationLayers:
         pairs = build_pairs(GaussianStream(0), params, 2)
         with pytest.raises(ShapeError):
             list(iter_perturbation_layers(params, pairs, seed=0, z_scales=[1.0]))
+
+
+class TestDrawnDirection:
+    # native 4x3, a vector between matrix layers, a relayout of 8x2 to 4x4,
+    # a native 128x64 past the ndarray.dot cut-over, and a trailing vector
+    SHAPES = ((4, 3), (7,), (8, 2), (128, 64), (5,))
+
+    def layers(self):
+        s = GaussianStream(8)
+        params = [s.normals(math.prod(shape)).reshape(shape) for shape in self.SHAPES]
+        plans = plan_layers(params, rank=3)
+        pairs = pairs_from_plan(GaussianStream(1), plans)
+        return params, pairs, plan_alignment_scales(plans)
+
+    @staticmethod
+    def walk_the_stream(params, pairs, seed, z_scales):
+        # the definition: one stream walked in layer order, r**2 core values
+        # per matrix layer and size values per vector layer
+        s = GaussianStream(seed)
+        out = []
+        for i, (w, pair) in enumerate(zip(params, pairs)):
+            if pair is None:
+                delta = s.normals(w.size).reshape(w.shape)
+            else:
+                z = gaussian_matrix(s, pair.rank, pair.rank)
+                delta = (pair.u @ (z @ pair.v.T)).reshape(w.shape)
+            if z_scales is not None and z_scales[i] != 1.0:
+                delta *= z_scales[i]
+            out.append(delta)
+        return out
+
+    @pytest.mark.parametrize("aligned", [False, True], ids=["plain", "scale_z"])
+    def test_drawn_direction_replays_the_seed_bit_for_bit(self, aligned):
+        params, pairs, scales = self.layers()
+        z_scales = scales if aligned else None
+        direction = draw_direction(params, pairs, 17)
+        assert direction.seed == 17 and direction.cores.size == 3 * 9
+        expected = self.walk_the_stream(params, pairs, 17, z_scales)
+        for seed in (17, direction):
+            got = list(iter_perturbation_layers(params, pairs, seed, z_scales))
+            assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
+        moved = []
+        for seed in (17, direction):
+            work = [w.copy() for w in params]
+            axpy_perturbation(work, pairs, seed, -0.3, z_scales)
+            moved.append(b"".join(w.tobytes() for w in work))
+        assert moved[0] == moved[1]
+
+    def test_a_drawn_direction_is_passed_through(self):
+        params, pairs, _ = self.layers()
+        direction = draw_direction(params, pairs, 3)
+        assert draw_direction(params, pairs, direction) is direction
+        assert isinstance(direction, Direction)
+
+    def test_draw_checks_alignment(self):
+        params, pairs, _ = self.layers()
+        with pytest.raises(ShapeError):
+            draw_direction(params, pairs[:-1], 3)
 
 
 class TestPerturbRestore:

@@ -1,0 +1,52 @@
+"""Bit-identity digest of the package's numbers.
+
+Hashes the per-step probe losses, rho values and final parameters of 60
+steps of the ``train_mlp_wide`` benchmark config and 20 of
+``train_mlp_fullspace``'s, a ``scale_z`` and a ``spsa_dense_subspace`` run
+on a small quadratic, ``check_second_moment`` for ``subzero`` and
+``spsa_full``, and ``run_default_battery(n_mc=300, n_mc_bias=300)``.  A
+change that keeps every value bit for bit prints the same digest.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src:perfbench python3 tools/digest.py
+"""
+import dataclasses
+import hashlib
+
+import numpy as np
+
+import subzero as sz
+from subzero import cli, verification
+import workloads
+
+h = hashlib.sha256()
+
+
+def feed(*xs):
+    for x in xs:
+        h.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
+
+
+def run(problem, config):
+    state = sz.init_state(problem, config)
+    for _ in range(config.steps):
+        rec = sz.step(problem, state, config)
+        feed(rec.loss_plus, rec.loss_minus, rec.rho)
+    feed(*state.params)
+
+
+for name, steps in (("train_mlp_wide", 60), ("train_mlp_fullspace", 20)):
+    spec, config = workloads.WORKLOADS[name].configure(1)
+    run(cli.build_problem(spec), dataclasses.replace(config, steps=steps))
+quad = sz.QuadraticProblem.generate(4, [(6, 6), (8, 2), (5,)], dataset_size=32)
+for extra in (dict(family="subzero", rank=2, alignment="scale_z"),
+              dict(family="spsa_dense_subspace", dense_q=8)):
+    run(quad, sz.OptimizerConfig(steps=30, batch_size=8, learning_rate=0.01,
+                                 master_seed=9, **extra))
+problem, params, pairs = verification.battery_cell(((3, 2), (3, 2)), 1, 11)
+reports = [sz.check_second_moment(problem, pairs, params, 500, family=f)
+           for f in ("subzero", "spsa_full")]
+reports += sz.run_default_battery(n_mc=300, n_mc_bias=300)
+h.update(repr(reports).encode())
+print(h.hexdigest())
