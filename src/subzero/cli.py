@@ -25,7 +25,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError
 from .numcore import GaussianStream, derive_seed
@@ -156,29 +156,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _untuple(value):
+    if isinstance(value, dict):
+        return {k: _untuple(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [_untuple(v) for v in value]
     return value
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "problem": {f.name: _untuple(getattr(config.problem, f.name))
-                    for f in fields(ProblemSpec)},
-        "optimizer": {f.name: getattr(config.optimizer, f.name)
-                      for f in fields(OptimizerConfig)},
-        "sweep": {key: _untuple(values) for key, values in config.sweep},
-        "verify": {f.name: getattr(config.verify, f.name)
-                   for f in fields(VerifySettings)},
-        "estimate": {
-            "families": [{f.name: getattr(fam, f.name) for f in fields(FamilySpec)}
-                         for fam in config.estimate.families],
-            "n_mc": config.estimate.n_mc,
-            "epsilon": config.estimate.epsilon,
-            "seed": config.estimate.seed,
-        },
-        "out_dir": config.out_dir,
-    }
+    return _untuple({**asdict(config), "sweep": dict(config.sweep)})
 
 
 def load_config(path: str | None) -> ExperimentConfig:

@@ -1,22 +1,25 @@
-"""Two-point gradient estimators: full-space, dense-subspace and low-rank.
+"""Two-point gradient estimators: the seeded low-rank one and a dense-subspace
+baseline.
 
-All three share the same probe: perturb the parameters in place by
+Both share the same probe: perturb the parameters in place by
 ``+epsilon``, evaluate, swing to ``-epsilon`` in one pass, evaluate again,
 then restore.  The scalar
 
     rho = (loss_plus - loss_minus) / (2 * epsilon)
 
 multiplies the perturbation direction to form the gradient estimate.  The
-layer-wise estimator and the full-space baseline never store the direction;
-they regenerate it from the seed.  The dense-subspace baseline materializes
-its d-by-q projection, which is exactly the memory cost the layer-wise
-estimator avoids, and refuses projections beyond an entry budget.
+layer-wise estimator never stores the direction; it regenerates it from the
+seed.  Full-space SPSA is the layer-wise estimator with every pair ``None``,
+so every layer takes the full Gaussian fallback.  The dense-subspace
+baseline materializes its d-by-q projection, which is exactly the memory
+cost the layer-wise estimator avoids, and refuses projections beyond an
+entry budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,13 +55,12 @@ class LossDifference:
 class EstimateMeta:
     """Provenance of a gradient estimate: which family produced it, from
     which seed, at which probe radius, searching a subspace of dimension q
-    (q equals the full dimension for the full-space family)."""
+    (q equals the full dimension when every pair is ``None``)."""
 
     family: str
     seed: int
     epsilon: float
     q: int
-    pairs: Optional[tuple] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +73,6 @@ class GradEstimate:
     def stacked(self) -> np.ndarray:
         """Flattened estimate under the package's column-major convention."""
         return stack_params(self.layers)
-
-    def norm(self) -> float:
-        return float(math.sqrt(sum(float(np.sum(g * g)) for g in self.layers)))
 
 
 def _checked(value: float, sign: str) -> float:
@@ -158,21 +157,11 @@ def subzero_estimate(
         delta *= rho
         layers.append(delta)
     meta = EstimateMeta(family="subzero", seed=direction.seed, epsilon=epsilon,
-                        q=subspace_dimension(params, pairs), pairs=tuple(pairs))
+                        q=subspace_dimension(params, pairs))
     return ld, GradEstimate(layers=layers, meta=meta)
 
 
-def spsa_full(problem, params: Sequence[np.ndarray], batch,
-              epsilon: float, seed: int) -> GradEstimate:
-    """Full-space two-point estimate: :func:`subzero_estimate` with every
-    layer on the dense Gaussian fallback."""
-    _, est = subzero_estimate(problem, params, [None] * len(params), batch,
-                              epsilon, seed)
-    return replace(est, meta=replace(est.meta, family="spsa_full", pairs=None))
-
-
 def _dense_direction(params: Sequence[np.ndarray], q: int, seed: int,
-                     max_entries: int,
                      projection: Optional[np.ndarray]) -> np.ndarray:
     """The stacked direction ``P z`` of the dense-subspace estimator.
 
@@ -186,9 +175,9 @@ def _dense_direction(params: Sequence[np.ndarray], q: int, seed: int,
     stream = GaussianStream(seed)
     z = stream.normals(q)
     if projection is None:
-        if d * q > max_entries:
-            raise AllocationRefused(
-                f"dense projection needs {d * q} entries, over the cap of {max_entries}")
+        if d * q > DENSE_ENTRY_CAP:
+            raise AllocationRefused(f"dense projection needs {d * q} entries, "
+                                    f"over the cap of {DENSE_ENTRY_CAP}")
         p = stream.normals(d * q).reshape(d, q)
     else:
         p = np.asarray(projection, dtype=np.float64)
@@ -215,12 +204,17 @@ def dense_subspace_probe(
     epsilon: float,
     q: int,
     seed: int,
-    max_entries: int = DENSE_ENTRY_CAP,
     projection: Optional[np.ndarray] = None,
 ) -> tuple[LossDifference, GradEstimate]:
-    """Dense-subspace estimate plus its probe losses; see
-    :func:`spsa_dense_subspace`."""
-    direction = _dense_direction(params, q, seed, max_entries, projection)
+    """Two-point estimate restricted to a dense random q-dimensional
+    subspace of the stacked parameter space, plus its probe losses.
+
+    Draws an unstructured Gaussian projection of d-by-q entries each call,
+    refusing allocations over ``DENSE_ENTRY_CAP``.  ``projection`` overrides
+    the drawn matrix; the identity at ``q = d`` reproduces the full-space
+    estimate exactly, which tests rely on.
+    """
+    direction = _dense_direction(params, q, seed, projection)
     chunks = _split_rowmajor(direction, params)
 
     ld = _probe(problem, params, batch, epsilon,
@@ -229,26 +223,3 @@ def dense_subspace_probe(
     meta = EstimateMeta(family="spsa_dense_subspace", seed=seed,
                         epsilon=epsilon, q=q)
     return ld, GradEstimate(layers=layers, meta=meta)
-
-
-def spsa_dense_subspace(
-    problem,
-    params: Sequence[np.ndarray],
-    batch,
-    epsilon: float,
-    q: int,
-    seed: int,
-    max_entries: int = DENSE_ENTRY_CAP,
-    projection: Optional[np.ndarray] = None,
-) -> GradEstimate:
-    """Two-point estimate restricted to a dense random q-dimensional
-    subspace of the stacked parameter space.
-
-    Draws an unstructured Gaussian projection of d-by-q entries each call,
-    refusing allocations over ``max_entries``.  ``projection`` overrides the
-    drawn matrix (the identity at ``q = d`` reproduces :func:`spsa_full`
-    exactly, which tests rely on).
-    """
-    _, est = dense_subspace_probe(problem, params, batch, epsilon, q, seed,
-                                  max_entries=max_entries, projection=projection)
-    return est

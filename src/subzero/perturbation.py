@@ -106,15 +106,6 @@ def generate_proj_pair(stream: GaussianStream, m: int, n: int, r: int) -> Projec
     return ProjectionPair(u=u, v=v)
 
 
-def low_rank_perturbation(pair: ProjectionPair, z: np.ndarray) -> np.ndarray:
-    """Materialize ``U Z V^T`` for a given core matrix ``z``."""
-    z = np.asarray(z, dtype=np.float64)
-    r = pair.rank
-    if z.shape != (r, r):
-        raise ShapeError(f"core must be {(r, r)}, got {z.shape}")
-    return pair.u @ (z @ pair.v.T)
-
-
 def reshape_near_square(m: int, n: int) -> LayerShape:
     """Most nearly square factorization of ``m * n``.
 
@@ -147,14 +138,6 @@ def reshaped_view(w: np.ndarray, shape: LayerShape) -> np.ndarray:
     if not w.flags.c_contiguous:
         raise ShapeError("relayout requires a C-contiguous parameter")
     return w.reshape(shape.rows, shape.cols)
-
-
-def norm_alignment_factor(m: int, n: int, r: int) -> float:
-    """Scale that matches a rank-r perturbation's expected Frobenius norm
-    to a full Gaussian one for an ``(m, n)`` layer: ``sqrt(m * n) / r``."""
-    if r < 1 or r > min(m, n):
-        raise ShapeError(f"rank {r} not in [1, min{(m, n)}]")
-    return math.sqrt(m * n) / r
 
 
 @dataclass(frozen=True)
@@ -393,8 +376,7 @@ def plan_alignment_scales(plans: Sequence[LayerPlan]) -> list[float]:
     the low-rank perturbation has the Frobenius norm a full Gaussian would;
     vector layers already are full Gaussians and get scale one.
     """
-    return [1.0 if plan.shape is None
-            else norm_alignment_factor(plan.shape.rows, plan.shape.cols, plan.rank)
+    return [1.0 if plan.shape is None else math.sqrt(plan.shape.size) / plan.rank
             for plan in plans]
 
 

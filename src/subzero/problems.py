@@ -15,7 +15,7 @@ exercising the minibatch plumbing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,10 +132,6 @@ class QuadraticProblem:
     def smoothness(self) -> float:
         """Gradient Lipschitz constant, diagonalized directly."""
         return 2.0 * float(np.linalg.eigvalsh(self.h)[-1])
-
-    def global_min_value(self) -> float:
-        xstar = np.linalg.solve(2.0 * self.h, -self.b)
-        return float(xstar @ (self.h @ xstar) + self.b @ xstar)
 
 
 class QuarticProblem:

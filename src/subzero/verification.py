@@ -30,7 +30,7 @@ from .errors import (BudgetExceeded, DegenerateGradient, ScaleRefused,
 from .numcore import GaussianStream, derive_seed, gaussian_matrix, stack_params
 from .perturbation import (ProjectionPair, build_pairs,
                            iter_perturbation_layers, subspace_dimension)
-from .estimators import GradEstimate, spsa_dense_subspace, spsa_full, subzero_estimate
+from .estimators import GradEstimate, dense_subspace_probe, subzero_estimate
 from .optimizer import OptimizerConfig, init_state, step, theoretical_step_size
 from .problems import Minibatch, QuadraticProblem, QuarticProblem, full_batch
 
@@ -52,17 +52,13 @@ class BlockDiagProjector:
     matrix: np.ndarray
 
     @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def q(self) -> int:
         return self.matrix.shape[1]
 
 
-def materialize_projector(pairs: Sequence[Optional[ProjectionPair]],
-                          vector_sizes: Optional[Sequence[int]] = None,
-                          max_dim: int = PROJECTOR_DIM_CAP) -> BlockDiagProjector:
+def materialize_projector(
+        pairs: Sequence[Optional[ProjectionPair]],
+        vector_sizes: Optional[Sequence[int]] = None) -> BlockDiagProjector:
     """Assemble ``bdiag(V_i kron U_i)`` explicitly.
 
     A ``None`` entry stands for a vector layer, whose perturbation is a full
@@ -70,29 +66,35 @@ def materialize_projector(pairs: Sequence[Optional[ProjectionPair]],
     matching position of ``vector_sizes`` (one entry per layer, aligned with
     ``pairs``; entries under matrix layers are ignored and may be anything).
     Column-major flattening per layer makes each
-    Kronecker block map ``vec(Z_i)`` to ``vec(U_i Z_i V_i^T)``.  Refuses to
-    materialize beyond ``max_dim`` rows; the point of the layer-wise
-    estimator is that this matrix never exists at scale.
+    Kronecker block map ``vec(Z_i)`` to ``vec(U_i Z_i V_i^T)``.  Refuses,
+    before allocating anything, to materialize beyond ``PROJECTOR_DIM_CAP``
+    rows; the point of the layer-wise estimator is that this matrix never
+    exists at scale.
     """
-    blocks = []
+    sizes = []
     for i, pair in enumerate(pairs):
         if pair is None:
             if vector_sizes is None or vector_sizes[i] is None:
                 raise ShapeError(
                     "vector layers need vector_sizes to materialize their identity block")
-            blocks.append(np.eye(int(vector_sizes[i])))
+            n = int(vector_sizes[i])
+            sizes.append((n, n))
         else:
-            blocks.append(np.kron(pair.v, pair.u))
-    d = sum(b.shape[0] for b in blocks)
-    q = sum(b.shape[1] for b in blocks)
-    if d > max_dim:
-        raise ScaleRefused(f"projector would be {d}x{q}; cap is {max_dim} rows")
+            sizes.append((pair.shape.size, pair.rank ** 2))
+    d = sum(rows for rows, _ in sizes)
+    q = sum(cols for _, cols in sizes)
+    if d > PROJECTOR_DIM_CAP:
+        raise ScaleRefused(f"projector would be {d}x{q}; cap is {PROJECTOR_DIM_CAP} rows")
     matrix = np.zeros((d, q))
     row = col = 0
-    for b in blocks:
-        matrix[row:row + b.shape[0], col:col + b.shape[1]] = b
-        row += b.shape[0]
-        col += b.shape[1]
+    for pair, (rows, cols) in zip(pairs, sizes):
+        block = matrix[row:row + rows, col:col + cols]
+        if pair is None:
+            np.fill_diagonal(block, 1.0)
+        else:
+            block[...] = np.kron(pair.v, pair.u)
+        row += rows
+        col += cols
     return BlockDiagProjector(matrix=matrix)
 
 
@@ -158,6 +160,8 @@ def _mc_mean(samples: Iterable):
         acc = acc + x
         acc_sq = acc_sq + x * x
         n += 1
+    if n == 0:
+        raise ValueError("n_mc must be at least 1")
     mean = acc / n
     var = np.maximum(acc_sq / n - mean * mean, 0.0) * (n / max(n - 1, 1))
     return mean, math.sqrt(float(np.sum(var)) / n)
@@ -320,24 +324,6 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(lx @ (ly - ly.mean())) / denom
 
 
-def bias_slope(problem, pairs, params, epsilons: Sequence[float], n_mc: int, *,
-               seed: int = 0, batch=None) -> tuple[float, list[tuple[float, float, float]]]:
-    """Log-log slope of measured bias against epsilon over a sweep.
-
-    Second-order accuracy of the two-sided probe makes the bias scale as
-    ``epsilon**2``, so the slope should sit at 2.  Returns the slope and the
-    per-epsilon ``(epsilon, bias, stderr)`` triples.
-    """
-    points = []
-    for i, eps in enumerate(epsilons):
-        bias, stderr = measure_bias(problem, pairs, params, eps, n_mc,
-                                    seed=derive_seed(seed, _TAG_MC, 10 ** 6 + i),
-                                    batch=batch)
-        points.append((float(eps), bias, stderr))
-    slope = fit_loglog_slope([p[0] for p in points], [p[1] for p in points])
-    return slope, points
-
-
 # ---------------------------------------------------------------------------
 # gradient-quality diagnostics
 
@@ -354,14 +340,13 @@ class DiagnosticsRow:
 
 def _family_estimate(family: str, problem, params, batch, epsilon: float,
                      seed: int, pairs, dense_q: Optional[int]) -> GradEstimate:
-    if family == "subzero":
-        _, est = subzero_estimate(problem, params, pairs, batch, epsilon, seed)
-        return est
     if family == "spsa_full":
-        return spsa_full(problem, params, batch, epsilon, seed)
-    if family == "spsa_dense_subspace":
-        return spsa_dense_subspace(problem, params, batch, epsilon, dense_q, seed)
-    raise ValueError(f"unknown estimator family {family!r}")
+        pairs = [None] * len(params)
+    elif family == "spsa_dense_subspace":
+        return dense_subspace_probe(problem, params, batch, epsilon, dense_q, seed)[1]
+    elif family != "subzero":
+        raise ValueError(f"unknown estimator family {family!r}")
+    return subzero_estimate(problem, params, pairs, batch, epsilon, seed)[1]
 
 
 def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
@@ -379,8 +364,6 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
         raise ShapeError("subzero diagnostics need projection pairs")
     if estimator_family == "spsa_dense_subspace" and dense_q is None:
         raise ShapeError("dense-subspace diagnostics need a subspace dimension")
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
     batch = full_batch(problem) if batch is None else batch
     mean, _ = _mc_mean(
         _family_estimate(estimator_family, problem, params, batch, epsilon,

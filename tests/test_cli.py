@@ -140,6 +140,13 @@ class TestConfigHash:
         assert len(tag) == 8
         int(tag, 16)
 
+    def test_hashes_are_pinned(self):
+        # output file names derive from the hash, so a serializer change
+        # must not move it; the second config sets every section
+        assert config_hash(ExperimentConfig()) == "70e1969c"
+        every_section = config_from_dict({**BENCH_RAW, "out_dir": "runs"})
+        assert config_hash(every_section) == "1fa96344"
+
 
 class TestBuildProblem:
     def test_family_dispatch(self):

@@ -1,14 +1,15 @@
-"""Probe mechanics and gradient estimates for all three families."""
+"""Probe mechanics and gradient estimates: the seeded estimator, with
+full-space SPSA as its all-fallback case, and the dense-subspace probe."""
 
 import math
 
 import numpy as np
 import pytest
 
+from subzero import estimators
 from subzero.errors import AllocationRefused, NonFiniteLoss, ShapeError
 from subzero.estimators import (DENSE_ENTRY_CAP, LossDifference,
-                                dense_subspace_probe, spsa_dense_subspace,
-                                spsa_full, subzero_estimate,
+                                dense_subspace_probe, subzero_estimate,
                                 two_sided_loss_diff)
 from subzero.numcore import GaussianStream, stack_params
 from subzero.perturbation import build_pairs, iter_perturbation_layers
@@ -127,14 +128,11 @@ class TestSubzeroEstimate:
         assert est.meta.seed == 9
         assert est.meta.epsilon == 1e-4
         assert est.meta.q == 2 * 2 + 5
-        assert est.meta.pairs == tuple(pairs)
 
     def test_stacked_uses_column_major_convention(self):
         prob, params, pairs, batch = quadratic_setup()
         _, est = subzero_estimate(prob, params, pairs, batch, 1e-4, seed=9)
         assert np.array_equal(est.stacked(), stack_params(est.layers))
-        assert est.norm() == pytest.approx(float(np.linalg.norm(est.stacked())),
-                                           rel=1e-12)
 
     def test_deterministic_replay_from_fresh_start(self):
         prob, _, _, batch = quadratic_setup()
@@ -165,31 +163,33 @@ class TestSubzeroEstimate:
 
 
 class TestSpsaFull:
+    """Full-space SPSA: :func:`subzero_estimate` with every pair ``None``."""
+
     def test_is_subzero_with_full_fallback_everywhere(self):
-        # fresh parameter copies per call: probes restore only to roundoff,
-        # and this equivalence is bit-exact from identical starts
+        # every layer takes its full Gaussian draw from the stream in layer
+        # order, and the estimate is rho times those draws, bit for bit
         prob, params, _, batch = quadratic_setup()
-        full = spsa_full(prob, [w.copy() for w in params], batch, 1e-4, seed=4)
-        _, via_pairs = subzero_estimate(prob, [w.copy() for w in params],
-                                        [None, None], batch, 1e-4, seed=4)
-        for a, b in zip(full.layers, via_pairs.layers):
-            assert np.array_equal(a, b)
+        ld, est = subzero_estimate(prob, params, [None, None], batch, 1e-4,
+                                   seed=4)
+        s = GaussianStream(4)
+        draws = [s.normals(w.size).reshape(w.shape) for w in params]
+        for layer, z in zip(est.layers, draws):
+            assert np.array_equal(layer, ld.rho * z)
 
     def test_q_equals_total_dimension(self):
         prob, params, _, batch = quadratic_setup()
-        est = spsa_full(prob, params, batch, 1e-4, seed=4)
-        assert est.meta.family == "spsa_full"
+        _, est = subzero_estimate(prob, params, [None, None], batch, 1e-4, seed=4)
         assert est.meta.q == 12 + 5
-        assert est.meta.pairs is None
 
 
 class TestDenseSubspace:
     def test_identity_projection_reproduces_full_space(self):
         prob, params, _, batch = quadratic_setup()
         d = sum(w.size for w in params)
-        dense = spsa_dense_subspace(prob, [w.copy() for w in params], batch,
-                                    1e-4, q=d, seed=4, projection=np.eye(d))
-        full = spsa_full(prob, [w.copy() for w in params], batch, 1e-4, seed=4)
+        _, dense = dense_subspace_probe(prob, [w.copy() for w in params], batch,
+                                        1e-4, q=d, seed=4, projection=np.eye(d))
+        _, full = subzero_estimate(prob, [w.copy() for w in params],
+                                   [None, None], batch, 1e-4, seed=4)
         for a, b in zip(dense.layers, full.layers):
             assert np.array_equal(a, b)
 
@@ -221,27 +221,27 @@ class TestDenseSubspace:
         for w, b in zip(params, before):
             assert np.max(np.abs(w - b)) <= 1e-12
 
-    def test_allocation_cap_enforced(self):
-        prob, params, _, batch = quadratic_setup()
-        with pytest.raises(AllocationRefused):
-            spsa_dense_subspace(prob, params, batch, 1e-3, q=4, seed=0,
-                                max_entries=10)
+    def test_allocation_cap_enforced(self, monkeypatch):
         assert DENSE_ENTRY_CAP == 10 ** 8
+        prob, params, _, batch = quadratic_setup()
+        monkeypatch.setattr(estimators, "DENSE_ENTRY_CAP", 10)
+        with pytest.raises(AllocationRefused):
+            dense_subspace_probe(prob, params, batch, 1e-3, q=4, seed=0)
 
     def test_projection_shape_validated(self):
         prob, params, _, batch = quadratic_setup()
         with pytest.raises(ShapeError):
-            spsa_dense_subspace(prob, params, batch, 1e-3, q=2, seed=0,
-                                projection=np.eye(5))
+            dense_subspace_probe(prob, params, batch, 1e-3, q=2, seed=0,
+                                 projection=np.eye(5))
 
     def test_q_must_be_positive(self):
         prob, params, _, batch = quadratic_setup()
         with pytest.raises(ShapeError):
-            spsa_dense_subspace(prob, params, batch, 1e-3, q=0, seed=0)
+            dense_subspace_probe(prob, params, batch, 1e-3, q=0, seed=0)
 
     def test_meta(self):
         prob, params, _, batch = quadratic_setup()
-        est = spsa_dense_subspace(prob, params, batch, 1e-3, q=4, seed=12)
+        _, est = dense_subspace_probe(prob, params, batch, 1e-3, q=4, seed=12)
         assert est.meta.family == "spsa_dense_subspace"
         assert est.meta.q == 4
         assert est.meta.seed == 12

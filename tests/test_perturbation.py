@@ -13,9 +13,7 @@ from subzero.perturbation import (RESHAPE_POLICIES, Direction, LayerPlan,
                                   LayerShape, PerturbSpec, ProjectionPair,
                                   axpy_perturbation, build_pairs,
                                   draw_direction, generate_proj_pair,
-                                  iter_perturbation_layers,
-                                  low_rank_perturbation,
-                                  norm_alignment_factor, pairs_from_plan,
+                                  iter_perturbation_layers, pairs_from_plan,
                                   perturb_params_inplace,
                                   plan_alignment_scales, plan_layers,
                                   reshape_near_square, reshaped_view,
@@ -60,24 +58,21 @@ class TestProjectionPair:
 
 
 class TestLowRankPerturbation:
+    """A matrix layer's perturbation is ``U Z V^T`` with the seed's core."""
+
     def test_matches_einsum_oracle(self):
         pair = generate_proj_pair(GaussianStream(3), 5, 4, 2)
+        (got,) = iter_perturbation_layers([np.zeros((5, 4))], [pair], seed=4)
         z = gaussian_matrix(GaussianStream(4), 2, 2)
-        got = low_rank_perturbation(pair, z)
         oracle = np.einsum("ir,rs,js->ij", pair.u, z, pair.v)
         assert np.max(np.abs(got - oracle)) < 1e-13
 
     def test_frobenius_norm_equals_core_norm(self):
         # orthonormal factors preserve the Frobenius norm of the core
         pair = generate_proj_pair(GaussianStream(5), 6, 5, 3)
+        (got,) = iter_perturbation_layers([np.zeros((6, 5))], [pair], seed=6)
         z = gaussian_matrix(GaussianStream(6), 3, 3)
-        assert np.linalg.norm(low_rank_perturbation(pair, z)) == pytest.approx(
-            np.linalg.norm(z), rel=1e-12)
-
-    def test_wrong_core_shape_raises(self):
-        pair = generate_proj_pair(GaussianStream(7), 5, 4, 2)
-        with pytest.raises(ShapeError):
-            low_rank_perturbation(pair, np.zeros((3, 3)))
+        assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(z), rel=1e-12)
 
 
 def brute_force_near_square(m, n):
@@ -398,10 +393,12 @@ class TestPerturbRestore:
 
 class TestAlignment:
     def test_factor_formula(self):
-        assert norm_alignment_factor(8, 2, 2) == pytest.approx(2.0)
-        assert norm_alignment_factor(6, 6, 2) == pytest.approx(3.0)
-        with pytest.raises(ShapeError):
-            norm_alignment_factor(4, 3, 5)
+        # sqrt(m * n) / r, with the rank the plan clamped to min(m, n)
+        params = [np.zeros((8, 2)), np.zeros((6, 6)), np.zeros((4, 3))]
+        scales = plan_alignment_scales(plan_layers(params, 2, "never"))
+        assert scales[:2] == pytest.approx([2.0, 3.0])
+        clamped = plan_alignment_scales(plan_layers(params[2:], 5, "never"))
+        assert clamped == pytest.approx([math.sqrt(12) / 3])
 
     def test_scale_z_matches_factor_per_layer(self):
         scales = plan_alignment_scales(plan_layers(two_layer_params(), 2))
@@ -412,7 +409,7 @@ class TestAlignment:
         # E||mu * U Z V^T||_F^2 = mu^2 r^2 = m n = E||full draw||_F^2
         params = [np.zeros((6, 4))]
         pairs = build_pairs(GaussianStream(3), params, 2)
-        mu = norm_alignment_factor(6, 4, 2)
+        (mu,) = plan_alignment_scales(plan_layers(params, 2))
         acc = 0.0
         n = 4000
         for k in range(n):

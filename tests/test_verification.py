@@ -9,6 +9,7 @@ the step count at which the runs stop.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from subzero import (
     estimator_diagnostics,
     fit_loglog_slope,
     full_batch,
-    generate_proj_pair,
     iter_perturbation_layers,
     materialize_projector,
     measure_bias,
@@ -49,6 +49,7 @@ from subzero.errors import (
     ScaleRefused,
     ShapeError,
 )
+from subzero.perturbation import generate_proj_pair
 from subzero.verification import (
     BATTERY_SHAPES,
     BIAS_EPSILONS,
@@ -58,7 +59,6 @@ from subzero.verification import (
     _report,
     _slope_report,
     battery_cell,
-    bias_slope,
     convergence_hitting_times,
     projected_gradient_sq_norm,
     subspace_start,
@@ -94,12 +94,35 @@ class TestReportRule:
         assert math.isnan(rep.rel_deviation) and rep.passed
 
 
+ZERO_SAMPLE_CHECKS = {
+    "expectation_identity": lambda problem, pairs, params:
+        check_expectation_identity(problem, pairs, params, 0),
+    "second_moment": lambda problem, pairs, params:
+        check_second_moment(problem, pairs, params, 0),
+    "cosine_identity": lambda problem, pairs, params:
+        check_cosine_identity(problem, pairs, params, 0),
+    "measure_bias": lambda problem, pairs, params:
+        measure_bias(problem, pairs, params, 1e-3, 0),
+    "bias_bound": lambda problem, pairs, params:
+        check_bias_bound(problem, pairs, params, 1e-3, 0, hessian_lipschitz=1.0),
+    "diagnostics": lambda problem, pairs, params:
+        estimator_diagnostics(problem, params, "subzero", 0, pairs=pairs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SAMPLE_CHECKS))
+def test_zero_samples_are_a_value_error(name):
+    problem, params, pairs = quadratic_cell(28, [(4, 4)], 2)
+    with pytest.raises(ValueError, match="n_mc must be at least 1"):
+        ZERO_SAMPLE_CHECKS[name](problem, pairs, params)
+
+
 class TestMaterializeProjector:
     def test_single_rank_one_block_is_kron(self):
         pair = generate_proj_pair(GaussianStream(3), 3, 2, 1)
         proj = materialize_projector([pair])
         assert proj.matrix.shape == (6, 1)
-        assert proj.d == 6 and proj.q == 1
+        assert proj.q == 1
         np.testing.assert_allclose(proj.matrix, np.kron(pair.v, pair.u))
         assert np.linalg.norm(proj.matrix) == pytest.approx(1.0, abs=1e-12)
 
@@ -123,12 +146,27 @@ class TestMaterializeProjector:
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_refuses_beyond_row_cap(self):
-        pair = generate_proj_pair(GaussianStream(6), 5, 5, 1)
-        with pytest.raises(ScaleRefused):
-            materialize_projector([pair], max_dim=24)
         assert PROJECTOR_DIM_CAP == 200
+        pair = generate_proj_pair(GaussianStream(6), 15, 15, 1)  # 225 rows
+        with pytest.raises(ScaleRefused):
+            materialize_projector([pair])
         with pytest.raises(ScaleRefused):
             materialize_projector([None], vector_sizes=[PROJECTOR_DIM_CAP + 1])
+
+    def test_refuses_before_allocating(self):
+        # a 300x300 rank-2 block would take 2.9 MB, and an identity block of
+        # 10**7 rows far more than memory holds; neither is ever built
+        pair = generate_proj_pair(GaussianStream(6), 300, 300, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScaleRefused):
+                materialize_projector([pair])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        with pytest.raises(ScaleRefused):
+            materialize_projector([None], vector_sizes=[10 ** 7])
 
     def test_columns_orthonormal_multilayer(self):
         stream = GaussianStream(7)
@@ -373,11 +411,13 @@ class TestSlopeFit:
         params = problem.initial_params()
         pairs = build_pairs(GaussianStream(derive_seed(27, 0x64, 0)), params,
                             1, reshape="never")
-        slope, points = bias_slope(problem, pairs, params,
-                                   [1e-1, 1e-2, 1e-3], 2000, seed=10)
-        assert abs(slope - 2.0) < 0.15, (slope, points)
-        assert [p[0] for p in points] == [1e-1, 1e-2, 1e-3]
-        assert all(p[1] > 0.0 for p in points)
+        epsilons = [1e-1, 1e-2, 1e-3]
+        biases = [measure_bias(problem, pairs, params, eps, 2000,
+                               seed=derive_seed(10, 0x61, 10 ** 6 + i))[0]
+                  for i, eps in enumerate(epsilons)]
+        assert all(b > 0.0 for b in biases)
+        slope = fit_loglog_slope(epsilons, biases)
+        assert abs(slope - 2.0) < 0.15, (slope, biases)
 
 
 class TestDiagnostics:
