@@ -86,7 +86,10 @@ def _probe(problem, params: Sequence[np.ndarray], batch, epsilon: float,
     """The (+eps, -2 eps, +eps) probe around ``apply(coeff)``, which adds
     ``coeff`` times one fixed direction to the parameters in place.  On any
     error the net coefficient applied so far is taken back, which restores
-    the parameters to rounding when a failed ``apply`` undoes itself."""
+    the parameters to rounding when a failed ``apply`` undoes itself.  A
+    non-positive ``epsilon`` raises ``ValueError`` before the first pass."""
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     applied = 0.0
     try:
         apply(epsilon)
@@ -137,7 +140,6 @@ def subzero_estimate(
     batch,
     epsilon: float,
     seed: int | Direction,
-    z_scales: Optional[Sequence[float]] = None,
 ) -> tuple[LossDifference, GradEstimate]:
     """Layer-wise low-rank gradient estimate.
 
@@ -149,11 +151,10 @@ def subzero_estimate(
     estimate costs two loss evaluations and stores q floats of direction.
     """
     direction = draw_direction(params, pairs, seed)
-    ld = two_sided_loss_diff(problem, params, pairs, batch, epsilon, direction,
-                             z_scales)
+    ld = two_sided_loss_diff(problem, params, pairs, batch, epsilon, direction)
     rho = ld.rho
     layers = []
-    for delta in iter_perturbation_layers(params, pairs, direction, z_scales):
+    for delta in iter_perturbation_layers(params, pairs, direction):
         delta *= rho
         layers.append(delta)
     meta = EstimateMeta(family="subzero", seed=direction.seed, epsilon=epsilon,

@@ -90,7 +90,7 @@ class OptimizerConfig:
     def learning_rate_at(self, t: int) -> float:
         if self.schedule == "constant":
             return self.learning_rate
-        return self.learning_rate * (1.0 - t / max(self.steps, 1))
+        return max(0.0, self.learning_rate * (1.0 - t / max(self.steps, 1)))
 
 
 @dataclass
@@ -145,7 +145,8 @@ def init_state(problem, config: OptimizerConfig,
                params: Optional[Sequence[np.ndarray]] = None,
                pairs: Optional[list[Optional[ProjectionPair]]] = None) -> TrainerState:
     """Set up a run: copy the starting point, plan the layer routing, and
-    resolve the norm alignment mode into per-layer core scales."""
+    resolve the norm alignment mode into per-layer core scales (from the
+    pinned pairs when given, since they need not follow the plan)."""
     if params is None:
         work = problem.initial_params()
     else:
@@ -158,13 +159,14 @@ def init_state(problem, config: OptimizerConfig,
         state.pairs = [None] * len(work)
     elif config.family == "subzero":
         state.plans = plan_layers(work, config.rank, config.reshape)
-        if config.alignment == "scale_z":
-            state.z_scales = plan_alignment_scales(state.plans)
         if pairs is not None:
             if len(pairs) != len(work):
                 raise ShapeError("pinned pairs must align with the parameters")
             state.pairs = list(pairs)
             state.pinned_pairs = True
+        if config.alignment == "scale_z":
+            state.z_scales = plan_alignment_scales(
+                state.pairs if state.pinned_pairs else state.plans)
     return state
 
 

@@ -361,23 +361,23 @@ def perturb_params_inplace(
     params: Sequence[np.ndarray],
     pairs: Sequence[Optional[ProjectionPair]],
     spec: PerturbSpec,
-    z_scales: Optional[Sequence[float]] = None,
 ) -> None:
     """Add ``direction * epsilon`` times the seeded perturbation to params;
     see :func:`axpy_perturbation`."""
-    axpy_perturbation(params, pairs, spec.seed,
-                      float(spec.direction) * spec.epsilon, z_scales)
+    axpy_perturbation(params, pairs, spec.seed, float(spec.direction) * spec.epsilon)
 
 
-def plan_alignment_scales(plans: Sequence[LayerPlan]) -> list[float]:
+def plan_alignment_scales(
+        plans: Sequence[LayerPlan | Optional[ProjectionPair]]) -> list[float]:
     """Per-layer core scales implementing norm alignment (``"scale_z"``).
 
     Each matrix layer's core draw is multiplied by ``sqrt(m * n) / r`` so
     the low-rank perturbation has the Frobenius norm a full Gaussian would;
-    vector layers already are full Gaussians and get scale one.
+    vector layers already are full Gaussians and get scale one.  Takes layer
+    plans or the projection pairs applied (``None`` for a vector layer).
     """
-    return [1.0 if plan.shape is None else math.sqrt(plan.shape.size) / plan.rank
-            for plan in plans]
+    return [1.0 if plan is None or plan.shape is None
+            else math.sqrt(plan.shape.size) / plan.rank for plan in plans]
 
 
 def subspace_dimension(params: Sequence[np.ndarray],

@@ -9,7 +9,8 @@ so its mean, second moment and directional statistics have closed forms.
 This module materializes the projector at toy scale and confirms each
 closed form by Monte Carlo, with explicit standard errors: a check passes
 only when the deviation is inside ``max(abs_tol, 4 * stderr)``, never
-because the sample count was too small to resolve a discrepancy.
+because the sample count was too small to resolve a discrepancy.  Every
+check draws its samples through one sampler, on the full batch.
 
 Also here: the curvature-bias measurement (via a control variate that
 cancels the zero-bias part of each sample, so the tiny ``epsilon**2`` bias
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -167,10 +168,28 @@ def _mc_mean(samples: Iterable):
     return mean, math.sqrt(float(np.sum(var)) / n)
 
 
+def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
+               family: str = "subzero", dense_q: Optional[int] = None,
+               first: int = 0) -> Iterator[GradEstimate]:
+    """Every check's samples, on the full batch: sample ``k``, for ``k`` in
+    ``[first, first + n_mc)`` in order, is one ``family`` estimate seeded by
+    ``(seed, _TAG_MC, k)``; ``spsa_full`` sets every pair to ``None``."""
+    if family == "spsa_full":
+        pairs = [None] * len(params)
+    elif family not in ("subzero", "spsa_dense_subspace"):
+        raise ValueError(f"unknown estimator family {family!r}")
+    batch = full_batch(problem)
+    for k in range(first, first + n_mc):
+        s = derive_seed(seed, _TAG_MC, k)
+        if family == "spsa_dense_subspace":
+            yield dense_subspace_probe(problem, params, batch, epsilon, dense_q, s)[1]
+        else:
+            yield subzero_estimate(problem, params, pairs, batch, epsilon, s)[1]
+
+
 def check_expectation_identity(problem, pairs, params, n_mc: int, *,
                                epsilon: float = 1e-3, seed: int = 0,
-                               rel_tol: float = 0.03,
-                               batch=None) -> MonteCarloReport:
+                               rel_tol: float = 0.03) -> MonteCarloReport:
     """Mean of the estimator equals the projected gradient.
 
     Averages ``n_mc`` independent estimates and compares, entrywise through
@@ -178,7 +197,6 @@ def check_expectation_identity(problem, pairs, params, n_mc: int, *,
     is the euclidean norm of the difference of means; the standard error
     aggregates per-component variances.
     """
-    batch = full_batch(problem) if batch is None else batch
     for w, pair in zip(params, pairs):
         # the stacked projector and the stacked gradient must flatten the
         # same geometry; relayouted pairs would silently compare different
@@ -188,14 +206,12 @@ def check_expectation_identity(problem, pairs, params, n_mc: int, *,
             raise ShapeError(
                 "expectation check needs pairs in each layer's native geometry; "
                 f"got {pair.shape} against {w.shape}")
-    grads = problem.exact_gradient(params, batch)
-    g = stack_params(grads)
+    g = stack_params(problem.exact_gradient(params, full_batch(problem)))
     proj = materialize_projector(pairs, vector_sizes=[w.size for w in params])
     target_vec = proj.matrix @ (proj.matrix.T @ g)
     mean, stderr = _mc_mean(
-        subzero_estimate(problem, params, pairs, batch, epsilon,
-                         derive_seed(seed, _TAG_MC, k))[1].stacked()
-        for k in range(n_mc))
+        est.stacked()
+        for est in _estimates(problem, params, pairs, n_mc, epsilon, seed))
     deviation = float(np.linalg.norm(mean - target_vec))
     target_norm = float(np.linalg.norm(target_vec))
     return _report("expectation_identity", n_mc, float(np.linalg.norm(mean)),
@@ -204,8 +220,7 @@ def check_expectation_identity(problem, pairs, params, n_mc: int, *,
 
 def check_second_moment(problem, pairs, params, n_mc: int, *,
                         family: str = "subzero", epsilon: float = 1e-3,
-                        seed: int = 0, rel_tol: float = 0.02,
-                        batch=None) -> MonteCarloReport:
+                        seed: int = 0, rel_tol: float = 0.02) -> MonteCarloReport:
     """Mean squared norm of the estimator equals ``(q+2) ||P^T grad||**2``.
 
     With ``family="spsa_full"`` the same check runs on the full-space
@@ -213,8 +228,7 @@ def check_second_moment(problem, pairs, params, n_mc: int, *,
     one problem is the variance-reduction ordering at the point where it is
     exact.
     """
-    batch = full_batch(problem) if batch is None else batch
-    grads = problem.exact_gradient(params, batch)
+    grads = problem.exact_gradient(params, full_batch(problem))
     if family == "subzero":
         q = subspace_dimension(params, pairs)
         target = (q + 2) * projected_gradient_sq_norm(grads, pairs)
@@ -224,13 +238,9 @@ def check_second_moment(problem, pairs, params, n_mc: int, *,
         target = (d + 2) * float(g @ g)
     else:
         raise ValueError(f"no second-moment target for family {family!r}")
-
-    def sq_norm(k: int) -> float:
-        est = _family_estimate(family, problem, params, batch, epsilon,
-                               derive_seed(seed, _TAG_MC, k), pairs, None)
-        return sum(float((layer * layer).sum()) for layer in est.layers)
-
-    mean, stderr = _mc_mean(sq_norm(k) for k in range(n_mc))
+    mean, stderr = _mc_mean(
+        sum(float((layer * layer).sum()) for layer in est.layers)
+        for est in _estimates(problem, params, pairs, n_mc, epsilon, seed, family))
     deviation = abs(mean - target)
     return _report(f"second_moment_{family}", n_mc, mean, target, deviation,
                    stderr, rel_tol * abs(target))
@@ -238,19 +248,16 @@ def check_second_moment(problem, pairs, params, n_mc: int, *,
 
 def check_cosine_identity(problem, pairs, params, n_mc: int, *,
                           epsilon: float = 1e-3, seed: int = 0,
-                          rel_tol: float = 0.05, batch=None) -> MonteCarloReport:
+                          rel_tol: float = 0.05) -> MonteCarloReport:
     """Mean of ``<grad, est>**2 / (||P^T grad||**2 ||est||**2)`` equals 1/q."""
-    batch = full_batch(problem) if batch is None else batch
-    grads = problem.exact_gradient(params, batch)
+    grads = problem.exact_gradient(params, full_batch(problem))
     proj_sq = projected_gradient_sq_norm(grads, pairs)
     if proj_sq < 1e-24:
         raise DegenerateGradient("projected gradient is numerically zero")
     q = subspace_dimension(params, pairs)
     target = 1.0 / q
 
-    def cos_sq(k: int) -> float:
-        _, est = subzero_estimate(problem, params, pairs, batch, epsilon,
-                                  derive_seed(seed, _TAG_MC, k))
+    def cos_sq(est: GradEstimate) -> float:
         inner = sum(float(np.sum(g * e)) for g, e in zip(grads, est.layers))
         est_sq = sum(float(np.sum(e * e)) for e in est.layers)
         if est_sq == 0.0:
@@ -258,7 +265,8 @@ def check_cosine_identity(problem, pairs, params, n_mc: int, *,
                 "zero-norm estimate; measure-zero event, aborting the check")
         return inner * inner / (proj_sq * est_sq)
 
-    mean, stderr = _mc_mean(cos_sq(k) for k in range(n_mc))
+    mean, stderr = _mc_mean(
+        map(cos_sq, _estimates(problem, params, pairs, n_mc, epsilon, seed)))
     deviation = abs(mean - target)
     return _report("cosine_identity", n_mc, mean, target, deviation, stderr,
                    rel_tol * target)
@@ -268,7 +276,7 @@ def check_cosine_identity(problem, pairs, params, n_mc: int, *,
 # curvature bias
 
 def measure_bias(problem, pairs, params, epsilon: float, n_mc: int, *,
-                 seed: int = 0, batch=None) -> tuple[float, float]:
+                 seed: int = 0) -> tuple[float, float]:
     """Norm of the estimator's mean deviation from the projected gradient,
     with a control variate.
 
@@ -278,22 +286,21 @@ def measure_bias(problem, pairs, params, epsilon: float, n_mc: int, *,
     so the measurement resolves the bias instead of drowning it in the
     O(1) sampling noise of the raw estimator.  Returns ``(bias, stderr)``.
     """
-    batch = full_batch(problem) if batch is None else batch
-    g = stack_params(problem.exact_gradient(params, batch))
+    g = stack_params(problem.exact_gradient(params, full_batch(problem)))
 
-    def controlled(k: int) -> np.ndarray:
-        s = derive_seed(seed, _TAG_MC, k)
-        _, est = subzero_estimate(problem, params, pairs, batch, epsilon, s)
-        delta = stack_params(list(iter_perturbation_layers(params, pairs, s)))
+    def controlled(est: GradEstimate) -> np.ndarray:
+        seed_k = est.meta.seed
+        delta = stack_params(list(iter_perturbation_layers(params, pairs, seed_k)))
         return est.stacked() - (g @ delta) * delta
 
-    mean, stderr = _mc_mean(controlled(k) for k in range(n_mc))
+    mean, stderr = _mc_mean(
+        map(controlled, _estimates(problem, params, pairs, n_mc, epsilon, seed)))
     return float(np.linalg.norm(mean)), stderr
 
 
 def check_bias_bound(problem, pairs, params, epsilon: float, n_mc: int, *,
-                     seed: int = 0, hessian_lipschitz: Optional[float] = None,
-                     batch=None) -> MonteCarloReport:
+                     seed: int = 0,
+                     hessian_lipschitz: Optional[float] = None) -> MonteCarloReport:
     """Measured bias stays below ``(epsilon**2 / 6) L2 (q+4)**2``.
 
     ``L2`` bounds the Hessian's Lipschitz constant over the probe region;
@@ -306,8 +313,7 @@ def check_bias_bound(problem, pairs, params, epsilon: float, n_mc: int, *,
     if hessian_lipschitz is None:
         radius = epsilon * (math.sqrt(q) + 8.0)
         hessian_lipschitz = problem.hessian_lipschitz(params, radius)
-    bias, stderr = measure_bias(problem, pairs, params, epsilon, n_mc,
-                                seed=seed, batch=batch)
+    bias, stderr = measure_bias(problem, pairs, params, epsilon, n_mc, seed=seed)
     bound = (epsilon ** 2 / 6.0) * hessian_lipschitz * (q + 4) ** 2
     deviation = max(0.0, bias - bound)
     return _report("bias_bound", n_mc, bias, bound, deviation, stderr, 0.0)
@@ -338,21 +344,9 @@ class DiagnosticsRow:
     n_mc: int
 
 
-def _family_estimate(family: str, problem, params, batch, epsilon: float,
-                     seed: int, pairs, dense_q: Optional[int]) -> GradEstimate:
-    if family == "spsa_full":
-        pairs = [None] * len(params)
-    elif family == "spsa_dense_subspace":
-        return dense_subspace_probe(problem, params, batch, epsilon, dense_q, seed)[1]
-    elif family != "subzero":
-        raise ValueError(f"unknown estimator family {family!r}")
-    return subzero_estimate(problem, params, pairs, batch, epsilon, seed)[1]
-
-
 def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
                      pairs=None, dense_q: Optional[int] = None,
-                     epsilon: float = 1e-3, seed: int = 0,
-                     batch=None) -> DiagnosticsRow:
+                     epsilon: float = 1e-3, seed: int = 0) -> DiagnosticsRow:
     """Directional quality and noise of an estimator at one point.
 
     Phase one approximates the estimator's mean ``g`` over ``n_mc`` seeds.
@@ -364,11 +358,10 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
         raise ShapeError("subzero diagnostics need projection pairs")
     if estimator_family == "spsa_dense_subspace" and dense_q is None:
         raise ShapeError("dense-subspace diagnostics need a subspace dimension")
-    batch = full_batch(problem) if batch is None else batch
     mean, _ = _mc_mean(
-        _family_estimate(estimator_family, problem, params, batch, epsilon,
-                         derive_seed(seed, _TAG_MC, k), pairs, dense_q).stacked()
-        for k in range(n_mc))
+        est.stacked()
+        for est in _estimates(problem, params, pairs, n_mc, epsilon, seed,
+                              estimator_family, dense_q))
     g_norm = float(np.linalg.norm(mean))
     if g_norm < 1e-12:
         raise DegenerateGradient("estimated mean gradient is numerically zero")
@@ -376,9 +369,8 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
     cos_acc = 0.0
     norm_acc = 0.0
     norm_sq_acc = 0.0
-    for k in range(n_mc):
-        est = _family_estimate(estimator_family, problem, params, batch, epsilon,
-                               derive_seed(seed, _TAG_MC, n_mc + k), pairs, dense_q)
+    for est in _estimates(problem, params, pairs, n_mc, epsilon, seed,
+                          estimator_family, dense_q, first=n_mc):
         x = est.stacked()
         norm = float(np.linalg.norm(x))
         if norm == 0.0:
@@ -538,13 +530,13 @@ def _slope_report(cells: Sequence[ConvergenceCell],
 # ---------------------------------------------------------------------------
 # the standard battery
 
-# identity checks run on these layerings across several generator seeds
+# identity checks run on these layerings; the cells seed from BATTERY_SEED + 0..4
 BATTERY_SHAPES: tuple[tuple[str, tuple[tuple[int, int], ...], int], ...] = (
     ("two_rect_r1", ((3, 2), (3, 2)), 1),
     ("one_square_r2", ((4, 4),), 2),
     ("three_square_r1", ((3, 3), (3, 3), (3, 3)), 1),
 )
-BATTERY_SEEDS: tuple[int, ...] = (11, 12, 13, 14, 15)
+BATTERY_SEED = 11
 
 COSINE_CELLS: tuple[tuple[int, tuple[tuple[int, int], ...], int], ...] = (
     (1, ((3, 3),), 1),
@@ -564,19 +556,19 @@ def battery_cell(shapes: tuple[tuple[int, int], ...], rank: int, seed: int):
     return problem, params, pairs
 
 
-def _structure_defect(seed: int, instances: int = 5) -> float:
-    """Worst orthonormality / stacking defect over a few random layerings."""
+def _structure_defect(cell_seed: int) -> float:
+    """Worst orthonormality / stacking defect over five random layerings."""
     worst = 0.0
-    for k in range(instances):
+    for k in range(5):
         shapes = [(3, 2), (4, 3), (2, 2)]
-        problem = QuadraticProblem.generate(derive_seed(seed, _TAG_MC, k), shapes)
+        problem = QuadraticProblem.generate(derive_seed(cell_seed, _TAG_MC, k), shapes)
         params = problem.initial_params()
-        pairs = build_pairs(GaussianStream(derive_seed(seed, _TAG_MC, 100 + k)),
+        pairs = build_pairs(GaussianStream(derive_seed(cell_seed, _TAG_MC, 100 + k)),
                             params, 2, reshape="never")
         proj = materialize_projector(pairs, vector_sizes=[w.size for w in params])
         p = proj.matrix
         gram_defect = float(np.max(np.abs(p.T @ p - np.eye(proj.q))))
-        pert_seed = derive_seed(seed, _TAG_MC, 200 + k)
+        pert_seed = derive_seed(cell_seed, _TAG_MC, 200 + k)
         stacked = stack_params(list(iter_perturbation_layers(params, pairs, pert_seed)))
         cores = []
         stream = GaussianStream(pert_seed)
@@ -599,7 +591,7 @@ def run_default_battery(n_mc: int = 20000, n_mc_bias: int = 20000,
     the full-space estimator.
     """
     reports: list[MonteCarloReport] = []
-    base = BATTERY_SEEDS[0]
+    base = BATTERY_SEED
     for name, shapes, rank in BATTERY_SHAPES:
         problem, params, pairs = battery_cell(shapes, rank, base)
         rep = check_expectation_identity(problem, pairs, params, n_mc, seed=seed)

@@ -63,6 +63,20 @@ class TestLossDifference:
 
 
 class TestTwoSidedProbe:
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-3])
+    @pytest.mark.parametrize("probe", ["seeded", "dense"])
+    def test_bad_epsilon_refused_before_any_pass(self, probe, epsilon):
+        prob, params, pairs, batch = quadratic_setup()
+        counting = _Counting(prob)
+        before = [w.tobytes() for w in params]
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            if probe == "seeded":
+                two_sided_loss_diff(counting, params, pairs, batch, epsilon, seed=1)
+            else:
+                dense_subspace_probe(counting, params, batch, epsilon, 3, seed=1)
+        assert counting.calls == 0
+        assert [w.tobytes() for w in params] == before
+
     def test_exactly_two_loss_evaluations(self):
         prob, params, pairs, batch = quadratic_setup()
         counting = _Counting(prob)
@@ -154,8 +168,8 @@ class TestSubzeroEstimate:
     def test_z_scales_scale_the_probe_direction(self):
         prob, params, pairs, batch = quadratic_setup()
         scales = [2.0, 1.0]
-        ld, est = subzero_estimate(prob, params, pairs, batch, 1e-4, seed=9,
-                                   z_scales=scales)
+        ld = two_sided_loss_diff(prob, params, pairs, batch, 1e-4, seed=9,
+                                 z_scales=scales)
         g = stack_params(prob.exact_gradient(params, batch))
         delta = stack_params(list(
             iter_perturbation_layers(params, pairs, 9, z_scales=scales)))

@@ -52,6 +52,8 @@ class TestConfigValidation:
         lin = OptimizerConfig(learning_rate=0.2, schedule="linear", steps=10)
         assert lin.learning_rate_at(0) == pytest.approx(0.2)
         assert lin.learning_rate_at(5) == pytest.approx(0.1)
+        # decays to 0 at ``steps`` and stays there, never negative
+        assert [lin.learning_rate_at(t) for t in (10, 11, 12)] == [0.0] * 3
 
 
 class TestTheoreticalStepSize:
@@ -356,6 +358,16 @@ class TestAlignmentModes:
         plain = train(prob, OptimizerConfig(alignment="none", **base))
         scaled = train(prob, OptimizerConfig(alignment="scale_z", **base))
         assert plain.steps[0].rho != scaled.steps[0].rho
+
+    def test_scale_z_follows_pinned_pairs_not_the_plan(self):
+        # a rank-1 pair pinned on a 6x6 layer under a rank-3 config scales
+        # by sqrt(36) / 1, not by the plan's sqrt(36) / 3
+        prob = QuadraticProblem.generate(4, [(6, 6), (5,)], dataset_size=32)
+        pair = build_pairs(GaussianStream(3), prob.initial_params()[:1], 1)[0]
+        cfg = OptimizerConfig(family="subzero", rank=3, alignment="scale_z")
+        state = init_state(prob, cfg, pairs=[pair, None])
+        assert state.z_scales == [6.0, 1.0]
+        assert init_state(prob, cfg).z_scales == [2.0, 1.0]
 
 
 class TestTrainBookkeeping:

@@ -470,6 +470,61 @@ class TestDiagnostics:
         assert sub.rel_variance < full.rel_variance
 
 
+class TestSampleSeeds:
+    """Every check asks for sample k's seed ``derive_seed(seed, 0x61, k)``,
+    k = 0, 1, ... in order; the diagnostics' second phase goes on from
+    ``k = n_mc``."""
+
+    CHECKS = {
+        "expectation_identity": lambda problem, pairs, params, n, seed:
+            check_expectation_identity(problem, pairs, params, n, seed=seed),
+        "second_moment": lambda problem, pairs, params, n, seed:
+            check_second_moment(problem, pairs, params, n, seed=seed),
+        "second_moment_spsa_full": lambda problem, pairs, params, n, seed:
+            check_second_moment(problem, pairs, params, n, seed=seed,
+                                family="spsa_full"),
+        "cosine_identity": lambda problem, pairs, params, n, seed:
+            check_cosine_identity(problem, pairs, params, n, seed=seed),
+        "measure_bias": lambda problem, pairs, params, n, seed:
+            measure_bias(problem, pairs, params, 1e-2, n, seed=seed),
+        "bias_bound": lambda problem, pairs, params, n, seed:
+            check_bias_bound(problem, pairs, params, 1e-2, n, seed=seed,
+                             hessian_lipschitz=1.0),
+    }
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        seeds = []
+        estimate = verification.subzero_estimate
+        dense = verification.dense_subspace_probe
+
+        def recording_estimate(problem, params, pairs, batch, epsilon, seed):
+            seeds.append(seed)
+            return estimate(problem, params, pairs, batch, epsilon, seed)
+
+        def recording_dense(problem, params, batch, epsilon, q, seed):
+            seeds.append(seed)
+            return dense(problem, params, batch, epsilon, q, seed)
+
+        monkeypatch.setattr(verification, "subzero_estimate", recording_estimate)
+        monkeypatch.setattr(verification, "dense_subspace_probe", recording_dense)
+        return seeds
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_checks_ask_in_order(self, asked, name):
+        problem, params, pairs = quadratic_cell(28, [(4, 4), (3,)], 2)
+        self.CHECKS[name](problem, pairs, params, 6, 5)
+        assert asked == [derive_seed(5, 0x61, k) for k in range(6)]
+
+    @pytest.mark.parametrize("family",
+                             ["subzero", "spsa_full", "spsa_dense_subspace"])
+    def test_diagnostics_ask_both_phases_in_order(self, asked, family):
+        problem, params, pairs = quadratic_cell(28, [(4, 4), (3,)], 2)
+        estimator_diagnostics(problem, params, family, 6, pairs=pairs,
+                              dense_q=3, seed=5)
+        assert asked == [derive_seed(5, 0x61, k) for k in range(12)]
+
+
 class TestSubspaceStart:
     def test_start_has_prescribed_loss(self):
         problem, params, pairs = quadratic_cell(32, [(6, 6)], 2)

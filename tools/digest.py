@@ -4,7 +4,8 @@ Hashes the per-step probe losses, rho values and final parameters of 60
 steps of the ``train_mlp_wide`` benchmark config and 20 of
 ``train_mlp_fullspace``'s, a ``scale_z`` and a ``spsa_dense_subspace`` run
 on a small quadratic, ``check_second_moment`` for ``subzero`` and
-``spsa_full``, and ``run_default_battery(n_mc=300, n_mc_bias=300)``.  A
+``spsa_full``, ``run_default_battery(n_mc=300, n_mc_bias=300)``, and
+``spsa_dense_subspace`` diagnostics on the battery's ordering cell.  A
 change that keeps every value bit for bit prints the same digest.
 
 Run from the root of a checkout:
@@ -48,5 +49,9 @@ problem, params, pairs = verification.battery_cell(((3, 2), (3, 2)), 1, 11)
 reports = [sz.check_second_moment(problem, pairs, params, 500, family=f)
            for f in ("subzero", "spsa_full")]
 reports += sz.run_default_battery(n_mc=300, n_mc_bias=300)
+# the battery's variance-ordering cell (seed 11 + 4), through the dense family
+problem, params, _ = verification.battery_cell(((10, 10),), 2, 15)
+reports.append(sz.estimator_diagnostics(problem, params, "spsa_dense_subspace",
+                                        300, dense_q=8))
 h.update(repr(reports).encode())
 print(h.hexdigest())
