@@ -35,6 +35,11 @@ class ScaleRefused(SubzeroError, ValueError):
     """A verification routine was asked to materialize something too large."""
 
 
+class BlockMismatch(SubzeroError, RuntimeError):
+    """A block-evaluated Monte Carlo sample disagreed with the estimator's
+    own result for the same seed."""
+
+
 class BudgetExceeded(SubzeroError, RuntimeError):
     """A step or evaluation budget ran out before the stopping criterion."""
 

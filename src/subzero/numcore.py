@@ -59,6 +59,26 @@ def derive_seed(master: int, *parts: int) -> int:
     return h
 
 
+def _mix64_block(x: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` of every entry of a ``uint64`` array, in place; numpy
+    wraps the products modulo 2**64 as the masks do, so each entry equals
+    the scalar finalizer's bit for bit."""
+    x ^= x >> 30
+    x *= np.uint64(_MIX_A)
+    x ^= x >> 27
+    x *= np.uint64(_MIX_B)
+    x ^= x >> 31
+    return x
+
+
+def derive_seeds(master: int, *parts: int, last) -> np.ndarray:
+    """``derive_seed(master, *parts, k)`` for every ``k`` in ``last``, as a
+    ``uint64`` array, bit for bit."""
+    k = np.asarray(last, dtype=np.uint64)
+    return _mix64_block((k + np.uint64(1)) * np.uint64(_GOLDEN)
+                        + np.uint64(derive_seed(master, *parts)))
+
+
 class GaussianStream:
     """Counter-based stream of independent standard normal values.
 
@@ -138,13 +158,23 @@ def _draw(key: int, base: int, n: int) -> np.ndarray:
 
 
 def _fill_block(key: int, base: int, out: np.ndarray) -> None:
+    x = _BLOCK_STEPS[:2 * out.size] + np.uint64((key + _GOLDEN * (2 * base + 1)) & _MASK64)
+    _box_muller(_mix64_block(x), out)
+
+
+def normals_block(seeds, n: int) -> np.ndarray:
+    """Row ``k`` holds values ``0 .. n - 1`` of ``GaussianStream(seeds[k])``,
+    bit for bit, for a 1-D array of seeds."""
+    keys = _mix64_block(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(_STREAM_SALT))
+    x = keys[:, None] + np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    out = np.empty((keys.size, n))
+    _box_muller(_mix64_block(x.reshape(-1)), out.reshape(-1))
+    return out
+
+
+def _box_muller(x: np.ndarray, out: np.ndarray) -> None:
+    """Normals from hashed pairs: ``out[j]`` from ``x[2j]`` and ``x[2j+1]``."""
     m = out.size
-    x = _BLOCK_STEPS[:2 * m] + np.uint64((key + _GOLDEN * (2 * base + 1)) & _MASK64)
-    x ^= x >> 30
-    x *= np.uint64(_MIX_A)
-    x ^= x >> 27
-    x *= np.uint64(_MIX_B)
-    x ^= x >> 31
     u = ((x >> 11) + 0.5) * _INV_2_53
     # a memoryview yields each entry as a float, one at a time, where
     # tolist() would hold a whole block of float objects at once

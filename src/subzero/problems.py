@@ -9,7 +9,9 @@ their arguments; they never mutate parameters and raise
 
 The quadratic and quartic families ignore the batch contents (every example
 is the same function), which keeps estimator statistics exact while still
-exercising the minibatch plumbing.
+exercising the minibatch plumbing.  They also offer ``losses(xs)``, the loss
+of each row of a ``(K, d)`` block of stacked parameter vectors, which lets
+the verification checks evaluate many probes in one numpy call.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ def _check_finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise NonFiniteLoss(f"{what} evaluated to {value!r}")
     return float(value)
+
+
+def _check_finite_rows(values: np.ndarray, what: str) -> np.ndarray:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NonFiniteLoss(f"{what} evaluated to {values[row]!r} at row {row}")
+    return values
 
 
 def _copy_params(params) -> list[np.ndarray]:
@@ -123,6 +133,12 @@ class QuadraticProblem:
         x = stack_params(params)
         return _check_finite(x.dot(self.h.dot(x)) + self.b.dot(x), "quadratic loss")
 
+    def losses(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`loss` of each row of a ``(K, d)`` block of stacked
+        parameter vectors, agreeing with it to rounding."""
+        values = np.einsum("kd,kd->k", xs @ self.h, xs) + xs @ self.b
+        return _check_finite_rows(values, "quadratic loss")
+
     def exact_gradient(self, params, batch) -> list[np.ndarray]:
         x = stack_params(params)
         g = 2.0 * (self.h @ x) + self.b
@@ -167,6 +183,11 @@ class QuarticProblem:
     def loss(self, params, batch) -> float:
         x = stack_params(params)
         return _check_finite(float(np.sum(x ** 4)), "quartic loss")
+
+    def losses(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`loss` of each row of a ``(K, d)`` block of stacked
+        parameter vectors, agreeing with it to rounding."""
+        return _check_finite_rows(np.sum(xs ** 4, axis=1), "quartic loss")
 
     def exact_gradient(self, params, batch) -> list[np.ndarray]:
         x = stack_params(params)

@@ -10,7 +10,21 @@ This module materializes the projector at toy scale and confirms each
 closed form by Monte Carlo, with explicit standard errors: a check passes
 only when the deviation is inside ``max(abs_tol, 4 * stderr)``, never
 because the sample count was too small to resolve a discrepancy.  Every
-check draws its samples through one sampler, on the full batch.
+check draws its samples through one sampler, on the full batch, and
+reduces them block by block with numpy.
+
+On a problem with a row-wise ``losses(xs)`` (quadratic, quartic) the
+seeded families take the block path: the sampler derives a block of
+sample seeds and each sample's stream values in ``uint64`` numpy, bit for
+bit the values the estimator would draw, forms every perturbation with
+one ``einsum`` per layer, and evaluates both probes of every sample with
+two ``losses`` calls.  The parameters are never touched.  Seeds, stream
+values and perturbation rows do not depend on the block size; rho and the
+reports agree with the per-sample loop to rounding, since a block's loss
+is one BLAS product.  The first 64 samples of every sampler call also run
+through :func:`~subzero.estimators.subzero_estimate`, and
+:class:`~subzero.errors.BlockMismatch` is raised if one disagrees with
+its block row, so the checks still exercise the estimator itself.
 
 Also here: the curvature-bias measurement (via a control variate that
 cancels the zero-bias part of each sample, so the tiny ``epsilon**2`` bias
@@ -26,12 +40,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DegenerateGradient, ScaleRefused,
-                     ShapeError)
-from .numcore import GaussianStream, derive_seed, gaussian_matrix, stack_params
+from .errors import (BlockMismatch, BudgetExceeded, DegenerateGradient,
+                     ScaleRefused, ShapeError)
+from .numcore import (GaussianStream, derive_seed, derive_seeds,
+                      gaussian_matrix, normals_block, stack_params)
 from .perturbation import (ProjectionPair, build_pairs,
                            iter_perturbation_layers, subspace_dimension)
-from .estimators import GradEstimate, dense_subspace_probe, subzero_estimate
+from .estimators import (_dense_direction, _split_rowmajor,
+                         dense_subspace_probe, subzero_estimate)
 from .optimizer import OptimizerConfig, init_state, step, theoretical_step_size
 from .problems import Minibatch, QuadraticProblem, QuarticProblem, full_batch
 
@@ -151,16 +167,17 @@ def _report(check: str, n_mc: int, estimate: float, target: float,
                             passed=bool(passed))
 
 
-def _mc_mean(samples: Iterable):
-    """``(mean, stderr)`` of scalar or array samples; for arrays the
-    standard error sums the unbiased per-component variances, so it is the
-    error of the mean in euclidean norm."""
+def _mc_mean(blocks: Iterable[np.ndarray]):
+    """``(mean, stderr)`` over the rows of sample blocks, 1-D for scalar
+    samples and 2-D for vector ones; for vectors the standard error sums the
+    unbiased per-component variances, so it is the error of the mean in
+    euclidean norm."""
     n = 0
     acc = acc_sq = 0.0
-    for x in samples:
-        acc = acc + x
-        acc_sq = acc_sq + x * x
-        n += 1
+    for x in blocks:
+        acc = acc + x.sum(axis=0)
+        acc_sq = acc_sq + (x * x).sum(axis=0)
+        n += len(x)
     if n == 0:
         raise ValueError("n_mc must be at least 1")
     mean = acc / n
@@ -168,23 +185,126 @@ def _mc_mean(samples: Iterable):
     return mean, math.sqrt(float(np.sum(var)) / n)
 
 
+# a block holds at most this many perturbation floats (samples times d)
+_BLOCK_FLOATS = 1 << 20
+# the first samples of every sampler call that the estimator itself re-runs
+_GUARD_SAMPLES = 64
+# the guard's allowance for rho, in units of u (|L+| + |L-|) / epsilon, the
+# rounding floor of the probe; for the perturbation, relative to its size
+_GUARD_RHO_UNITS = 16.0
+_GUARD_DELTA_RTOL = 1e-12
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
 def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
                family: str = "subzero", dense_q: Optional[int] = None,
-               first: int = 0) -> Iterator[GradEstimate]:
-    """Every check's samples, on the full batch: sample ``k``, for ``k`` in
-    ``[first, first + n_mc)`` in order, is one ``family`` estimate seeded by
-    ``(seed, _TAG_MC, k)``; ``spsa_full`` sets every pair to ``None``."""
+               first: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every check's samples, on the full batch, as blocks ``(rho, delta)``
+    of at most ``_BLOCK_FLOATS`` perturbation floats.  Sample ``k``, for
+    ``k`` in ``[first, first + n_mc)`` in order, is the ``family`` estimate
+    ``rho[i] * delta[i]`` seeded by ``(seed, _TAG_MC, k)``, with ``delta[i]``
+    its stacked perturbation; ``spsa_full`` sets every pair to ``None``.
+
+    The seeded families on a problem with a row-wise ``losses`` take the
+    block path (:func:`_block_estimates`); the rest call the estimator once
+    per sample and replay its perturbation, which moves the parameters by
+    rounding each time.
+    """
     if family == "spsa_full":
         pairs = [None] * len(params)
     elif family not in ("subzero", "spsa_dense_subspace"):
         raise ValueError(f"unknown estimator family {family!r}")
-    batch = full_batch(problem)
-    for k in range(first, first + n_mc):
-        s = derive_seed(seed, _TAG_MC, k)
-        if family == "spsa_dense_subspace":
-            yield dense_subspace_probe(problem, params, batch, epsilon, dense_q, s)[1]
+    block_path = family != "spsa_dense_subspace" and hasattr(problem, "losses")
+    size = max(1, _BLOCK_FLOATS // sum(w.size for w in params))
+    stop = first + n_mc
+    for start in range(first, stop, size):
+        seeds = derive_seeds(seed, _TAG_MC, last=np.arange(start, min(start + size, stop)))
+        if block_path:
+            guard = max(0, first + _GUARD_SAMPLES - start)
+            yield _block_estimates(problem, params, pairs, epsilon, seeds, guard)
         else:
-            yield subzero_estimate(problem, params, pairs, batch, epsilon, s)[1]
+            yield _loop_estimates(problem, params, pairs, epsilon, seeds, family, dense_q)
+
+
+def _loop_estimates(problem, params, pairs, epsilon: float, seeds: np.ndarray,
+                    family: str, dense_q: Optional[int]):
+    batch = full_batch(problem)
+    rho = np.empty(seeds.size)
+    delta = np.empty((seeds.size, sum(w.size for w in params)))
+    for i, s in enumerate(seeds.tolist()):
+        if family == "spsa_dense_subspace":
+            ld, _ = dense_subspace_probe(problem, params, batch, epsilon, dense_q, s)
+            layers = _split_rowmajor(_dense_direction(params, dense_q, s, None), params)
+        else:
+            ld, _ = subzero_estimate(problem, params, pairs, batch, epsilon, s)
+            layers = list(iter_perturbation_layers(params, pairs, s))
+        rho[i] = ld.rho
+        delta[i] = stack_params(layers)
+    return rho, delta
+
+
+def _block_estimates(problem, params, pairs, epsilon: float, seeds: np.ndarray,
+                     guard: int):
+    """``(rho, delta)`` for a block of seeds, with every probe evaluated at
+    the parameters as given, which are not touched.
+
+    The first ``guard`` seeds also run through :func:`subzero_estimate`,
+    each on a fresh copy of the parameters; :class:`BlockMismatch` is
+    raised if its perturbation differs from the block row by more than
+    ``_GUARD_DELTA_RTOL`` of its largest entry, or its rho by more than
+    ``_GUARD_RHO_UNITS`` of the probe's rounding floor.
+    """
+    batch = full_batch(problem)
+    guarded = [subzero_estimate(problem, [w.copy() for w in params], pairs, batch,
+                                epsilon, s)
+               for s in seeds[:guard].tolist()]
+    delta = _delta_rows(params, pairs, seeds)
+    x0 = stack_params(params)
+    step = epsilon * delta
+    rho = (problem.losses(x0 + step) - problem.losses(x0 - step)) / (2.0 * epsilon)
+    for i, (ld, est) in enumerate(guarded):
+        want = est.stacked()
+        delta_gap = float(np.max(np.abs(want - ld.rho * delta[i])))
+        floor = _UNIT_ROUNDOFF * (abs(ld.loss_plus) + abs(ld.loss_minus)) / epsilon
+        if (delta_gap > _GUARD_DELTA_RTOL * float(np.max(np.abs(want)))
+                or abs(rho[i] - ld.rho) > _GUARD_RHO_UNITS * floor):
+            raise BlockMismatch(
+                f"seed {int(seeds[i])}: block rho {rho[i]!r} against {ld.rho!r} "
+                f"(floor {floor:.3g}), perturbation gap {delta_gap:.3g}")
+    return rho, delta
+
+
+def _delta_rows(params, pairs, seeds: np.ndarray) -> np.ndarray:
+    """Stacked unit perturbations, one row per seed.  Each seed's first q
+    stream values are cut into the layers in stream order; a matrix layer's
+    ``r * r`` values are its core ``Z`` (row-major), formed as ``U Z V^T`` in
+    the pair's geometry, read row-major into the layer's shape and flattened
+    column-major, as :func:`iter_perturbation_layers` and
+    :func:`stack_params` do one seed at a time."""
+    k = seeds.size
+    values = normals_block(seeds, subspace_dimension(params, pairs))
+    rows = np.empty((k, sum(w.size for w in params)))
+    at = col = 0
+    for w, pair in zip(params, pairs):
+        if pair is None:
+            n = w.size
+            layer = values[:, at:at + n]
+        else:
+            r = pair.rank
+            n = r * r
+            z = values[:, at:at + n].reshape(k, r, r)
+            layer = np.einsum("ia,kab,jb->kij", pair.u, z, pair.v)
+        at += n
+        layer = layer.reshape(k, *w.shape)
+        if w.ndim == 2:
+            layer = layer.transpose(0, 2, 1)
+        rows[:, col:col + w.size] = layer.reshape(k, w.size)
+        col += w.size
+    return rows
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("kd,kd->k", rows, rows)
 
 
 def check_expectation_identity(problem, pairs, params, n_mc: int, *,
@@ -210,8 +330,8 @@ def check_expectation_identity(problem, pairs, params, n_mc: int, *,
     proj = materialize_projector(pairs, vector_sizes=[w.size for w in params])
     target_vec = proj.matrix @ (proj.matrix.T @ g)
     mean, stderr = _mc_mean(
-        est.stacked()
-        for est in _estimates(problem, params, pairs, n_mc, epsilon, seed))
+        rho[:, None] * delta
+        for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed))
     deviation = float(np.linalg.norm(mean - target_vec))
     target_norm = float(np.linalg.norm(target_vec))
     return _report("expectation_identity", n_mc, float(np.linalg.norm(mean)),
@@ -239,8 +359,9 @@ def check_second_moment(problem, pairs, params, n_mc: int, *,
     else:
         raise ValueError(f"no second-moment target for family {family!r}")
     mean, stderr = _mc_mean(
-        sum(float((layer * layer).sum()) for layer in est.layers)
-        for est in _estimates(problem, params, pairs, n_mc, epsilon, seed, family))
+        _sq_norms(rho[:, None] * delta)
+        for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed, family))
+    mean = float(mean)
     deviation = abs(mean - target)
     return _report(f"second_moment_{family}", n_mc, mean, target, deviation,
                    stderr, rel_tol * abs(target))
@@ -256,17 +377,20 @@ def check_cosine_identity(problem, pairs, params, n_mc: int, *,
         raise DegenerateGradient("projected gradient is numerically zero")
     q = subspace_dimension(params, pairs)
     target = 1.0 / q
+    g = stack_params(grads)
 
-    def cos_sq(est: GradEstimate) -> float:
-        inner = sum(float(np.sum(g * e)) for g, e in zip(grads, est.layers))
-        est_sq = sum(float(np.sum(e * e)) for e in est.layers)
-        if est_sq == 0.0:
+    def cos_sq(rho: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        est = rho[:, None] * delta
+        inner = est @ g
+        est_sq = _sq_norms(est)
+        if not est_sq.all():
             raise DegenerateGradient(
                 "zero-norm estimate; measure-zero event, aborting the check")
         return inner * inner / (proj_sq * est_sq)
 
     mean, stderr = _mc_mean(
-        map(cos_sq, _estimates(problem, params, pairs, n_mc, epsilon, seed)))
+        cos_sq(*block) for block in _estimates(problem, params, pairs, n_mc, epsilon, seed))
+    mean = float(mean)
     deviation = abs(mean - target)
     return _report("cosine_identity", n_mc, mean, target, deviation, stderr,
                    rel_tol * target)
@@ -287,14 +411,9 @@ def measure_bias(problem, pairs, params, epsilon: float, n_mc: int, *,
     O(1) sampling noise of the raw estimator.  Returns ``(bias, stderr)``.
     """
     g = stack_params(problem.exact_gradient(params, full_batch(problem)))
-
-    def controlled(est: GradEstimate) -> np.ndarray:
-        seed_k = est.meta.seed
-        delta = stack_params(list(iter_perturbation_layers(params, pairs, seed_k)))
-        return est.stacked() - (g @ delta) * delta
-
     mean, stderr = _mc_mean(
-        map(controlled, _estimates(problem, params, pairs, n_mc, epsilon, seed)))
+        rho[:, None] * delta - (delta @ g)[:, None] * delta
+        for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed))
     return float(np.linalg.norm(mean)), stderr
 
 
@@ -359,9 +478,9 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
     if estimator_family == "spsa_dense_subspace" and dense_q is None:
         raise ShapeError("dense-subspace diagnostics need a subspace dimension")
     mean, _ = _mc_mean(
-        est.stacked()
-        for est in _estimates(problem, params, pairs, n_mc, epsilon, seed,
-                              estimator_family, dense_q))
+        rho[:, None] * delta
+        for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed,
+                                     estimator_family, dense_q))
     g_norm = float(np.linalg.norm(mean))
     if g_norm < 1e-12:
         raise DegenerateGradient("estimated mean gradient is numerically zero")
@@ -369,16 +488,16 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
     cos_acc = 0.0
     norm_acc = 0.0
     norm_sq_acc = 0.0
-    for est in _estimates(problem, params, pairs, n_mc, epsilon, seed,
-                          estimator_family, dense_q, first=n_mc):
-        x = est.stacked()
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
+    for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed,
+                                 estimator_family, dense_q, first=n_mc):
+        est = rho[:, None] * delta
+        norms = np.sqrt(_sq_norms(est))
+        if not norms.all():
             raise DegenerateGradient(
                 "zero-norm estimate; measure-zero event, aborting diagnostics")
-        cos_acc += float(x @ mean) / (norm * g_norm)
-        norm_acc += norm
-        norm_sq_acc += norm * norm
+        cos_acc += float(np.sum(est @ mean / norms)) / g_norm
+        norm_acc += float(norms.sum())
+        norm_sq_acc += float(norms @ norms)
     cosine = cos_acc / n_mc
     if n_mc > 1:
         norm_mean = norm_acc / n_mc
@@ -386,7 +505,13 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
         rel_variance = norm_var / (g_norm ** 2)
     else:
         rel_variance = math.nan
-    return DiagnosticsRow(family=estimator_family, q_or_d=est.meta.q, cosine=cosine,
+    if estimator_family == "subzero":
+        q_or_d = subspace_dimension(params, pairs)
+    elif estimator_family == "spsa_full":
+        q_or_d = sum(w.size for w in params)
+    else:
+        q_or_d = dense_q
+    return DiagnosticsRow(family=estimator_family, q_or_d=q_or_d, cosine=cosine,
                           rel_variance=rel_variance, n_mc=n_mc)
 
 

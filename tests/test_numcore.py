@@ -8,9 +8,10 @@ import pytest
 
 from subzero.errors import RankDeficient, ShapeError
 from oracles import fd_gradient
-from subzero.numcore import (GaussianStream, derive_seed, gaussian_matrix,
-                             qr_orthonormal, stack_params, unstack_params,
-                             _BLOCK, _mix64)
+from subzero.numcore import (GaussianStream, derive_seed, derive_seeds,
+                             gaussian_matrix, normals_block, qr_orthonormal,
+                             stack_params, unstack_params, _BLOCK, _mix64,
+                             _mix64_block)
 
 MASK64 = (1 << 64) - 1
 
@@ -181,6 +182,39 @@ class TestGaussianStream:
             s.skip(-1)
         with pytest.raises(ValueError):
             s.reset(-2)
+
+
+class TestBlockSeedsAndValues:
+    """The Monte Carlo block path's seeds and stream values equal the
+    scalar definitions bit for bit."""
+
+    MASTERS = (0, 7, MASK64)
+    SAMPLES = (0, 63, 64, 2 ** 32 - 1, 2 ** 32)
+
+    def test_vector_finalizer_matches_scalar(self):
+        xs = [0, 1, 2 ** 63, MASK64] + reference_splitmix64(5, 200)
+        got = _mix64_block(np.array(xs, dtype=np.uint64))
+        assert [int(v) for v in got] == [_mix64(x) for x in xs]
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_block_seeds_match_derive_seed(self, master):
+        seeds = derive_seeds(master, 0x61, last=self.SAMPLES)
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [derive_seed(master, 0x61, k)
+                                           for k in self.SAMPLES]
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_block_values_match_the_stream(self, master):
+        # counters 0..99 cover the full-space 10x10 cell's draws
+        seeds = derive_seeds(master, 0x61, last=self.SAMPLES)
+        values = normals_block(seeds, 100)
+        assert values.shape == (len(self.SAMPLES), 100)
+        for row, seed in zip(values, seeds.tolist()):
+            stream = GaussianStream(seed)
+            expected = np.array([stream.normal_at(j) for j in range(100)])
+            assert row.tobytes() == expected.tobytes()
+            assert normals_block(np.array([seed], dtype=np.uint64), 3)[0].tobytes() \
+                == expected[:3].tobytes()
 
 
 class TestGaussianMatrix:

@@ -97,6 +97,24 @@ class TestQuadratic:
         with pytest.raises(ShapeError):
             QuadraticProblem(h=np.eye(3), layer_shapes=[(2, 2)])
 
+    def test_row_losses_match_loss(self):
+        assert_row_losses_match_loss(self.prob)
+
+
+def assert_row_losses_match_loss(prob):
+    """``losses`` of stacked rows equals ``loss`` of each row's layers to
+    rounding, and a non-finite row raises."""
+    stream = GaussianStream(11)
+    xs = np.stack([stream.normals(prob.dimension) for _ in range(7)])
+    got = prob.losses(xs)
+    assert got.shape == (7,)
+    for x, value in zip(xs, got):
+        expected = prob.loss(unstack_params(x, prob.layer_shapes), full_batch(prob))
+        assert value == pytest.approx(expected, rel=1e-12)
+    xs[3, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss, match="row 3"):
+        prob.losses(xs)
+
 
 class TestQuartic:
     def setup_method(self):
@@ -120,6 +138,9 @@ class TestQuartic:
         # third derivative of x^4 is 24 x, so the bound dominates it inside
         # the ball
         assert got >= 24.0 * np.max(np.abs(x))
+
+    def test_row_losses_match_loss(self):
+        assert_row_losses_match_loss(QuarticProblem.generate(4, [(3, 2), (5,)]))
 
 
 def reference_logistic_loss(features, labels, x, l2):

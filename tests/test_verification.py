@@ -44,10 +44,12 @@ from subzero import (
 )
 from subzero import verification
 from subzero.errors import (
+    BlockMismatch,
     BudgetExceeded,
     DegenerateGradient,
     ScaleRefused,
     ShapeError,
+    SubzeroError,
 )
 from subzero.perturbation import generate_proj_pair
 from subzero.verification import (
@@ -523,6 +525,197 @@ class TestSampleSeeds:
         estimator_diagnostics(problem, params, family, 6, pairs=pairs,
                               dense_q=3, seed=5)
         assert asked == [derive_seed(5, 0x61, k) for k in range(12)]
+
+
+def mixed_cell(reshape="auto"):
+    # a native rank-3 pair, a vector layer and a (2, 8) layer, which "auto"
+    # relayouts to 4x4 for its rank-3 pair and "never" keeps at rank 2
+    problem = QuadraticProblem.generate(29, [(4, 4), (3,), (2, 8)])
+    params = problem.initial_params()
+    pairs = build_pairs(GaussianStream(derive_seed(29, 0x64, 0)), params, 3,
+                        reshape=reshape)
+    return problem, params, pairs
+
+
+def quartic_cell():
+    problem = QuarticProblem.generate(31, [(3, 3), (4,)])
+    params = problem.initial_params()
+    pairs = build_pairs(GaussianStream(derive_seed(31, 0x64, 0)), params, 2,
+                        reshape="never")
+    return problem, params, pairs
+
+
+def assert_row_is_the_estimate(problem, params, pairs, rho, delta, seed):
+    """A block row ``(rho, delta)`` is the estimator's own sample for
+    ``seed`` at the given parameters: rho within the guard's allowance of
+    the probe's rounding floor, the estimate within 1e-12 of its size."""
+    ld, est = subzero_estimate(problem, [w.copy() for w in params], pairs,
+                               full_batch(problem), 1e-3, seed)
+    floor = 2.0 ** -53 * (abs(ld.loss_plus) + abs(ld.loss_minus)) / 1e-3
+    assert abs(rho - ld.rho) <= verification._GUARD_RHO_UNITS * floor
+    want = est.stacked()
+    assert np.max(np.abs(want - ld.rho * delta)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """Every sampler call's ``(first, rho, delta)``, blocks concatenated."""
+    calls = []
+    sampler = verification._estimates
+
+    def recording(*args, **kwargs):
+        blocks = list(sampler(*args, **kwargs))
+        calls.append((kwargs.get("first", 0), np.concatenate([b[0] for b in blocks]),
+                      np.concatenate([b[1] for b in blocks])))
+        yield from blocks
+
+    monkeypatch.setattr(verification, "_estimates", recording)
+    return calls
+
+
+class TestBlockSeedOrder:
+    """Past the guard's first 64 samples, block row ``k`` is still the
+    estimate seeded by ``derive_seed(seed, 0x61, k)``."""
+
+    @pytest.mark.parametrize("family", ["subzero", "spsa_full"])
+    def test_rows_past_the_guard_are_the_seeded_estimates(self, sampled, family):
+        problem, params, pairs = mixed_cell()
+        check_second_moment(problem, pairs, params, 200, family=family, seed=5)
+        [(first, rho, delta)] = sampled
+        assert first == 0 and rho.shape == (200,)
+        used = pairs if family == "subzero" else [None] * len(params)
+        for k in (64, 65, 199):
+            assert_row_is_the_estimate(problem, params, used, rho[k], delta[k],
+                                       derive_seed(5, 0x61, k))
+
+    @pytest.mark.parametrize("family", ["subzero", "spsa_full"])
+    def test_diagnostics_second_phase_starts_at_n_mc(self, sampled, family):
+        problem, params, pairs = mixed_cell()
+        estimator_diagnostics(problem, params, family, 200, pairs=pairs, seed=5)
+        assert [call[0] for call in sampled] == [0, 200]
+        _, rho, delta = sampled[1]
+        used = pairs if family == "subzero" else [None] * len(params)
+        for i in (64, 65, 199):
+            assert_row_is_the_estimate(problem, params, used, rho[i], delta[i],
+                                       derive_seed(5, 0x61, 200 + i))
+
+    def test_blocks_split_at_the_float_cap(self, sampled, monkeypatch):
+        # 35 floats per sample under a 100-float cap: blocks of two rows, so
+        # the guard's 64 samples span 32 blocks
+        problem, params, pairs = mixed_cell()
+        whole = check_second_moment(problem, pairs, params, 101, seed=5)
+        monkeypatch.setattr(verification, "_BLOCK_FLOATS", 100)
+        split = check_second_moment(problem, pairs, params, 101, seed=5)
+        assert split.estimate == pytest.approx(whole.estimate, rel=1e-12)
+        (_, rho, delta), (_, rho_split, delta_split) = sampled
+        assert np.array_equal(delta, delta_split)
+        np.testing.assert_allclose(rho_split, rho, rtol=1e-9)
+
+
+class TestBlockGuard:
+    """The guard re-runs a check's first samples through the estimator and
+    raises a package error when a block row disagrees."""
+
+    @pytest.mark.parametrize("corruption", ["seed_off_by_one", "flipped_sign",
+                                            "swapped_layers", "loss_plus_off"])
+    def test_one_corrupt_row_fires(self, monkeypatch, corruption):
+        problem, params, pairs = battery_cell(((3, 2), (3, 2)), 1, 11)
+        rows = verification._delta_rows
+
+        def corrupted(params, pairs, seeds):
+            out = rows(params, pairs, seeds)
+            if corruption == "seed_off_by_one":
+                out[5] = rows(params, pairs, seeds[6:7])[0]
+            elif corruption == "flipped_sign":
+                out[5] *= -1.0
+            elif corruption == "swapped_layers":
+                out[5] = np.concatenate([out[5, 6:], out[5, :6]])
+            return out
+
+        losses = problem.losses
+        evaluated = []
+
+        def loss_plus_off(xs):
+            values = losses(xs)
+            if not evaluated:
+                values[5] += 1e-9 * abs(values[5])
+            evaluated.append(xs)
+            return values
+
+        if corruption == "loss_plus_off":
+            monkeypatch.setattr(problem, "losses", loss_plus_off)
+        else:
+            monkeypatch.setattr(verification, "_delta_rows", corrupted)
+        with pytest.raises(BlockMismatch, match=str(derive_seed(0, 0x61, 5))):
+            check_second_moment(problem, pairs, params, 100, seed=0)
+        # a package error, which ``python -O`` does not strip like ``assert``
+        assert issubclass(BlockMismatch, SubzeroError)
+
+    def test_guard_covers_only_the_first_64_samples(self, monkeypatch):
+        # the estimator re-runs 64 samples per sampler call, not all of them
+        problem, params, pairs = battery_cell(((3, 2), (3, 2)), 1, 11)
+        rows = verification._delta_rows
+
+        def flipped_late(params, pairs, seeds):
+            out = rows(params, pairs, seeds)
+            out[100] *= -1.0
+            return out
+
+        monkeypatch.setattr(verification, "_delta_rows", flipped_late)
+        check_second_moment(problem, pairs, params, 200, seed=0)
+
+
+LOOP_BLOCK_ENTRY_POINTS = {
+    "expectation_identity": lambda problem, pairs, params:
+        check_expectation_identity(problem, pairs, params, 300, seed=3),
+    "second_moment": lambda problem, pairs, params:
+        check_second_moment(problem, pairs, params, 300, seed=3),
+    "second_moment_spsa_full": lambda problem, pairs, params:
+        check_second_moment(problem, pairs, params, 300, seed=3, family="spsa_full"),
+    "cosine_identity": lambda problem, pairs, params:
+        check_cosine_identity(problem, pairs, params, 300, seed=3),
+    "measure_bias": lambda problem, pairs, params:
+        measure_bias(problem, pairs, params, 1e-1, 300, seed=3),
+    "diagnostics_subzero": lambda problem, pairs, params:
+        estimator_diagnostics(problem, params, "subzero", 300, pairs=pairs, seed=3),
+    "diagnostics_spsa_full": lambda problem, pairs, params:
+        estimator_diagnostics(problem, params, "spsa_full", 300, seed=3),
+}
+
+
+def _numbers(result) -> dict:
+    if isinstance(result, tuple):
+        return dict(enumerate(result))
+    return {k: v for k, v in vars(result).items() if not isinstance(v, str)}
+
+
+class TestLoopAgainstBlock:
+    """Hiding ``losses`` forces the per-sample loop; every report field
+    agrees with the block path to 1e-9 relative (1e-12 absolute, for the
+    quadratic's bias, which is rounding noise), and the block path leaves
+    the parameters' bytes as they were."""
+
+    @pytest.mark.parametrize("name", sorted(LOOP_BLOCK_ENTRY_POINTS))
+    @pytest.mark.parametrize("cell", ["quadratic", "quartic"])
+    def test_reports_match(self, monkeypatch, name, cell):
+        if cell == "quartic":
+            make = quartic_cell
+        elif name == "expectation_identity":
+            # the projector check needs native pairs; a vector layer stays
+            make = lambda: mixed_cell(reshape="never")
+        else:
+            make = mixed_cell
+        run = LOOP_BLOCK_ENTRY_POINTS[name]
+        problem, params, pairs = make()
+        before = [w.tobytes() for w in params]
+        block = _numbers(run(problem, pairs, params))
+        assert [w.tobytes() for w in params] == before
+        monkeypatch.delattr(type(problem), "losses")
+        problem, params, pairs = make()
+        loop = _numbers(run(problem, pairs, params))
+        assert loop.keys() == block.keys()
+        for key, value in loop.items():
+            assert block[key] == pytest.approx(value, rel=1e-9, abs=1e-12, nan_ok=True), key
 
 
 class TestSubspaceStart:
