@@ -189,8 +189,8 @@ def _mc_mean(blocks: Iterable[np.ndarray]):
 _BLOCK_FLOATS = 1 << 20
 # the first samples of every sampler call that the estimator itself re-runs
 _GUARD_SAMPLES = 64
-# the guard's allowance for rho, in units of u (|L+| + |L-|) / epsilon, the
-# rounding floor of the probe; for the perturbation, relative to its size
+# the guard's allowances: for rho, in units of the probe's rounding floor
+# u (|L+| + |L-|) / epsilon; for the perturbation, relative to its largest entry
 _GUARD_RHO_UNITS = 16.0
 _GUARD_DELTA_RTOL = 1e-12
 _UNIT_ROUNDOFF = 2.0 ** -53
