@@ -233,25 +233,36 @@ def expand_cells(config: ExperimentConfig, seed_offset: int = 0) -> list[Optimiz
     return cells
 
 
+def _check_family(template, family: str, rank: int, dense_q: int,
+                  reshape: str = "auto") -> None:
+    """Reject a rank or dense subspace dimension that ``family`` reads and
+    that is not positive, that some matrix layer cannot carry even in its
+    best geometry under ``reshape``, or whose projection exceeds the cap."""
+    if family == "subzero":
+        if rank < 1:
+            raise ConfigError(f"rank must be at least 1, got {rank}")
+        for w, plan in zip(template, plan_layers(template, rank, reshape)):
+            if plan.shape is not None and plan.rank < rank:
+                raise ConfigError(
+                    f"rank {rank} does not fit layer of shape {w.shape} "
+                    f"(best geometry {plan.shape} supports rank {plan.rank})")
+    elif family == "spsa_dense_subspace":
+        if dense_q < 1:
+            raise ConfigError(f"dense subspace dimension must be at least 1, got {dense_q}")
+        d = sum(w.size for w in template)
+        if d * dense_q > DENSE_ENTRY_CAP:
+            raise ConfigError(
+                f"dense projection of {d}x{dense_q} entries exceeds the "
+                f"allocation cap {DENSE_ENTRY_CAP}")
+
+
 def validate_cell(problem, cell: OptimizerConfig) -> None:
     """Reject a cell that would violate a module precondition at runtime."""
-    template = problem.initial_params()
     if cell.batch_size > problem.dataset_size:
         raise ConfigError(
             f"batch size {cell.batch_size} exceeds dataset size {problem.dataset_size}")
-    if cell.family == "subzero":
-        plans = plan_layers(template, cell.rank, cell.reshape)
-        for w, plan in zip(template, plans):
-            if plan.shape is not None and plan.rank < cell.rank:
-                raise ConfigError(
-                    f"rank {cell.rank} does not fit layer of shape {w.shape} "
-                    f"(best geometry {plan.shape} supports rank {plan.rank})")
-    if cell.family == "spsa_dense_subspace":
-        d = sum(w.size for w in template)
-        if d * cell.dense_q > DENSE_ENTRY_CAP:
-            raise ConfigError(
-                f"dense projection of {d}x{cell.dense_q} entries exceeds the "
-                f"allocation cap {DENSE_ENTRY_CAP}")
+    _check_family(problem.initial_params(), cell.family, cell.rank, cell.dense_q,
+                  cell.reshape)
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +388,22 @@ def cli_estimate(config_path: str | None, out: str | None = None,
     settings = config.estimate
     if not settings.families:
         raise ConfigError("estimate.families must name at least one family")
+    if settings.n_mc < 1:
+        raise ConfigError(f"estimate.n_mc must be at least 1, got {settings.n_mc}")
     problem = build_problem(config.problem)
     params = problem.initial_params()
+    for fam in settings.families:   # all families vetted before any sampling
+        if fam.family not in ("subzero", "spsa_full", "spsa_dense_subspace"):
+            raise ConfigError(f"unknown estimator family {fam.family!r}")
+        _check_family(params, fam.family, fam.rank, fam.dense_q)
     seed = settings.seed + seed_offset
     rows = []
     for fam in settings.families:
-        pairs = None
-        dense_q = None
-        if fam.family == "subzero":
-            pairs = build_pairs(GaussianStream(derive_seed(seed, 0x1F, 0)),
-                                params, fam.rank)
-        elif fam.family == "spsa_dense_subspace":
-            dense_q = fam.dense_q
-        elif fam.family != "spsa_full":
-            raise ConfigError(f"unknown estimator family {fam.family!r}")
+        pairs = (build_pairs(GaussianStream(derive_seed(seed, 0x1F, 0)), params, fam.rank)
+                 if fam.family == "subzero" else None)
         row = verification.estimator_diagnostics(
             problem, params, fam.family, settings.n_mc, pairs=pairs,
-            dense_q=dense_q, epsilon=settings.epsilon, seed=seed)
+            dense_q=fam.dense_q, epsilon=settings.epsilon, seed=seed)
         rows.append((row.family, row.q_or_d, row.cosine, row.rel_variance,
                      row.n_mc))
     os.makedirs(out_dir, exist_ok=True)

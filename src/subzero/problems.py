@@ -10,8 +10,9 @@ their arguments; they never mutate parameters and raise
 The quadratic and quartic families ignore the batch contents (every example
 is the same function), which keeps estimator statistics exact while still
 exercising the minibatch plumbing.  They also offer ``losses(xs)``, the loss
-of each row of a ``(K, d)`` block of stacked parameter vectors, which lets
-the verification checks evaluate many probes in one numpy call.
+of each row of a ``(K, d)`` block of stacked parameter vectors: an optional
+speed-up that lets the verification checks evaluate many probes in one
+numpy call, not a capability they need.
 """
 
 from __future__ import annotations

@@ -13,18 +13,19 @@ because the sample count was too small to resolve a discrepancy.  Every
 check draws its samples through one sampler, on the full batch, and
 reduces them block by block with numpy.
 
-On a problem with a row-wise ``losses(xs)`` (quadratic, quartic) the
-seeded families take the block path: the sampler derives a block of
-sample seeds and each sample's stream values in ``uint64`` numpy, bit for
-bit the values the estimator would draw, forms every perturbation with
-one ``einsum`` per layer, and evaluates both probes of every sample with
-two ``losses`` calls.  The parameters are never touched.  Seeds, stream
-values and perturbation rows do not depend on the block size; rho and the
-reports agree with the per-sample loop to rounding, since a block's loss
-is one BLAS product.  The first 64 samples of every sampler call also run
-through :func:`~subzero.estimators.subzero_estimate`, and
-:class:`~subzero.errors.BlockMismatch` is raised if one disagrees with
-its block row, so the checks still exercise the estimator itself.
+The sampler takes one path for every estimator family and problem, and
+never touches the parameters.  It forms a block of samples'
+perturbations as stacked rows (the seeded families' from stream values
+drawn in ``uint64`` numpy, with one ``einsum`` per matrix layer; the dense
+family's from the estimator's own direction) and evaluates both probes of
+every row out of place: with the problem's row-wise ``losses(xs)`` where
+it has one, one ``loss`` call per row otherwise.  Seeds, stream values,
+and the rows of vector layers and of the dense family are bit for bit the
+estimator's; matrix-layer rows, rho and the reports agree with it to
+rounding.  The first 64 samples of every sampler call also run through
+the family's own estimator, and :class:`~subzero.errors.BlockMismatch`
+is raised if one disagrees with its block row, so the checks still
+exercise the estimator itself.
 
 Also here: the curvature-bias measurement (via a control variate that
 cancels the zero-bias part of each sample, so the tiny ``epsilon**2`` bias
@@ -43,7 +44,8 @@ import numpy as np
 from .errors import (BlockMismatch, BudgetExceeded, DegenerateGradient,
                      ScaleRefused, ShapeError)
 from .numcore import (GaussianStream, derive_seed, derive_seeds,
-                      gaussian_matrix, normals_block, stack_params)
+                      gaussian_matrix, normals_block, stack_params,
+                      unstack_params)
 from .perturbation import (ProjectionPair, build_pairs,
                            iter_perturbation_layers, subspace_dimension)
 from .estimators import (_dense_direction, _split_rowmajor,
@@ -197,81 +199,66 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
-               family: str = "subzero", dense_q: Optional[int] = None,
+               dense_q: Optional[int] = None,
                first: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every check's samples, on the full batch, as blocks ``(rho, delta)``
     of at most ``_BLOCK_FLOATS`` perturbation floats.  Sample ``k``, for
-    ``k`` in ``[first, first + n_mc)`` in order, is the ``family`` estimate
+    ``k`` in ``[first, first + n_mc)`` in order, is the estimate
     ``rho[i] * delta[i]`` seeded by ``(seed, _TAG_MC, k)``, with ``delta[i]``
-    its stacked perturbation; ``spsa_full`` sets every pair to ``None``.
+    its stacked perturbation: :func:`subzero_estimate`'s under ``pairs``
+    (all ``None`` for full-space SPSA), or :func:`dense_subspace_probe`'s
+    when ``dense_q`` is given.  The parameters are not touched.
 
-    The seeded families on a problem with a row-wise ``losses`` take the
-    block path (:func:`_block_estimates`); the rest call the estimator once
-    per sample and replay its perturbation, which moves the parameters by
-    rounding each time.
-    """
-    if family == "spsa_full":
-        pairs = [None] * len(params)
-    elif family not in ("subzero", "spsa_dense_subspace"):
-        raise ValueError(f"unknown estimator family {family!r}")
-    block_path = family != "spsa_dense_subspace" and hasattr(problem, "losses")
-    size = max(1, _BLOCK_FLOATS // sum(w.size for w in params))
-    stop = first + n_mc
-    for start in range(first, stop, size):
-        seeds = derive_seeds(seed, _TAG_MC, last=np.arange(start, min(start + size, stop)))
-        if block_path:
-            guard = max(0, first + _GUARD_SAMPLES - start)
-            yield _block_estimates(problem, params, pairs, epsilon, seeds, guard)
-        else:
-            yield _loop_estimates(problem, params, pairs, epsilon, seeds, family, dense_q)
-
-
-def _loop_estimates(problem, params, pairs, epsilon: float, seeds: np.ndarray,
-                    family: str, dense_q: Optional[int]):
-    batch = full_batch(problem)
-    rho = np.empty(seeds.size)
-    delta = np.empty((seeds.size, sum(w.size for w in params)))
-    for i, s in enumerate(seeds.tolist()):
-        if family == "spsa_dense_subspace":
-            ld, _ = dense_subspace_probe(problem, params, batch, epsilon, dense_q, s)
-            layers = _split_rowmajor(_dense_direction(params, dense_q, s, None), params)
-        else:
-            ld, _ = subzero_estimate(problem, params, pairs, batch, epsilon, s)
-            layers = list(iter_perturbation_layers(params, pairs, s))
-        rho[i] = ld.rho
-        delta[i] = stack_params(layers)
-    return rho, delta
-
-
-def _block_estimates(problem, params, pairs, epsilon: float, seeds: np.ndarray,
-                     guard: int):
-    """``(rho, delta)`` for a block of seeds, with every probe evaluated at
-    the parameters as given, which are not touched.
-
-    The first ``guard`` seeds also run through :func:`subzero_estimate`,
-    each on a fresh copy of the parameters; :class:`BlockMismatch` is
-    raised if its perturbation differs from the block row by more than
+    The first ``_GUARD_SAMPLES`` samples also run through that estimator,
+    each on a fresh copy of the parameters; :class:`BlockMismatch` is raised
+    if its estimate differs from the block row by more than
     ``_GUARD_DELTA_RTOL`` of its largest entry, or its rho by more than
     ``_GUARD_RHO_UNITS`` of the probe's rounding floor.
     """
     batch = full_batch(problem)
-    guarded = [subzero_estimate(problem, [w.copy() for w in params], pairs, batch,
-                                epsilon, s)
-               for s in seeds[:guard].tolist()]
-    delta = _delta_rows(params, pairs, seeds)
     x0 = stack_params(params)
-    step = epsilon * delta
-    rho = (problem.losses(x0 + step) - problem.losses(x0 - step)) / (2.0 * epsilon)
-    for i, (ld, est) in enumerate(guarded):
-        want = est.stacked()
-        delta_gap = float(np.max(np.abs(want - ld.rho * delta[i])))
-        floor = _UNIT_ROUNDOFF * (abs(ld.loss_plus) + abs(ld.loss_minus)) / epsilon
-        if (delta_gap > _GUARD_DELTA_RTOL * float(np.max(np.abs(want)))
-                or abs(rho[i] - ld.rho) > _GUARD_RHO_UNITS * floor):
-            raise BlockMismatch(
-                f"seed {int(seeds[i])}: block rho {rho[i]!r} against {ld.rho!r} "
-                f"(floor {floor:.3g}), perturbation gap {delta_gap:.3g}")
-    return rho, delta
+    size = max(1, _BLOCK_FLOATS // x0.size)
+    stop = first + n_mc
+    for start in range(first, stop, size):
+        seeds = derive_seeds(seed, _TAG_MC, last=np.arange(start, min(start + size, stop)))
+        if dense_q is None:
+            delta = _delta_rows(params, pairs, seeds)
+        else:   # the estimator splits its direction row-major per layer
+            delta = np.array([stack_params(_split_rowmajor(
+                _dense_direction(params, dense_q, s, None), params))
+                for s in seeds.tolist()])
+        step = epsilon * delta
+        rho = (_row_losses(problem, params, x0 + step)
+               - _row_losses(problem, params, x0 - step)) / (2.0 * epsilon)
+        # all estimator calls first: interleaved with the comparisons, 3 % dearer
+        guarded = []
+        for s in seeds[:max(0, first + _GUARD_SAMPLES - start)].tolist():
+            work = [w.copy() for w in params]
+            if dense_q is None:
+                guarded.append(subzero_estimate(problem, work, pairs, batch, epsilon, s))
+            else:
+                guarded.append(dense_subspace_probe(problem, work, batch, epsilon, dense_q, s))
+        for i, (ld, est) in enumerate(guarded):
+            want = est.stacked()
+            delta_gap = float(np.max(np.abs(want - ld.rho * delta[i])))
+            floor = _UNIT_ROUNDOFF * (abs(ld.loss_plus) + abs(ld.loss_minus)) / epsilon
+            if (delta_gap > _GUARD_DELTA_RTOL * float(np.max(np.abs(want)))
+                    or abs(rho[i] - ld.rho) > _GUARD_RHO_UNITS * floor):
+                raise BlockMismatch(
+                    f"seed {int(seeds[i])}: block rho {rho[i]!r} against {ld.rho!r} "
+                    f"(floor {floor:.3g}), perturbation gap {delta_gap:.3g}")
+        yield rho, delta
+
+
+def _row_losses(problem, params, xs: np.ndarray) -> np.ndarray:
+    """The full-batch loss of each row of a ``(K, d)`` block of stacked
+    parameter vectors: one ``losses`` call where the problem offers it,
+    otherwise one ``loss`` call per row, unstacked to the layers' shapes."""
+    if hasattr(problem, "losses"):
+        return problem.losses(xs)
+    shapes = [w.shape for w in params]
+    batch = full_batch(problem)
+    return np.array([problem.loss(unstack_params(x, shapes), batch) for x in xs])
 
 
 def _delta_rows(params, pairs, seeds: np.ndarray) -> np.ndarray:
@@ -344,23 +331,20 @@ def check_second_moment(problem, pairs, params, n_mc: int, *,
     """Mean squared norm of the estimator equals ``(q+2) ||P^T grad||**2``.
 
     With ``family="spsa_full"`` the same check runs on the full-space
-    estimator, whose target is ``(d+2) ||grad||**2``; comparing the two on
-    one problem is the variance-reduction ordering at the point where it is
-    exact.
+    estimator, every pair ``None``, whose target is ``(d+2) ||grad||**2``;
+    comparing the two on one problem is the variance-reduction ordering at
+    the point where it is exact.
     """
-    grads = problem.exact_gradient(params, full_batch(problem))
-    if family == "subzero":
-        q = subspace_dimension(params, pairs)
-        target = (q + 2) * projected_gradient_sq_norm(grads, pairs)
-    elif family == "spsa_full":
-        d = sum(w.size for w in params)
-        g = stack_params(grads)
-        target = (d + 2) * float(g @ g)
-    else:
+    if family == "spsa_full":
+        pairs = [None] * len(params)
+    elif family != "subzero":
         raise ValueError(f"no second-moment target for family {family!r}")
+    grads = problem.exact_gradient(params, full_batch(problem))
+    q = subspace_dimension(params, pairs)
+    target = (q + 2) * projected_gradient_sq_norm(grads, pairs)
     mean, stderr = _mc_mean(
         _sq_norms(rho[:, None] * delta)
-        for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed, family))
+        for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed))
     mean = float(mean)
     deviation = abs(mean - target)
     return _report(f"second_moment_{family}", n_mc, mean, target, deviation,
@@ -471,16 +455,23 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
     Phase one approximates the estimator's mean ``g`` over ``n_mc`` seeds.
     Phase two, on fresh seeds, reports the mean cosine between samples and
     ``g``, and ``Var[||est||] / ||g||**2``.  With ``n_mc = 1`` the variance
-    is undefined and reported as NaN.
+    is undefined and reported as NaN.  ``dense_q`` is read only by the
+    dense family, ``pairs`` only by ``subzero``.
     """
-    if estimator_family == "subzero" and pairs is None:
-        raise ShapeError("subzero diagnostics need projection pairs")
-    if estimator_family == "spsa_dense_subspace" and dense_q is None:
+    if estimator_family == "subzero":
+        if pairs is None:
+            raise ShapeError("subzero diagnostics need projection pairs")
+        dense_q = None
+    elif estimator_family == "spsa_full":
+        pairs, dense_q = [None] * len(params), None
+    elif estimator_family != "spsa_dense_subspace":
+        raise ValueError(f"unknown estimator family {estimator_family!r}")
+    elif dense_q is None:
         raise ShapeError("dense-subspace diagnostics need a subspace dimension")
     mean, _ = _mc_mean(
         rho[:, None] * delta
         for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed,
-                                     estimator_family, dense_q))
+                                     dense_q))
     g_norm = float(np.linalg.norm(mean))
     if g_norm < 1e-12:
         raise DegenerateGradient("estimated mean gradient is numerically zero")
@@ -489,7 +480,7 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
     norm_acc = 0.0
     norm_sq_acc = 0.0
     for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed,
-                                 estimator_family, dense_q, first=n_mc):
+                                 dense_q, first=n_mc):
         est = rho[:, None] * delta
         norms = np.sqrt(_sq_norms(est))
         if not norms.all():
@@ -505,12 +496,7 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
         rel_variance = norm_var / (g_norm ** 2)
     else:
         rel_variance = math.nan
-    if estimator_family == "subzero":
-        q_or_d = subspace_dimension(params, pairs)
-    elif estimator_family == "spsa_full":
-        q_or_d = sum(w.size for w in params)
-    else:
-        q_or_d = dense_q
+    q_or_d = subspace_dimension(params, pairs) if dense_q is None else dense_q
     return DiagnosticsRow(family=estimator_family, q_or_d=q_or_d, cosine=cosine,
                           rel_variance=rel_variance, n_mc=n_mc)
 

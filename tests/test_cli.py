@@ -414,6 +414,24 @@ class TestEstimateCommand:
         rc = main(["estimate", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("estimate", [
+        {"families": [{"family": "subzero", "rank": 9}]},
+        {"families": [{"family": "subzero", "rank": 0}]},
+        {"families": [{"family": "spsa_dense_subspace", "dense_q": 0}]},
+        {"n_mc": 0},
+    ], ids=["rank_over_4x4", "rank_zero", "dense_q_zero", "n_mc_zero"])
+    def test_bad_family_settings_are_config_errors(self, tmp_path, capsys,
+                                                   estimate):
+        # vetted like bench cells: no clamped rank, no traceback, no output
+        path = write_config(tmp_path / "cfg.json", {
+            "problem": {"family": "quadratic", "layer_shapes": [[4, 4]],
+                        "dataset_size": 16},
+            "estimate": {"n_mc": 5, **estimate}})
+        rc = main(["estimate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
 
 class TestMainEntry:
     def test_requires_a_command(self):

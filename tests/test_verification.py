@@ -18,6 +18,8 @@ from subzero import (
     ConvergenceConfig,
     DiagnosticsRow,
     GaussianStream,
+    LogisticProblem,
+    MlpProblem,
     MonteCarloReport,
     OptimizerConfig,
     QuadraticProblem,
@@ -28,6 +30,7 @@ from subzero import (
     check_expectation_identity,
     check_second_moment,
     convergence_battery,
+    dense_subspace_probe,
     derive_seed,
     estimator_diagnostics,
     fit_loglog_slope,
@@ -43,6 +46,7 @@ from subzero import (
     train,
 )
 from subzero import verification
+from oracles import loop_estimates
 from subzero.errors import (
     BlockMismatch,
     BudgetExceeded,
@@ -545,12 +549,45 @@ def quartic_cell():
     return problem, params, pairs
 
 
-def assert_row_is_the_estimate(problem, params, pairs, rho, delta, seed):
+def mlp_cell():
+    # 6 -> 8 -> 4: two native matrix layers and two bias vectors, d = 92
+    problem = MlpProblem.generate(37, dataset_size=64)
+    params = problem.initial_params()
+    pairs = build_pairs(GaussianStream(derive_seed(37, 0x64, 0)), params, 2,
+                        reshape="never")
+    return problem, params, pairs
+
+
+def logistic_cell():
+    problem = LogisticProblem.generate(38, (4, 5), dataset_size=64)
+    params = problem.initial_params()
+    pairs = build_pairs(GaussianStream(derive_seed(38, 0x64, 0)), params, 2,
+                        reshape="never")
+    return problem, params, pairs
+
+
+# a problem with a row-wise ``losses`` and two without one
+SEED_ORDER_CELLS = {"quadratic": mixed_cell, "mlp": mlp_cell}
+
+
+def seed_order_cases(families):
+    # the quadratic cases keep their family-only ids
+    return [pytest.param(cell, family,
+                         id=family if cell == "quadratic" else f"{cell}-{family}")
+            for cell in SEED_ORDER_CELLS for family in families]
+
+
+def assert_row_is_the_estimate(problem, params, pairs, rho, delta, seed,
+                               dense_q=None):
     """A block row ``(rho, delta)`` is the estimator's own sample for
     ``seed`` at the given parameters: rho within the guard's allowance of
     the probe's rounding floor, the estimate within 1e-12 of its size."""
-    ld, est = subzero_estimate(problem, [w.copy() for w in params], pairs,
-                               full_batch(problem), 1e-3, seed)
+    work = [w.copy() for w in params]
+    batch = full_batch(problem)
+    if dense_q is None:
+        ld, est = subzero_estimate(problem, work, pairs, batch, 1e-3, seed)
+    else:
+        ld, est = dense_subspace_probe(problem, work, batch, 1e-3, dense_q, seed)
     floor = 2.0 ** -53 * (abs(ld.loss_plus) + abs(ld.loss_minus)) / 1e-3
     assert abs(rho - ld.rho) <= verification._GUARD_RHO_UNITS * floor
     want = est.stacked()
@@ -577,9 +614,9 @@ class TestBlockSeedOrder:
     """Past the guard's first 64 samples, block row ``k`` is still the
     estimate seeded by ``derive_seed(seed, 0x61, k)``."""
 
-    @pytest.mark.parametrize("family", ["subzero", "spsa_full"])
-    def test_rows_past_the_guard_are_the_seeded_estimates(self, sampled, family):
-        problem, params, pairs = mixed_cell()
+    @pytest.mark.parametrize("cell, family", seed_order_cases(["subzero", "spsa_full"]))
+    def test_rows_past_the_guard_are_the_seeded_estimates(self, sampled, cell, family):
+        problem, params, pairs = SEED_ORDER_CELLS[cell]()
         check_second_moment(problem, pairs, params, 200, family=family, seed=5)
         [(first, rho, delta)] = sampled
         assert first == 0 and rho.shape == (200,)
@@ -588,16 +625,19 @@ class TestBlockSeedOrder:
             assert_row_is_the_estimate(problem, params, used, rho[k], delta[k],
                                        derive_seed(5, 0x61, k))
 
-    @pytest.mark.parametrize("family", ["subzero", "spsa_full"])
-    def test_diagnostics_second_phase_starts_at_n_mc(self, sampled, family):
-        problem, params, pairs = mixed_cell()
-        estimator_diagnostics(problem, params, family, 200, pairs=pairs, seed=5)
+    @pytest.mark.parametrize("cell, family", seed_order_cases(
+        ["subzero", "spsa_full", "spsa_dense_subspace"]))
+    def test_diagnostics_second_phase_starts_at_n_mc(self, sampled, cell, family):
+        problem, params, pairs = SEED_ORDER_CELLS[cell]()
+        estimator_diagnostics(problem, params, family, 200, pairs=pairs,
+                              dense_q=5, seed=5)
         assert [call[0] for call in sampled] == [0, 200]
         _, rho, delta = sampled[1]
         used = pairs if family == "subzero" else [None] * len(params)
+        dense_q = 5 if family == "spsa_dense_subspace" else None
         for i in (64, 65, 199):
             assert_row_is_the_estimate(problem, params, used, rho[i], delta[i],
-                                       derive_seed(5, 0x61, 200 + i))
+                                       derive_seed(5, 0x61, 200 + i), dense_q)
 
     def test_blocks_split_at_the_float_cap(self, sampled, monkeypatch):
         # 35 floats per sample under a 100-float cap: blocks of two rows, so
@@ -612,42 +652,72 @@ class TestBlockSeedOrder:
         np.testing.assert_allclose(rho_split, rho, rtol=1e-9)
 
 
+CORRUPTIONS = ["seed_off_by_one", "flipped_sign", "swapped_layers", "loss_plus_off"]
+
+
 class TestBlockGuard:
     """The guard re-runs a check's first samples through the estimator and
     raises a package error when a block row disagrees."""
 
-    @pytest.mark.parametrize("corruption", ["seed_off_by_one", "flipped_sign",
-                                            "swapped_layers", "loss_plus_off"])
-    def test_one_corrupt_row_fires(self, monkeypatch, corruption):
-        problem, params, pairs = battery_cell(((3, 2), (3, 2)), 1, 11)
+    @pytest.mark.parametrize("cell, family, corruption", [
+        pytest.param(cell, family, corruption,
+                     id=corruption if (cell, family) == ("quadratic", "subzero")
+                     else f"{cell}-{family}-{corruption}")
+        for cell, family in [("quadratic", "subzero"), ("mlp", "subzero"),
+                             ("quadratic", "spsa_dense_subspace"),
+                             ("mlp", "spsa_dense_subspace")]
+        for corruption in CORRUPTIONS])
+    def test_one_corrupt_row_fires(self, monkeypatch, cell, family, corruption):
+        if cell == "quadratic":
+            problem, params, pairs = battery_cell(((3, 2), (3, 2)), 1, 11)
+        else:
+            problem, params, pairs = mlp_cell()
+        bad_seed = derive_seed(0, 0x61, 5)
         rows = verification._delta_rows
+        dense = verification._dense_direction
 
-        def corrupted(params, pairs, seeds):
+        def corrupted_rows(params, pairs, seeds):
             out = rows(params, pairs, seeds)
             if corruption == "seed_off_by_one":
                 out[5] = rows(params, pairs, seeds[6:7])[0]
             elif corruption == "flipped_sign":
                 out[5] *= -1.0
-            elif corruption == "swapped_layers":
-                out[5] = np.concatenate([out[5, 6:], out[5, :6]])
+            else:
+                out[5] = np.roll(out[5], params[0].size)
             return out
 
-        losses = problem.losses
+        def corrupted_dense(params, q, s, projection):
+            if s != bad_seed:
+                return dense(params, q, s, projection)
+            if corruption == "seed_off_by_one":
+                return dense(params, q, derive_seed(0, 0x61, 6), projection)
+            out = dense(params, q, s, projection)
+            if corruption == "flipped_sign":
+                return -out
+            return np.roll(out, params[0].size)
+
+        row_losses = verification._row_losses
         evaluated = []
 
-        def loss_plus_off(xs):
-            values = losses(xs)
+        def loss_plus_off(problem, params, xs):
+            values = row_losses(problem, params, xs)
             if not evaluated:
                 values[5] += 1e-9 * abs(values[5])
             evaluated.append(xs)
             return values
 
         if corruption == "loss_plus_off":
-            monkeypatch.setattr(problem, "losses", loss_plus_off)
+            monkeypatch.setattr(verification, "_row_losses", loss_plus_off)
+        elif family == "subzero":
+            monkeypatch.setattr(verification, "_delta_rows", corrupted_rows)
         else:
-            monkeypatch.setattr(verification, "_delta_rows", corrupted)
-        with pytest.raises(BlockMismatch, match=str(derive_seed(0, 0x61, 5))):
-            check_second_moment(problem, pairs, params, 100, seed=0)
+            monkeypatch.setattr(verification, "_dense_direction", corrupted_dense)
+        with pytest.raises(BlockMismatch, match=str(bad_seed)):
+            if family == "subzero":
+                check_second_moment(problem, pairs, params, 100, seed=0)
+            else:
+                estimator_diagnostics(problem, params, family, 100, dense_q=4,
+                                      seed=0)
         # a package error, which ``python -O`` does not strip like ``assert``
         assert issubclass(BlockMismatch, SubzeroError)
 
@@ -665,7 +735,7 @@ class TestBlockGuard:
         check_second_moment(problem, pairs, params, 200, seed=0)
 
 
-LOOP_BLOCK_ENTRY_POINTS = {
+ENTRY_POINTS = {
     "expectation_identity": lambda problem, pairs, params:
         check_expectation_identity(problem, pairs, params, 300, seed=3),
     "second_moment": lambda problem, pairs, params:
@@ -680,7 +750,18 @@ LOOP_BLOCK_ENTRY_POINTS = {
         estimator_diagnostics(problem, params, "subzero", 300, pairs=pairs, seed=3),
     "diagnostics_spsa_full": lambda problem, pairs, params:
         estimator_diagnostics(problem, params, "spsa_full", 300, seed=3),
+    "diagnostics_spsa_dense_subspace": lambda problem, pairs, params:
+        estimator_diagnostics(problem, params, "spsa_dense_subspace", 300,
+                              dense_q=5, seed=3),
 }
+
+
+def entry_point_cell(cell, name):
+    if cell != "quadratic":
+        return {"quartic": quartic_cell, "mlp": mlp_cell,
+                "logistic": logistic_cell}[cell]()
+    # the projector check needs native pairs; a vector layer stays
+    return mixed_cell(reshape="never" if name == "expectation_identity" else "auto")
 
 
 def _numbers(result) -> dict:
@@ -689,33 +770,44 @@ def _numbers(result) -> dict:
     return {k: v for k, v in vars(result).items() if not isinstance(v, str)}
 
 
-class TestLoopAgainstBlock:
-    """Hiding ``losses`` forces the per-sample loop; every report field
-    agrees with the block path to 1e-9 relative (1e-12 absolute, for the
-    quadratic's bias, which is rounding noise), and the block path leaves
-    the parameters' bytes as they were."""
+def assert_same_numbers(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-12, nan_ok=True), key
 
-    @pytest.mark.parametrize("name", sorted(LOOP_BLOCK_ENTRY_POINTS))
-    @pytest.mark.parametrize("cell", ["quadratic", "quartic"])
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("cell", ["quadratic", "quartic", "mlp", "logistic"])
+def test_checks_leave_the_parameters_bytes_unchanged(name, cell):
+    problem, params, pairs = entry_point_cell(cell, name)
+    before = [w.tobytes() for w in params]
+    ENTRY_POINTS[name](problem, pairs, params)
+    assert [w.tobytes() for w in params] == before
+
+
+class TestLoopAgainstBlock:
+    """The per-sample reference sampler, put in place of the block sampler,
+    gives every report field to 1e-9 relative (1e-12 absolute, for the
+    quadratic's bias, which is rounding noise)."""
+
+    @staticmethod
+    def run(name, cell):
+        problem, params, pairs = entry_point_cell(cell, name)
+        return _numbers(ENTRY_POINTS[name](problem, pairs, params))
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("cell", ["quadratic", "quartic", "mlp", "logistic"])
     def test_reports_match(self, monkeypatch, name, cell):
-        if cell == "quartic":
-            make = quartic_cell
-        elif name == "expectation_identity":
-            # the projector check needs native pairs; a vector layer stays
-            make = lambda: mixed_cell(reshape="never")
-        else:
-            make = mixed_cell
-        run = LOOP_BLOCK_ENTRY_POINTS[name]
-        problem, params, pairs = make()
-        before = [w.tobytes() for w in params]
-        block = _numbers(run(problem, pairs, params))
-        assert [w.tobytes() for w in params] == before
-        monkeypatch.delattr(type(problem), "losses")
-        problem, params, pairs = make()
-        loop = _numbers(run(problem, pairs, params))
-        assert loop.keys() == block.keys()
-        for key, value in loop.items():
-            assert block[key] == pytest.approx(value, rel=1e-9, abs=1e-12, nan_ok=True), key
+        block = self.run(name, cell)
+        monkeypatch.setattr(verification, "_estimates", loop_estimates)
+        assert_same_numbers(block, self.run(name, cell))
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_row_losses_without_losses_match(self, monkeypatch, name):
+        # a problem without ``losses`` is probed one ``loss`` call per row
+        vectorized = self.run(name, "quadratic")
+        monkeypatch.delattr(QuadraticProblem, "losses")
+        assert_same_numbers(self.run(name, "quadratic"), vectorized)
 
 
 class TestSubspaceStart:

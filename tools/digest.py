@@ -5,8 +5,10 @@ steps of the ``train_mlp_wide`` benchmark config and 20 of
 ``train_mlp_fullspace``'s, a ``scale_z`` and a ``spsa_dense_subspace`` run
 on a small quadratic, ``check_second_moment`` for ``subzero`` and
 ``spsa_full``, ``run_default_battery(n_mc=300, n_mc_bias=300)``, and
-``spsa_dense_subspace`` diagnostics on the battery's ordering cell.  A
-change that keeps every value bit for bit prints the same digest.
+``spsa_dense_subspace`` diagnostics on the battery's ordering cell, and
+diagnostics of all three estimator families on a small MLP and a small
+logistic problem, which have no row-wise ``losses``.  A change that keeps
+every value bit for bit prints the same digest.
 
 Run from the root of a checkout:
 
@@ -53,5 +55,12 @@ reports += sz.run_default_battery(n_mc=300, n_mc_bias=300)
 problem, params, _ = verification.battery_cell(((10, 10),), 2, 15)
 reports.append(sz.estimator_diagnostics(problem, params, "spsa_dense_subspace",
                                         300, dense_q=8))
+for problem in (sz.MlpProblem.generate(5, dataset_size=64),
+                sz.LogisticProblem.generate(6, (4, 5), dataset_size=64)):
+    params = problem.initial_params()
+    pairs = sz.build_pairs(sz.GaussianStream(7), params, 2)
+    reports += [sz.estimator_diagnostics(problem, params, family, 100,
+                                         pairs=pairs, dense_q=6)
+                for family in ("subzero", "spsa_full", "spsa_dense_subspace")]
 h.update(repr(reports).encode())
 print(h.hexdigest())
