@@ -120,10 +120,12 @@ def two_sided_loss_diff(
     perturbation, restoring the parameters before returning.
 
     ``seed`` is an int or a :class:`~subzero.perturbation.Direction`.  The
-    matrix cores are drawn once and the three in-place passes of
-    :func:`axpy_perturbation` share them, so nothing layer-sized is retained
-    between passes.  If a loss evaluation or a pass raises, the parameters
-    are restored to working precision before the error propagates.
+    direction is drawn once and the three in-place passes of
+    :func:`axpy_perturbation` share it, so nothing layer-sized is retained
+    between passes, and each pass holds one transient buffer: a small
+    layer's delta or a row block of at most 256 kB of a large one.  If a
+    loss evaluation or a pass raises, the parameters are restored to
+    working precision before the error propagates.
     """
     direction = draw_direction(params, pairs, seed)
 
@@ -144,11 +146,12 @@ def subzero_estimate(
     """Layer-wise low-rank gradient estimate.
 
     Matrix layers are perturbed along ``U Z V^T`` for their projection pair,
-    vector layers (pair ``None``) along a full Gaussian.  The cores are
+    vector layers (pair ``None``) along a full Gaussian.  The direction is
     drawn once from ``seed`` (an int or a drawn
     :class:`~subzero.perturbation.Direction`); after the probe the
-    perturbation is formed once more from them and scaled by rho, so the
-    estimate costs two loss evaluations and stores q floats of direction.
+    perturbation is formed once more from it and scaled by rho, so the
+    estimate costs two loss evaluations and stores the q core floats plus
+    any vector values the direction keeps.
     """
     direction = draw_direction(params, pairs, seed)
     ld = two_sided_loss_diff(problem, params, pairs, batch, epsilon, direction)

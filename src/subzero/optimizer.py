@@ -1,11 +1,13 @@
 """Training loop around the two-point estimators.
 
 A step of the layer-wise family never forms a gradient object.  It draws
-its matrix-layer cores once from the step seed, probes the loss twice along
-that direction, then replays it in one more ``axpy_perturbation`` pass with
-coefficient ``-lr * rho``.  Peak transient memory is therefore the q-float
-cores plus one layer buffer, however many layers the model has, and a
-failed step leaves the parameters where it found them.
+its direction once from the step seed (the q matrix-layer core values, and
+the vector layers' values when they fit the largest matrix layer), probes
+the loss twice along that direction, then replays it in one more
+``axpy_perturbation`` pass with coefficient ``-lr * rho``.  Peak transient
+memory is therefore the drawn direction plus one buffer of at most a small
+layer or a 256 kB row block of a large one, however many layers the model
+has, and a failed step leaves the parameters where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``
 through tagged hashes, with the step index mixed in.  Per-step perturbation

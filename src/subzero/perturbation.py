@@ -8,15 +8,19 @@ low-rank structure; they fall back to a full Gaussian perturbation and are
 marked by a ``None`` entry in the pairs list.
 
 Perturbations are never stored whole.  A step draws its direction once:
-:func:`draw_direction` walks the layers in stream order, draws the
+:func:`draw_direction` walks the layers in stream order and draws the
 ``r_i**2`` core values of each matrix layer into one flat array of
-``q = sum r_i**2`` floats and skips the ``size`` values each vector layer
-owns.  Every pass of :func:`axpy_perturbation` then reads its matrix cores
-from that array and replays only the vector layers from the seed.
-Replaying one direction with coefficients ``+eps``, ``-2 eps``, ``+eps`` and
-then ``-lr * rho`` implements the probe, the restore and the update; across
-them a step holds the ``8 q`` bytes of its cores, and a pass adds one
-layer-sized transient buffer at a time.
+``q = sum r_i**2`` floats.  The ``size`` values each vector layer owns are
+drawn into a second flat array when their total is at most the largest
+matrix layer's size, and skipped otherwise.  Every pass of
+:func:`axpy_perturbation` then reads its values from those arrays and
+replays from the seed only the vector layers that were skipped.  Replaying
+one direction with coefficients ``+eps``, ``-2 eps``, ``+eps`` and then
+``-lr * rho`` implements the probe, the restore and the update.  Across
+them a step holds ``8 (q + kept vector values)`` bytes of direction.  A
+pass adds one transient buffer at a time: the whole delta of a layer of at
+most ``_DOT_MAX_ENTRIES`` entries, or a row block of at most 256 kB of a
+larger matrix layer.
 """
 
 from __future__ import annotations
@@ -211,50 +215,92 @@ def build_pairs(stream: GaussianStream, params: Sequence[np.ndarray], rank: int,
     return pairs_from_plan(stream, plan_layers(params, rank, reshape))
 
 
-# ndarray.dot makes the same BLAS calls as @, bit for bit, and skips matmul's
-# ufunc dispatch, which costs more than the product on a small layer; but it
-# zero-fills its output first.  On a 2-vCPU VM dot takes 0.84x the time of @
-# for a 64x64 layer at rank 16, 1.01x at 128x64 and 1.6x at 512x512.
+# How a matrix layer's pass forms its product, by the layer's entry count:
+#
+# * at most _DOT_MAX_ENTRIES: u.dot(z.dot(v.T)) into a fresh layer-sized
+#   array.  ndarray.dot makes the same BLAS calls as @, bit for bit, and skips
+#   matmul's ufunc dispatch, which costs more than the product on a small
+#   layer; but it zero-fills its output first.  On a 2-vCPU VM dot takes
+#   0.84x the time of @ for a 64x64 layer at rank 16, 1.01x at 128x64 and
+#   1.6x at 512x512.
+# * above it, in a pass of axpy_perturbation: u @ (z @ v.T) in row blocks of
+#   at most _BLOCK_ENTRIES values (256 kB), each written into one reused
+#   buffer with np.matmul(..., out=), scaled and added in place, so no
+#   layer-sized delta exists.  At rank 16 a blocked pass takes 1.14x the
+#   time of forming, scaling and adding the whole delta for a 128x64 layer,
+#   1.08x at 128x128, 0.29x at 256x256 and 0.6-0.75x at 512x512, where
+#   64-row blocks beat 16, 32 and 128 rows.  Every other caller of
+#   iter_perturbation_layers gets the whole delta, from u @ (z @ v.T).
 _DOT_MAX_ENTRIES = 4096
+_BLOCK_ENTRIES = 32768
 
 
 class Direction:
-    """A seeded perturbation with its matrix-layer cores already drawn.
+    """A seeded perturbation with its stream values already drawn.
 
     ``cores`` holds the ``r_i**2`` core values of every matrix layer in
-    layer order, as one flat array of q floats; the values each vector layer
-    owns in the stream are not drawn.  Every function that takes a seed
-    also takes a ``Direction`` in its place, so a step draws its cores once
-    and its passes only replay the vector layers.
+    layer order, as one flat array of q floats.  ``vectors`` holds the
+    values of the vector layers in layer order when their total is at most
+    the largest matrix layer's size, and is ``None`` otherwise: then each
+    pass replays them from the seed.  So the kept values never outgrow one
+    matrix layer, and a model of vector layers only holds no
+    parameter-sized draw.  ``large`` records a matrix layer above
+    ``_DOT_MAX_ENTRIES``.  Every function that takes a seed also takes a
+    ``Direction`` in its place, so a step draws once and its passes replay
+    at most the vector layers.
+
+    ``factored`` is false on a drawn direction.  :func:`axpy_perturbation`
+    sets it on a copy for its pass when ``large`` is set, and
+    :func:`iter_perturbation_layers` then yields each large matrix layer as
+    factors instead of a layer-sized array.
     """
 
-    __slots__ = ("seed", "cores")
+    __slots__ = ("seed", "cores", "vectors", "large", "factored")
 
-    def __init__(self, seed: int, cores: np.ndarray):
+    def __init__(self, seed: int, cores: np.ndarray,
+                 vectors: Optional[np.ndarray] = None, large: bool = False,
+                 factored: bool = False):
         self.seed = seed
         self.cores = cores
+        self.vectors = vectors
+        self.large = large
+        self.factored = factored
 
 
 def draw_direction(params: Sequence[np.ndarray],
                    pairs: Sequence[Optional[ProjectionPair]],
                    seed: int | Direction) -> Direction:
-    """Draw the matrix-layer cores of a seeded perturbation, skipping the
-    stream range of each vector layer; a ``Direction`` is returned as is."""
+    """Draw the matrix-layer cores of a seeded perturbation, and the vector
+    layers' values when they fit the largest matrix layer, walking the
+    stream in layer order and skipping what is not kept; a ``Direction`` is
+    returned as is."""
     if isinstance(seed, Direction):
         return seed
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
-    stream = GaussianStream(seed)
-    cores = np.empty(sum(pair.rank ** 2 for pair in pairs if pair is not None))
-    at = 0
+    q = kept = largest = 0
     for w, pair in zip(params, pairs):
         if pair is None:
-            stream.skip(w.size)
+            kept += w.size
         else:
+            q += pair.rank ** 2
+            if w.size > largest:
+                largest = w.size
+    stream = GaussianStream(seed)
+    cores = np.empty(q)
+    vectors = np.empty(kept) if 0 < kept <= largest else None
+    at = 0
+    for w, pair in zip(params, pairs):
+        if pair is not None:
             n = pair.rank ** 2
             cores[at:at + n] = stream.normals(n)
             at += n
-    return Direction(stream.seed, cores)
+        elif vectors is None:
+            stream.skip(w.size)
+        else:
+            start = stream.index - at
+            vectors[start:start + w.size] = stream.normals(w.size)
+    return Direction(stream.seed, cores, vectors, largest > _DOT_MAX_ENTRIES)
 
 
 def iter_perturbation_layers(
@@ -268,10 +314,13 @@ def iter_perturbation_layers(
 
     Layer ``i`` is ``z`` (full Gaussian, layer-shaped) when ``pairs[i]`` is
     ``None`` and ``scale * U Z V^T`` otherwise, always in the layer's native
-    shape.  Matrix cores come from the direction (an int seed is drawn
-    first) and vector layers from the stream at their counter offset, so a
-    seed and its drawn direction yield the same values bit for bit.  Every
-    pass of :func:`axpy_perturbation` walks this sequence.
+    shape.  Matrix cores and kept vector values come from the direction (an
+    int seed is drawn first), other vector layers from the stream at their
+    counter offset, so a seed and its drawn direction yield the same values
+    bit for bit.  Every pass of :func:`axpy_perturbation` walks this
+    sequence.  For a ``factored`` direction, which only that pass makes, a
+    matrix layer above ``_DOT_MAX_ENTRIES`` that is C-contiguous or in the
+    pair's geometry is yielded as the tuple ``(u, Z V^T, scale)`` instead.
     """
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
@@ -280,14 +329,20 @@ def iter_perturbation_layers(
     direction = draw_direction(params, pairs, seed)
     cores = direction.cores
     stream = None
+    i = 0       # layer index
     index = 0   # stream counter at the current layer
     at = 0      # offset of the current core in ``cores``
-    for i, (w, pair) in enumerate(zip(params, pairs)):
+    for w, pair in zip(params, pairs):
         if pair is None:
-            if stream is None:
-                stream = GaussianStream(direction.seed)
-            stream.reset(index)
-            delta = stream.normals(w.size).reshape(w.shape)
+            if direction.vectors is not None:
+                # the kept values are the stream's with the cores left out
+                delta = direction.vectors[index - at:index - at + w.size].copy()
+            else:
+                if stream is None:
+                    stream = GaussianStream(direction.seed)
+                stream.reset(index)
+                delta = stream.normals(w.size)
+            delta = delta.reshape(w.shape)
             index += w.size
         else:
             u, v = pair.u, pair.v
@@ -301,14 +356,61 @@ def iter_perturbation_layers(
             index += n
             if w.size <= _DOT_MAX_ENTRIES:
                 delta = u.dot(z.dot(v.T))
+            elif direction.factored and (w.flags.c_contiguous
+                                         or w.shape == (u.shape[0], v.shape[0])):
+                # rows of the pair's geometry must be views of the layer
+                scale = 1.0 if z_scales is None else float(z_scales[i])
+                i += 1
+                yield u, z @ v.T, scale
+                continue
             else:
                 delta = u @ (z @ v.T)
             if delta.shape != w.shape:
                 delta = delta.reshape(w.shape)
-        scale = 1.0 if z_scales is None else float(z_scales[i])
-        if scale != 1.0:
-            delta *= scale
+        if z_scales is not None:
+            scale = float(z_scales[i])
+            if scale != 1.0:
+                delta *= scale
+        i += 1
         yield delta
+
+
+def _add_rows(w: np.ndarray, u: np.ndarray, core: np.ndarray, scale: float,
+              coeff: float) -> None:
+    """Add ``coeff * scale * (u @ core)`` to ``w`` in place, in the geometry
+    of ``u @ core``, one block of rows at a time through one reused buffer.
+
+    Each block is scaled in the order a whole delta is, and on the BLAS
+    builds measured a block of rows of ``u @ core`` has the bytes of those
+    rows of the whole product, so the pass adds what forming the whole
+    delta would.  Atomic: if a block raises, the blocks already added are
+    taken back first.
+    """
+    m, n = u.shape[0], core.shape[1]
+    w = w.reshape(m, n)     # a view: the layer is C-contiguous or (m, n)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    buf = np.empty((min(rows, m), n))
+    done = 0
+    try:
+        while done < m:
+            target = w[done:done + rows]
+            target += _block(buf, u[done:done + rows], core, scale, coeff)
+            done += rows
+    except BaseException:
+        for start in range(0, done, rows):
+            target = w[start:start + rows]
+            target -= _block(buf, u[start:start + rows], core, scale, coeff)
+        raise
+
+
+def _block(buf: np.ndarray, u_rows: np.ndarray, core: np.ndarray, scale: float,
+           coeff: float) -> np.ndarray:
+    block = buf[:u_rows.shape[0]]
+    np.matmul(u_rows, core, out=block)
+    if scale != 1.0:
+        block *= scale
+    block *= coeff
+    return block
 
 
 def axpy_perturbation(
@@ -321,18 +423,28 @@ def axpy_perturbation(
     """Add ``coeff`` times the perturbation of a seed or a drawn
     :class:`Direction` to params, in place.
 
-    Works layer by layer with one transient buffer, so peak extra memory is
-    the largest single layer plus the q-float cores, never the full
-    parameter count.  Atomic: if anything raises partway, the layers already
-    added are replayed with ``-coeff`` before the error propagates.
+    Works layer by layer.  A layer of at most ``_DOT_MAX_ENTRIES`` entries
+    is formed whole in one transient buffer and added; a larger matrix
+    layer is added in row blocks of at most 256 kB (:func:`_add_rows`).  So
+    peak extra memory is the drawn direction plus one such buffer, never
+    the full parameter count.  Atomic: if anything raises partway, the
+    layers already added are replayed with ``-coeff`` before the error
+    propagates.
     """
     direction = draw_direction(params, pairs, seed)
+    layers = direction
+    if direction.large:
+        layers = Direction(direction.seed, direction.cores, direction.vectors,
+                           True, True)
     done = 0
     try:
-        for w, delta in zip(params, iter_perturbation_layers(params, pairs, direction,
+        for w, delta in zip(params, iter_perturbation_layers(params, pairs, layers,
                                                              z_scales)):
-            delta *= coeff
-            w += delta
+            if type(delta) is tuple:
+                _add_rows(w, *delta, coeff)
+            else:
+                delta *= coeff
+                w += delta
             done += 1
     except BaseException:
         if done:

@@ -1,6 +1,8 @@
 """Training loop: determinism, refresh cadence, update geometry, failures."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from subzero.numcore import GaussianStream, derive_seed, stack_params
 from subzero.optimizer import (OptimizerConfig, TrainerState, init_state, step,
                                theoretical_step_size, train, _TAG_STEP)
 from subzero.perturbation import build_pairs, iter_perturbation_layers
-from subzero.problems import (Minibatch, QuadraticProblem, full_batch,
-                              sample_minibatch)
+from subzero.problems import (Minibatch, MlpProblem, QuadraticProblem,
+                              QuarticProblem, full_batch, sample_minibatch)
 
 
 def make_problem(seed=2, shapes=((4, 3), (5,))):
@@ -238,6 +240,12 @@ _INJECT_MATRIX_LAYERS = 2
 _INJECT_PASSES = {"probe": 3, "step": 4, "dense_probe": 3, "dense_step": 4,
                   "sgd_step": 1}
 _INJECT_EXCEPTIONS = (ShapeError, MemoryError, KeyboardInterrupt)
+# layers above the dot cut-over, added in row blocks at rank 16: a native
+# 300x200 layer in blocks of 163 and 137 rows, 8192x8 relaid to 256x256 in
+# two blocks of 128 rows, and a bias; the in-place adds of one pass, in order
+_INJECT_LARGE_LAYERS = ((300, 200), (8192, 8), (7,))
+_INJECT_LARGE_ADDS = (("native", 0), ("native", 1), ("relayout", 0),
+                      ("relayout", 1), ("bias", 0))
 
 
 def _injection_cases():
@@ -257,12 +265,32 @@ def _injection_cases():
             for exc in _INJECT_EXCEPTIONS:
                 yield pytest.param(target + "_draw", k, exc,
                                    id=f"{target}-draw-layer{k}-{exc.__name__}")
+    # the k-th row-block add of each probe and step pass on large layers
+    n = len(_INJECT_LARGE_ADDS)
+    for target in ("probe", "step"):
+        for k in range(_INJECT_PASSES[target] * n):
+            kind, block = _INJECT_LARGE_ADDS[k % n]
+            for exc in _INJECT_EXCEPTIONS:
+                yield pytest.param(
+                    target + "_large", k, exc,
+                    id=f"{target}-large-pass{k // n}-{kind}-block{block}-{exc.__name__}")
+
+
+@functools.lru_cache(maxsize=None)
+def _large_problem():
+    return QuarticProblem.generate(6, list(_INJECT_LARGE_LAYERS), dataset_size=32)
 
 
 @pytest.mark.parametrize("target, fail_at, exc", list(_injection_cases()))
 def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
                                                        monkeypatch):
-    prob = QuadraticProblem.generate(6, list(_INJECT_LAYERS), dataset_size=32)
+    large = target.endswith("_large")
+    target = target.removesuffix("_large")
+    if large:
+        prob, rank = _large_problem(), 16
+    else:
+        prob = QuadraticProblem.generate(6, list(_INJECT_LAYERS), dataset_size=32)
+        rank = 3
     touches = 0
 
     def touch():
@@ -283,9 +311,9 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
     in_draw = target.endswith("_draw")
     target = target.removesuffix("_draw")
     if target in ("probe", "step"):
-        cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=3,
+        cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=rank,
                               alignment="scale_z", master_seed=2)
-        pairs = build_pairs(GaussianStream(1), prob.initial_params(), 3)
+        pairs = build_pairs(GaussianStream(1), prob.initial_params(), rank)
         state = init_state(prob, cfg, pairs=pairs)
     else:
         family = "exact_sgd" if target == "sgd_step" else "spsa_dense_subspace"
@@ -320,16 +348,16 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
         assert np.max(np.abs(w - b)) <= 1e-12
 
 
-@pytest.mark.parametrize("call", ["step", "estimate"])
-def test_cores_are_drawn_once_and_vectors_once_per_pass(call, monkeypatch):
-    prob = QuadraticProblem.generate(6, list(_INJECT_LAYERS), dataset_size=32)
+def _values_drawn(layers, call, monkeypatch):
+    """Stream values one ``step`` or ``subzero_estimate`` draws on a
+    quadratic cell at rank 3, with q and the vector layers' total."""
+    prob = QuadraticProblem.generate(6, list(layers), dataset_size=32)
     cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=3,
                           master_seed=2)
     pairs = build_pairs(GaussianStream(1), prob.initial_params(), 3)
     state = init_state(prob, cfg, pairs=pairs)
     q = sum(pair.rank ** 2 for pair in pairs if pair is not None)
     vectors = sum(w.size for w, pair in zip(state.params, pairs) if pair is None)
-    assert (q, vectors) == (18, 5)
     drawn = 0
     normals = GaussianStream.normals
 
@@ -343,8 +371,45 @@ def test_cores_are_drawn_once_and_vectors_once_per_pass(call, monkeypatch):
         step(prob, state, cfg)
     else:
         subzero_estimate(prob, state.params, pairs, full_batch(prob), 1e-3, seed=5)
-    # four passes (+eps, -2 eps, +eps, then the update or the estimate)
+    return drawn, q, vectors
+
+
+@pytest.mark.parametrize("call", ["step", "estimate"])
+def test_cores_are_drawn_once_and_vectors_once_per_pass(call, monkeypatch):
+    # the 5 vector values fit the largest matrix layer (16 entries), so the
+    # direction keeps them and none of the four passes replays them
+    drawn, q, vectors = _values_drawn(_INJECT_LAYERS, call, monkeypatch)
+    assert (q, vectors) == (18, 5)
+    assert drawn == q + vectors
+
+
+@pytest.mark.parametrize("call", ["step", "estimate"])
+def test_vectors_beyond_the_largest_matrix_layer_replay_every_pass(call, monkeypatch):
+    # 13 vector values exceed the largest matrix layer (12 entries): each of
+    # the four passes (+eps, -2 eps, +eps, then the update or the estimate)
+    # replays them from the seed
+    drawn, q, vectors = _values_drawn(((4, 3), (6,), (7,)), call, monkeypatch)
+    assert (q, vectors) == (9, 13)
     assert drawn == q + 4 * vectors
+
+
+def test_step_on_a_512x512_layer_peaks_below_one_layer_buffer():
+    # the large layer's passes add in row blocks of at most 256 kB, so no
+    # 512x512 delta (2 MiB) is ever formed
+    prob = MlpProblem.generate(4, n_features=512, hidden=(512,), n_outputs=8,
+                               dataset_size=64)
+    cfg = OptimizerConfig(family="subzero", steps=3, batch_size=32, rank=16,
+                          master_seed=1)
+    state = init_state(prob, cfg)
+    assert state.params[0].shape == (512, 512)
+    step(prob, state, cfg)      # draws the pairs; warms caches and imports
+    tracemalloc.start()
+    try:
+        step(prob, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 8, peak
 
 
 class TestAlignmentModes:

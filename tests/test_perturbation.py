@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from subzero import perturbation
 from subzero.errors import ShapeError
 from subzero.numcore import GaussianStream, gaussian_matrix
 from subzero.errors import ConfigError
@@ -352,6 +353,98 @@ class TestDrawnDirection:
         params, pairs, _ = self.layers()
         with pytest.raises(ShapeError):
             draw_direction(params, pairs[:-1], 3)
+
+
+    def test_vectors_are_kept_when_they_fit_the_largest_matrix_layer(self):
+        params, pairs, _ = self.layers()
+        direction = draw_direction(params, pairs, 17)
+        # the vector layers' 7 + 5 values, at their stream offsets
+        s = GaussianStream(17)
+        expected = [s.normal_at(j) for j in range(9, 16)]
+        expected += [s.normal_at(j) for j in range(34, 39)]
+        assert direction.vectors.tobytes() == np.array(expected).tobytes()
+        assert direction.large
+
+    def test_vectors_beyond_the_largest_matrix_layer_are_not_drawn(self):
+        params = [np.zeros((3, 2)), np.zeros(7)]
+        pairs = build_pairs(GaussianStream(1), params, 1)
+        direction = draw_direction(params, pairs, 17)
+        assert direction.vectors is None and not direction.large
+        full_space = draw_direction(params, [None, None], 17)
+        assert full_space.vectors is None and full_space.cores.size == 0
+
+
+class TestRowBlockPass:
+    """A matrix layer above ``_DOT_MAX_ENTRIES`` is added in row blocks."""
+
+    # a native 300x200 layer (163-row blocks at 256 kB, 7-row blocks at 1400
+    # entries) and 2048x8 relaid to 128x128 (one block, or 10-row blocks);
+    # neither row count is a multiple of its block.  Each has a bias.
+    CASES = {"native": ((300, 200), 5), "relayout": ((2048, 8), 32)}
+
+    def layers(self, kind):
+        shape, rank = self.CASES[kind]
+        s = GaussianStream(12)
+        params = [s.normals(math.prod(shape)).reshape(shape), s.normals(9)]
+        plans = plan_layers(params, rank)
+        pairs = pairs_from_plan(GaussianStream(4), plans)
+        assert params[0].size > perturbation._DOT_MAX_ENTRIES
+        assert (pairs[0].shape == LayerShape(128, 128)) == (kind == "relayout")
+        return params, pairs, plan_alignment_scales(plans)
+
+    @pytest.mark.parametrize("block_entries", [None, 1400], ids=["256kB", "1400"])
+    @pytest.mark.parametrize("aligned", [False, True], ids=["plain", "scale_z"])
+    @pytest.mark.parametrize("kind", ["native", "relayout"])
+    def test_pass_adds_coeff_times_each_layer(self, kind, aligned, block_entries,
+                                              monkeypatch):
+        if block_entries is not None:
+            monkeypatch.setattr(perturbation, "_BLOCK_ENTRIES", block_entries)
+        params, pairs, scales = self.layers(kind)
+        rows = perturbation._BLOCK_ENTRIES // pairs[0].shape.cols
+        assert pairs[0].shape.rows % rows != 0 or rows > pairs[0].shape.rows
+        z_scales = scales if aligned else None
+        deltas = list(iter_perturbation_layers(params, pairs, 21, z_scales))
+        work = [w.copy() for w in params]
+        axpy_perturbation(work, pairs, 21, -0.7, z_scales)
+        for w, before, delta in zip(work, params, deltas):
+            expected = before + -0.7 * delta
+            assert np.max(np.abs(w - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind", ["native", "relayout"])
+    def test_column_major_layers_are_added_too(self, kind):
+        # a relayout has no view of a column-major layer, so that layer is
+        # formed whole; a native one is added in row blocks of strided rows
+        params, pairs, scales = self.layers(kind)
+        deltas = list(iter_perturbation_layers(params, pairs, 21, scales))
+        work = [np.array(w, order="F") for w in params]
+        axpy_perturbation(work, pairs, 21, 0.3, scales)
+        for w, before, delta in zip(work, params, deltas):
+            expected = before + 0.3 * delta
+            assert np.max(np.abs(w - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind", ["native", "relayout"])
+    def test_int_seeds_and_drawn_directions_still_yield_arrays(self, kind):
+        params, pairs, _ = self.layers(kind)
+        for seed in (21, draw_direction(params, pairs, 21)):
+            deltas = list(iter_perturbation_layers(params, pairs, seed))
+            assert [type(d) for d in deltas] == [np.ndarray, np.ndarray]
+            assert [d.shape for d in deltas] == [w.shape for w in params]
+
+    def test_each_pass_walks_the_generator_once(self, monkeypatch):
+        # a traced run wraps the module's generator, with these parameters,
+        # and counts one pass per call
+        params, pairs, scales = self.layers("native")
+        calls = []
+        walk = perturbation.iter_perturbation_layers
+
+        def counting(params, pairs, seed, z_scales=None):
+            calls.append(seed)
+            return walk(params, pairs, seed, z_scales)
+
+        monkeypatch.setattr(perturbation, "iter_perturbation_layers", counting)
+        axpy_perturbation(params, pairs, 21, 0.5, scales)
+        (seed,) = calls
+        assert isinstance(seed, Direction) and seed.factored
 
 
 class TestPerturbRestore:
