@@ -85,6 +85,10 @@ class VerifySettings:
     n_mc_bias: int = 20000
     seed: int = 0
 
+    def __post_init__(self):
+        if min(self.n_mc, self.n_mc_bias) < 1:
+            raise ValueError(f"n_mc and n_mc_bias must be at least 1, got {self}")
+
 
 @dataclass(frozen=True)
 class EstimateSettings:
@@ -93,6 +97,10 @@ class EstimateSettings:
     n_mc: int = 10000
     epsilon: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.families or self.n_mc < 1 or not self.epsilon > 0.0:
+            raise ValueError(f"need a family, n_mc >= 1 and epsilon > 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -386,10 +394,6 @@ def cli_estimate(config_path: str | None, out: str | None = None,
     config = load_config(config_path)
     out_dir = out or config.out_dir
     settings = config.estimate
-    if not settings.families:
-        raise ConfigError("estimate.families must name at least one family")
-    if settings.n_mc < 1:
-        raise ConfigError(f"estimate.n_mc must be at least 1, got {settings.n_mc}")
     problem = build_problem(config.problem)
     params = problem.initial_params()
     for fam in settings.families:   # all families vetted before any sampling

@@ -71,12 +71,15 @@ def _mix64_block(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def derive_seeds(master: int, *parts: int, last) -> np.ndarray:
-    """``derive_seed(master, *parts, k)`` for every ``k`` in ``last``, as a
-    ``uint64`` array, bit for bit."""
-    k = np.asarray(last, dtype=np.uint64)
-    return _mix64_block((k + np.uint64(1)) * np.uint64(_GOLDEN)
-                        + np.uint64(derive_seed(master, *parts)))
+def derive_seeds(master, *parts: int, last) -> np.ndarray:
+    """``derive_seed(m, *parts, k)`` as a ``uint64`` array, bit for bit, for
+    every master ``m`` (an int or a ``uint64`` array) broadcast against every
+    ``k`` in ``last``; no operand is 0-d, as numpy warns if one wraps."""
+    h = _mix64_block(np.array(master, ndmin=1).astype(np.uint64) ^ np.uint64(_DERIVE_SALT))
+    for k in (*parts, last):   # each part mixes in as ``last`` does
+        h = _mix64_block((np.array(k, dtype=np.uint64, ndmin=1) + np.uint64(1))
+                         * np.uint64(_GOLDEN) + h)
+    return h
 
 
 class GaussianStream:

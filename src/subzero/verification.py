@@ -9,28 +9,25 @@ so its mean, second moment and directional statistics have closed forms.
 This module materializes the projector at toy scale and confirms each
 closed form by Monte Carlo, with explicit standard errors: a check passes
 only when the deviation is inside ``max(abs_tol, 4 * stderr)``, never
-because the sample count was too small to resolve a discrepancy.  Every
-check draws its samples through one sampler, on the full batch, and
-reduces them block by block with numpy.
+because the sample count was too small to resolve a discrepancy.
 
-The sampler takes one path for every estimator family and problem, and
-never touches the parameters.  It forms a block of samples'
-perturbations as stacked rows (the seeded families' from stream values
-drawn in ``uint64`` numpy, with one ``einsum`` per matrix layer; the dense
-family's from the estimator's own direction) and evaluates both probes of
-every row out of place: with the problem's row-wise ``losses(xs)`` where
-it has one, one ``loss`` call per row otherwise.  Seeds, stream values,
-and the rows of vector layers and of the dense family are bit for bit the
-estimator's; matrix-layer rows, rho and the reports agree with it to
-rounding.  The first 64 samples of every sampler call also run through
-the family's own estimator, and :class:`~subzero.errors.BlockMismatch`
-is raised if one disagrees with its block row, so the checks still
-exercise the estimator itself.
+Every check, the convergence battery included, runs on blocks and never
+touches the parameters.  It forms many perturbations as stacked rows (the
+seeded families' from ``uint64`` seeds and stream values, with one
+``einsum`` per matrix layer; the dense family's from the estimator's own
+direction) and probes every row out of place with one central difference,
+on the full batch: by the problem's row-wise ``losses(xs)`` where it has
+one, one ``loss`` call per row otherwise.  Seeds, stream values, and the
+rows of vector layers and of the dense family are bit for bit the
+estimator's; matrix-layer rows and rho agree with it to rounding.  The
+first 64 samples of every Monte Carlo sampler call also run through the
+family's own estimator, and :class:`~subzero.errors.BlockMismatch` is
+raised if one disagrees with its block row.
 
 Also here: the curvature-bias measurement (via a control variate that
 cancels the zero-bias part of each sample, so the tiny ``epsilon**2`` bias
 is measurable at modest sample counts), the gradient-quality diagnostics,
-and the fixed-subspace convergence battery with its hitting-time slope fit.
+and the convergence battery's hitting-time slope fit.
 """
 
 from __future__ import annotations
@@ -41,8 +38,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BlockMismatch, BudgetExceeded, DegenerateGradient,
-                     ScaleRefused, ShapeError)
+from .errors import (BlockMismatch, BudgetExceeded, ConfigError,
+                     DegenerateGradient, ScaleRefused, ShapeError)
 from .numcore import (GaussianStream, derive_seed, derive_seeds,
                       gaussian_matrix, normals_block, stack_params,
                       unstack_params)
@@ -50,8 +47,8 @@ from .perturbation import (ProjectionPair, build_pairs,
                            iter_perturbation_layers, subspace_dimension)
 from .estimators import (_dense_direction, _split_rowmajor,
                          dense_subspace_probe, subzero_estimate)
-from .optimizer import OptimizerConfig, init_state, step, theoretical_step_size
-from .problems import Minibatch, QuadraticProblem, QuarticProblem, full_batch
+from .optimizer import _TAG_STEP, theoretical_step_size
+from .problems import QuadraticProblem, QuarticProblem, full_batch
 
 _TAG_MC = 0x61
 _TAG_START = 0x62
@@ -227,9 +224,7 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
             delta = np.array([stack_params(_split_rowmajor(
                 _dense_direction(params, dense_q, s, None), params))
                 for s in seeds.tolist()])
-        step = epsilon * delta
-        rho = (_row_losses(problem, params, x0 + step)
-               - _row_losses(problem, params, x0 - step)) / (2.0 * epsilon)
+        rho = _central_difference(problem, params, x0, delta, epsilon)
         # all estimator calls first: interleaved with the comparisons, 3 % dearer
         guarded = []
         for s in seeds[:max(0, first + _GUARD_SAMPLES - start)].tolist():
@@ -248,6 +243,14 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
                     f"seed {int(seeds[i])}: block rho {rho[i]!r} against {ld.rho!r} "
                     f"(floor {floor:.3g}), perturbation gap {delta_gap:.3g}")
         yield rho, delta
+
+
+def _central_difference(problem, params, xs, delta, epsilon: float) -> np.ndarray:
+    """Each row's ``(L(xs + epsilon delta) - L(xs - epsilon delta)) / (2
+    epsilon)``, about one point or one row of ``xs`` per row, out of place."""
+    step = epsilon * delta
+    return (_row_losses(problem, params, xs + step)
+            - _row_losses(problem, params, xs - step)) / (2.0 * epsilon)
 
 
 def _row_losses(problem, params, xs: np.ndarray) -> np.ndarray:
@@ -506,8 +509,9 @@ def estimator_diagnostics(problem, params, estimator_family: str, n_mc: int, *,
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
-    """Knobs of the fixed-subspace convergence measurement.  ``chunk`` is
-    not read; it is kept so that callers which set it still work."""
+    """Knobs of the fixed-subspace convergence measurement.  ``batch_size``
+    and ``chunk`` are not read (the runs advance as one block on the full
+    batch); they are kept so that callers which set them still work."""
 
     rank: int = 2
     runs: int = 32
@@ -565,41 +569,33 @@ def convergence_hitting_times(problem, pairs, targets: Sequence[float],
                               cfg: ConvergenceConfig = ConvergenceConfig()) -> list[ConvergenceCell]:
     """Hitting times of the running-average suboptimality for each target.
 
-    Advances ``cfg.runs`` independent trajectories from one subspace start
-    in lockstep with the theory step size, and reports for each target the
-    first N with ``mean_{k<=N}(loss_k - f*) <= target``, where ``loss_k`` is
-    the probe loss after k steps averaged over the runs; ``f*`` is zero by
+    Advances ``cfg.runs`` trajectories from one subspace start with the
+    theory step size, as the rows of one block, and reports for each target
+    the first N with ``mean_{k<=N}(loss_k - f*) <= target``, ``loss_k`` the
+    full-batch loss after k steps averaged over the runs; ``f*`` is zero by
     construction (quadratic, no linear term, start in the subspace).  Stops
-    at the first N that hits the tightest target (every looser one is hit
-    by then) or at ``N = cfg.step_cap``; an unhit target reports ``None``,
-    and :class:`BudgetExceeded` is raised if even the largest is unhit;
-    ``ValueError`` if there is no target or no run.
+    at the first N that hits the tightest target or at ``N = cfg.step_cap``;
+    an unhit target reports ``None``, and :class:`BudgetExceeded` is raised
+    if even the largest is unhit; ``ValueError`` if there is no target or no
+    run, ``ConfigError`` if ``cfg.epsilon`` is not positive.
     """
     targets = sorted(float(t) for t in targets)
     if not targets or cfg.runs < 1:
         raise ValueError("hitting times need at least one target and one run")
+    if not cfg.epsilon > 0.0:
+        raise ConfigError("epsilon must be positive")
     q = subspace_dimension(problem.initial_params(), pairs)
     eta = theoretical_step_size(q, problem.smoothness)
     x0 = subspace_start(problem, pairs,
                         derive_seed(cfg.master_seed, _TAG_START, q), cfg.start_value)
-    # pinned pairs never refresh, and a constant step size never reads steps
-    base = OptimizerConfig(family="subzero", batch_size=cfg.batch_size,
-                           learning_rate=eta, schedule="constant",
-                           epsilon=cfg.epsilon, rank=cfg.rank)
-    runs = [replace(base, master_seed=derive_seed(cfg.master_seed, _TAG_RUN, j))
-            for j in range(cfg.runs)]
-    states = [init_state(problem, run, params=x0, pairs=list(pairs)) for run in runs]
-    probe = Minibatch(indices=np.zeros(1, dtype=np.int64))
     hits: dict[float, int] = {}
     total = 0.0
-    for n in range(cfg.step_cap + 1):
-        if n:
-            for state, run in zip(states, runs):
-                step(problem, state, run)
-        # run order, then one division: the mean over runs, bit for bit
+    for n, xs in enumerate(_run_positions(problem, pairs, x0, eta, cfg)):
+        # a plain sum in run order: np.sum, math.fsum and (3.12+) sum() round
+        # otherwise, which could move a hit
         loss = 0.0
-        for state in states:
-            loss += problem.loss(state.params, probe)
+        for value in _row_losses(problem, x0, xs).tolist():
+            loss += value
         total += loss / cfg.runs
         for t in targets:
             if t not in hits and total / (n + 1) <= t:
@@ -610,6 +606,20 @@ def convergence_hitting_times(problem, pairs, targets: Sequence[float],
         raise BudgetExceeded(
             f"largest target {targets[-1]} unreached in {cfg.step_cap} steps")
     return [ConvergenceCell(q=q, target=t, hit=hits.get(t), eta=eta) for t in targets]
+
+
+def _run_positions(problem, pairs, x0, eta: float, cfg) -> Iterator[np.ndarray]:
+    """Every run's stacked position after 0, 1, ..., ``cfg.step_cap`` steps,
+    as the rows of one ``(cfg.runs, d)`` block updated in place; run ``j``
+    takes the trainer's pinned-pair ``subzero`` steps for the master seed
+    ``derive_seed(cfg.master_seed, _TAG_RUN, j)``, probed out of place."""
+    masters = derive_seeds(cfg.master_seed, _TAG_RUN, last=np.arange(cfg.runs))
+    xs = np.tile(stack_params(x0), (cfg.runs, 1))
+    yield xs
+    for t in range(cfg.step_cap):
+        delta = _delta_rows(x0, pairs, derive_seeds(masters, _TAG_STEP, last=t))
+        xs -= (eta * _central_difference(problem, x0, xs, delta, cfg.epsilon))[:, None] * delta
+        yield xs
 
 
 def convergence_battery(problems: Sequence, cfg: ConvergenceConfig,

@@ -1,11 +1,17 @@
 """Test oracles that the package itself never calls."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from subzero import (derive_seed, full_batch, iter_perturbation_layers,
-                     stack_params, subzero_estimate)
+from subzero import (OptimizerConfig, derive_seed, full_batch, init_state,
+                     iter_perturbation_layers, stack_params, step,
+                     subspace_dimension, subzero_estimate,
+                     theoretical_step_size)
 from subzero.estimators import (_dense_direction, _split_rowmajor,
                                 dense_subspace_probe)
+from subzero.problems import Minibatch
+from subzero.verification import subspace_start
 
 
 def fd_gradient(problem, params: list[np.ndarray], batch,
@@ -58,3 +64,46 @@ def loop_estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
         rho[i] = ld.rho
         delta[i] = stack_params(layers)
     yield rho, delta
+
+
+def loop_states(problem, pairs, x0, eta: float, cfg):
+    """The per-run reference for ``verification._run_positions``: one
+    pinned-pair ``subzero`` trainer per run, each with its own master seed,
+    advanced by ``optimizer.step`` in run order.  Yields the list of trainer
+    states after 0, 1, 2, ... steps."""
+    base = OptimizerConfig(family="subzero", batch_size=cfg.batch_size,
+                           learning_rate=eta, schedule="constant",
+                           epsilon=cfg.epsilon, rank=cfg.rank)
+    runs = [replace(base, master_seed=derive_seed(cfg.master_seed, 0x63, j))
+            for j in range(cfg.runs)]
+    states = [init_state(problem, run, params=x0, pairs=list(pairs)) for run in runs]
+    while True:
+        yield states
+        for state, run in zip(states, runs):
+            step(problem, state, run)
+
+
+def loop_hitting_times(problem, pairs, targets, cfg) -> list:
+    """The per-run reference for ``verification.convergence_hitting_times``:
+    the same start, step size, targets and stopping rule, with each run's
+    probe loss evaluated by ``problem.loss`` and summed in run order.
+    Returns the hits, tightest target first."""
+    targets = sorted(float(t) for t in targets)
+    q = subspace_dimension(problem.initial_params(), pairs)
+    eta = theoretical_step_size(q, problem.smoothness)
+    x0 = subspace_start(problem, pairs, derive_seed(cfg.master_seed, 0x62, q),
+                        cfg.start_value)
+    probe = Minibatch(indices=np.zeros(1, dtype=np.int64))
+    hits = {}
+    total = 0.0
+    for n, states in zip(range(cfg.step_cap + 1), loop_states(problem, pairs, x0, eta, cfg)):
+        loss = 0.0
+        for state in states:
+            loss += problem.loss(state.params, probe)
+        total += loss / cfg.runs
+        for t in targets:
+            if t not in hits and total / (n + 1) <= t:
+                hits[t] = n
+        if targets[0] in hits:
+            break
+    return [hits.get(t) for t in targets]

@@ -419,7 +419,11 @@ class TestEstimateCommand:
         {"families": [{"family": "subzero", "rank": 0}]},
         {"families": [{"family": "spsa_dense_subspace", "dense_q": 0}]},
         {"n_mc": 0},
-    ], ids=["rank_over_4x4", "rank_zero", "dense_q_zero", "n_mc_zero"])
+        {"epsilon": 0.0},
+        {"epsilon": -1e-3},
+        {"epsilon": float("nan")},
+    ], ids=["rank_over_4x4", "rank_zero", "dense_q_zero", "n_mc_zero",
+            "epsilon_zero", "epsilon_negative", "epsilon_nan"])
     def test_bad_family_settings_are_config_errors(self, tmp_path, capsys,
                                                    estimate):
         # vetted like bench cells: no clamped rank, no traceback, no output
@@ -428,6 +432,17 @@ class TestEstimateCommand:
                         "dataset_size": 16},
             "estimate": {"n_mc": 5, **estimate}})
         rc = main(["estimate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verify", [
+        {"n_mc": 0}, {"n_mc": -5}, {"n_mc_bias": 0}, {"n_mc_bias": -1},
+    ], ids=["n_mc_zero", "n_mc_negative", "n_mc_bias_zero", "n_mc_bias_negative"])
+    def test_bad_verify_settings_are_config_errors(self, tmp_path, capsys, verify):
+        path = write_config(tmp_path / "cfg.json",
+                            {"verify": {"n_mc": 5, "n_mc_bias": 5, **verify}})
+        rc = main(["verify", "--config", path, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()

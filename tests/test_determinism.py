@@ -12,7 +12,18 @@ numpy build and the CPU, and the problems evaluate their losses with
 matmuls too.  The trajectory pins therefore compare at ``rtol=1e-9``; a
 change in the perturbation draws, the pass sequence or the update rule
 moves them by far more than that.
+
+What the BLAS thread count moves: on one numpy build and CPU, training
+trajectories and convergence hitting times are bit-identical under one
+and two OpenBLAS threads, and a Monte Carlo report moves by rounding only
+(9e-16 relative on the battery's ``variance_ordering`` row, when measured).
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,3 +81,62 @@ def test_twenty_step_trajectory_is_pinned(family):
     last = record.steps[-1]
     got = (last.loss_plus, last.rho, record.validation[-1][1], float(x @ x))
     np.testing.assert_allclose(got, TRAJECTORY_PINS[family], rtol=1e-9)
+
+
+# 20 steps of each family with train_mlp_wide's settings (spsa_full and
+# spsa_dense_subspace draw d stream values a pass, so they train on
+# train_mlp_fullspace's problem), the small convergence cell's hits, and
+# the battery's variance-ordering estimate
+THREADS_SCRIPT = """
+import hashlib, json
+import numpy as np
+import subzero as sz
+from subzero import cli
+from subzero.verification import convergence_hitting_times
+
+h = hashlib.sha256()
+wide = cli.build_problem(cli.ProblemSpec(family="mlp", n_features=512, hidden=(512,),
+                                         n_outputs=8, dataset_size=256))
+small = cli.build_problem(cli.ProblemSpec(family="mlp", n_features=64, hidden=(64,),
+                                          n_outputs=16, dataset_size=256))
+for problem, family in ((wide, "subzero"), (wide, "exact_sgd"),
+                        (small, "spsa_full"), (small, "spsa_dense_subspace")):
+    config = sz.OptimizerConfig(family=family, steps=20, batch_size=32, rank=16,
+                                learning_rate=5e-3, epsilon=1e-3, refresh_period=50)
+    state = sz.init_state(problem, config)
+    for _ in range(config.steps):
+        rec = sz.step(problem, state, config)
+        h.update(np.array([rec.loss_plus, rec.loss_minus, rec.rho]).tobytes())
+    for w in state.params:
+        h.update(np.ascontiguousarray(w).tobytes())
+problem = sz.QuadraticProblem.generate(34, [(6, 6)])
+pairs = sz.build_pairs(sz.GaussianStream(sz.derive_seed(3, 0x64, 0)),
+                       problem.initial_params(), 2, reshape="never")
+cfg = sz.ConvergenceConfig(rank=2, runs=6, step_cap=30_000, master_seed=3)
+cells = convergence_hitting_times(problem, pairs, [0.1, 0.05, 0.025], cfg)
+ordering = [r.estimate for r in sz.run_default_battery(n_mc=300, n_mc_bias=300)
+            if r.check == "variance_ordering"]
+print(json.dumps({"hash": h.hexdigest(), "hits": [c.hit for c in cells],
+                  "variance_ordering": ordering[0]}))
+"""
+
+
+def test_blas_thread_count_moves_no_trajectory():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # the thread count is set in the two subprocesses' environment only
+    procs = [subprocess.Popen([sys.executable, "-c", THREADS_SCRIPT],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                       PYTHONPATH=path),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for threads in ("1", "2")]
+    results = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+        results.append(json.loads(out))
+    one, two = results
+    assert one["hash"] == two["hash"]
+    assert one["hits"] == two["hits"] == [681, 340, 167]
+    assert one["variance_ordering"] == pytest.approx(two["variance_ordering"],
+                                                     rel=1e-12, abs=0.0)

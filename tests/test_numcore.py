@@ -203,6 +203,38 @@ class TestBlockSeedsAndValues:
         assert [int(s) for s in seeds] == [derive_seed(master, 0x61, k)
                                            for k in self.SAMPLES]
 
+    # MASTERS, then the run masters of the acceptance convergence battery
+    ARRAY_MASTERS = np.array(MASTERS + tuple(derive_seed(0, 0x63, j) for j in range(32)),
+                             dtype=np.uint64)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("parts", [(), (0x51,), (0x51, 7)])
+    @pytest.mark.parametrize("last", [0, 1, 2 ** 32, MASK64 - 1])
+    def test_array_of_masters_against_one_last(self, parts, last):
+        seeds = derive_seeds(self.ARRAY_MASTERS, *parts, last=last)
+        assert seeds.dtype == np.uint64 and seeds.shape == self.ARRAY_MASTERS.shape
+        assert [int(s) for s in seeds] == [derive_seed(m, *parts, last)
+                                           for m in self.ARRAY_MASTERS.tolist()]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("parts", [(), (0x51,), (0x51, 7)])
+    def test_array_of_masters_against_several_last(self, parts):
+        seeds = derive_seeds(self.ARRAY_MASTERS[:, None], *parts, last=self.SAMPLES)
+        assert seeds.shape == (self.ARRAY_MASTERS.size, len(self.SAMPLES))
+        assert [[int(s) for s in row] for row in seeds] == [
+            [derive_seed(m, *parts, k) for k in self.SAMPLES]
+            for m in self.ARRAY_MASTERS.tolist()]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_int_master_against_one_last(self, master):
+        seeds = derive_seeds(master, 0x51, last=3)
+        assert [int(s) for s in seeds] == [derive_seed(master, 0x51, 3)]
+
+    def test_negative_parts_are_refused_for_arrays_too(self):
+        with pytest.raises((ValueError, OverflowError)):
+            derive_seeds(self.ARRAY_MASTERS, -1, last=0)
+
     @pytest.mark.parametrize("master", MASTERS)
     def test_block_values_match_the_stream(self, master):
         # counters 0..99 cover the full-space 10x10 cell's draws

@@ -4,8 +4,9 @@ The projector assembly and the four identity checks are exercised against
 hand-built references: explicit Kronecker blocks, a closed-form curvature
 bias for the full-space fallback on a quartic, and exact per-sample
 identities at rank one.  The convergence machinery runs at reduced scale
-and is judged on doubling ratios, plus one pinned set of hitting times and
-the step count at which the runs stop.
+and is judged on doubling ratios, plus one pinned set of hitting times, the
+loss evaluations after which the runs stop, and the per-run trainer loop as
+the reference for its block of runs.
 """
 
 import math
@@ -46,10 +47,11 @@ from subzero import (
     train,
 )
 from subzero import verification
-from oracles import loop_estimates
+from oracles import loop_estimates, loop_hitting_times, loop_states
 from subzero.errors import (
     BlockMismatch,
     BudgetExceeded,
+    ConfigError,
     DegenerateGradient,
     ScaleRefused,
     ShapeError,
@@ -861,20 +863,55 @@ class TestConvergence:
         pairs = build_pairs(GaussianStream(derive_seed(3, 0x64, 0)),
                             problem.initial_params(), 2, reshape="never")
         calls = 0
-        real_step = verification.step
+        real_losses = problem.losses
 
-        def counting_step(*args):
+        def counting_losses(xs):
             nonlocal calls
             calls += 1
-            return real_step(*args)
+            return real_losses(xs)
 
-        monkeypatch.setattr(verification, "step", counting_step)
+        monkeypatch.setattr(problem, "losses", counting_losses)
         cells = convergence_hitting_times(problem, pairs,
                                           [0.1, 0.05, 0.025], SMALL_CFG)
         assert [c.target for c in cells] == [0.025, 0.05, 0.1]
         assert [c.hit for c in cells] == [681, 340, 167]
-        # every run stops right after the step that hits the tightest target
-        assert calls == SMALL_CFG.runs * 681
+        # the start's loss, then two probes and one loss per step; the runs
+        # stop right after the step that hits the tightest target
+        assert calls == 1 + 3 * 681
+
+    def test_hits_match_the_per_run_loop(self):
+        problem = QuadraticProblem.generate(34, [(6, 6)])
+        pairs = build_pairs(GaussianStream(derive_seed(3, 0x64, 0)),
+                            problem.initial_params(), 2, reshape="never")
+        targets = [0.1, 0.05, 0.025]
+        cells = convergence_hitting_times(problem, pairs, targets, SMALL_CFG)
+        assert [c.hit for c in cells] == loop_hitting_times(problem, pairs,
+                                                            targets, SMALL_CFG)
+
+    @pytest.mark.parametrize("seed, shapes", [(34, [(6, 6)]), (36, [(6, 6), (5, 4)])])
+    def test_block_positions_follow_the_trainer(self, seed, shapes):
+        problem = QuadraticProblem.generate(seed, shapes)
+        pairs = build_pairs(GaussianStream(derive_seed(3, 0x64, 0)),
+                            problem.initial_params(), 2, reshape="never")
+        eta = theoretical_step_size(subspace_dimension(problem.initial_params(), pairs),
+                                    problem.smoothness)
+        x0 = subspace_start(problem, pairs, seed=5, value=0.5)
+        block = verification._run_positions(problem, pairs, x0, eta, SMALL_CFG)
+        loop = loop_states(problem, pairs, x0, eta, SMALL_CFG)
+        for _, xs, states in zip(range(51), block, loop):
+            assert xs.shape == (SMALL_CFG.runs, sum(w.size for w in x0))
+            np.testing.assert_allclose(
+                xs, [stack_params(s.params) for s in states], rtol=1e-9)
+        assert states[0].step == 50
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-3, math.nan])
+    def test_epsilon_not_positive_is_config_error(self, epsilon):
+        problem = QuadraticProblem.generate(34, [(6, 6)])
+        pairs = build_pairs(GaussianStream(derive_seed(3, 0x64, 0)),
+                            problem.initial_params(), 2, reshape="never")
+        cfg = ConvergenceConfig(rank=2, runs=2, epsilon=epsilon, step_cap=128)
+        with pytest.raises(ConfigError):
+            convergence_hitting_times(problem, pairs, [0.1], cfg)
 
     def test_budget_exhaustion_raises(self):
         problem = QuadraticProblem.generate(34, [(6, 6)])
