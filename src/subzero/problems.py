@@ -356,9 +356,10 @@ def _forward(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     n_layers = len(params) // 2
     for i in range(n_layers):
         w, b = params[2 * i], params[2 * i + 1]
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i < n_layers - 1:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         acts.append(h)
     return acts
 
