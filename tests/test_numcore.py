@@ -231,9 +231,24 @@ class TestBlockSeedsAndValues:
         seeds = derive_seeds(master, 0x51, last=3)
         assert [int(s) for s in seeds] == [derive_seed(master, 0x51, 3)]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("parts", [(), (0x51,), (0x51, 7)])
+    @pytest.mark.parametrize("master", MASTERS + (-1, -(2 ** 63), MASK64 - 1))
+    def test_int_master_prefix_in_python_ints(self, master, parts):
+        # negative masters wrap modulo 2**64 in both functions
+        seeds = derive_seeds(master, *parts, last=self.SAMPLES)
+        assert seeds.dtype == np.uint64 and seeds.shape == (len(self.SAMPLES),)
+        assert [int(s) for s in seeds] == [derive_seed(master, *parts, k)
+                                           for k in self.SAMPLES]
+        assert int(derive_seeds(master, *parts, last=3)[0]) == derive_seed(master, *parts, 3)
+
     def test_negative_parts_are_refused_for_arrays_too(self):
         with pytest.raises((ValueError, OverflowError)):
             derive_seeds(self.ARRAY_MASTERS, -1, last=0)
+        with pytest.raises((ValueError, OverflowError)):
+            derive_seeds(7, -1, last=0)
+        with pytest.raises((ValueError, OverflowError)):
+            derive_seeds(7, 0x51, last=-1)
 
     @pytest.mark.parametrize("master", MASTERS)
     def test_block_values_match_the_stream(self, master):
