@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import AllocationRefused, NonFiniteLoss, ShapeError
 from .numcore import GaussianStream, stack_params
-from .perturbation import (Direction, ProjectionPair, _axpy_stored,
-                           axpy_perturbation, draw_direction,
+from .perturbation import (_DOT_MAX_ENTRIES, Direction, ProjectionPair,
+                           _axpy_stored, axpy_perturbation, draw_direction,
                            iter_perturbation_layers, subspace_dimension)
 
 DENSE_ENTRY_CAP = 10 ** 8
@@ -123,16 +123,65 @@ def two_sided_loss_diff(
     direction is drawn once and the three in-place passes of
     :func:`axpy_perturbation` share it, so nothing layer-sized is retained
     between passes, and each pass holds one transient buffer: a small
-    layer's delta or a row block of at most 256 kB of a large one.  If a
-    loss evaluation or a pass raises, the parameters are restored to
-    working precision before the error propagates.
+    layer's delta or a row block of at most 256 kB of a large one.
+
+    Some layers are held out of the passes and never written: those of
+    more than ``_DOT_MAX_ENTRIES`` entries whose pair is in the layer's own
+    shape, when the problem sets ``loss_takes_low_rank``.  Each loss call
+    gets their perturbation as factors ``(u, coeff * scale * Z, v)``
+    instead, at the coefficient the passes have applied to the other
+    layers.  The probe losses then agree with the in-place ones to
+    rounding, not bit for bit.  If a loss evaluation or a pass raises, the
+    parameters are restored to working precision before the error
+    propagates.
     """
     direction = draw_direction(params, pairs, seed)
+    if direction.large and getattr(problem, "loss_takes_low_rank", False):
+        held = _HeldOut(problem, params, pairs, direction, z_scales)
+        if held.factors:
+            return _probe(held, params, batch, epsilon, held.apply)
 
     def apply(coeff: float) -> None:
         axpy_perturbation(params, pairs, direction, coeff, z_scales)
 
     return _probe(problem, params, batch, epsilon, apply)
+
+
+class _HeldOut:
+    """The problem as :func:`_probe` sees it when large native layers are
+    held out of the in-place passes.
+
+    ``factors`` maps each held-out layer's index to ``(u, scale * Z, v)``.
+    :meth:`apply` adds to every other layer and tracks the net coefficient
+    applied; :meth:`loss` passes the held-out layers to the problem's loss
+    as ``low_rank`` factors at that coefficient.
+    """
+
+    def __init__(self, problem, params, pairs, direction: Direction, z_scales):
+        self.problem, self.params, self.pairs = problem, params, pairs
+        self.direction, self.z_scales = direction, z_scales
+        self.factors = {}
+        self.coeff = 0.0
+        at = 0
+        for i, (w, pair) in enumerate(zip(params, pairs)):
+            if pair is None:
+                continue
+            r = pair.rank
+            if w.size > _DOT_MAX_ENTRIES and w.shape == (pair.u.shape[0], pair.v.shape[0]):
+                z = direction.cores[at:at + r * r].reshape(r, r)
+                if z_scales is not None:
+                    z = float(z_scales[i]) * z
+                self.factors[i] = (pair.u, z, pair.v)
+            at += r * r
+
+    def apply(self, coeff: float) -> None:
+        axpy_perturbation(self.params, self.pairs, self.direction, coeff,
+                          self.z_scales, self.factors)
+        self.coeff += coeff
+
+    def loss(self, params, batch) -> float:
+        low_rank = {i: (u, self.coeff * z, v) for i, (u, z, v) in self.factors.items()}
+        return self.problem.loss(params, batch, low_rank=low_rank)
 
 
 def subzero_estimate(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -320,7 +320,7 @@ def iter_perturbation_layers(
     bit for bit.  Every pass of :func:`axpy_perturbation` walks this
     sequence.  For a ``factored`` direction, which only that pass makes, a
     matrix layer above ``_DOT_MAX_ENTRIES`` that is C-contiguous or in the
-    pair's geometry is yielded as the tuple ``(u, Z V^T, scale)`` instead.
+    pair's geometry is yielded as the tuple ``(u, Z, v, scale)`` instead.
     """
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
@@ -361,7 +361,7 @@ def iter_perturbation_layers(
                 # rows of the pair's geometry must be views of the layer
                 scale = 1.0 if z_scales is None else float(z_scales[i])
                 i += 1
-                yield u, z @ v.T, scale
+                yield u, z, v, scale
                 continue
             else:
                 delta = u @ (z @ v.T)
@@ -375,10 +375,11 @@ def iter_perturbation_layers(
         yield delta
 
 
-def _add_rows(w: np.ndarray, u: np.ndarray, core: np.ndarray, scale: float,
-              coeff: float) -> None:
-    """Add ``coeff * scale * (u @ core)`` to ``w`` in place, in the geometry
-    of ``u @ core``, one block of rows at a time through one reused buffer.
+def _add_rows(w: np.ndarray, u: np.ndarray, z: np.ndarray, v: np.ndarray,
+              scale: float, coeff: float) -> None:
+    """Add ``coeff * scale * (u @ core)``, with ``core = z @ v.T``, to ``w``
+    in place, in the geometry of ``u @ core``, one block of rows at a time
+    through one reused buffer.
 
     Each block is scaled in the order a whole delta is, and on the BLAS
     builds measured a block of rows of ``u @ core`` has the bytes of those
@@ -386,6 +387,7 @@ def _add_rows(w: np.ndarray, u: np.ndarray, core: np.ndarray, scale: float,
     delta would.  Atomic: if a block raises, the blocks already added are
     taken back first.
     """
+    core = z @ v.T
     m, n = u.shape[0], core.shape[1]
     w = w.reshape(m, n)     # a view: the layer is C-contiguous or (m, n)
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -419,16 +421,19 @@ def axpy_perturbation(
     seed: int | Direction,
     coeff: float,
     z_scales: Optional[Sequence[float]] = None,
+    skip: Collection[int] = (),
 ) -> None:
     """Add ``coeff`` times the perturbation of a seed or a drawn
-    :class:`Direction` to params, in place.
+    :class:`Direction` to params, in place, leaving the layers whose index
+    is in ``skip`` untouched.
 
     Works layer by layer.  A layer of at most ``_DOT_MAX_ENTRIES`` entries
     is formed whole in one transient buffer and added; a larger matrix
-    layer is added in row blocks of at most 256 kB (:func:`_add_rows`).  So
-    peak extra memory is the drawn direction plus one such buffer, never
-    the full parameter count.  Atomic: if anything raises partway, the
-    layers already added are replayed with ``-coeff`` before the error
+    layer is added in row blocks of at most 256 kB (:func:`_add_rows`), and
+    a skipped large layer costs nothing.  So peak extra memory is the drawn
+    direction plus one such buffer, never the full parameter count.
+    Atomic: if anything raises partway, the layers already added are
+    replayed with ``-coeff``, skipping the same ones, before the error
     propagates.
     """
     direction = draw_direction(params, pairs, seed)
@@ -440,7 +445,9 @@ def axpy_perturbation(
     try:
         for w, delta in zip(params, iter_perturbation_layers(params, pairs, layers,
                                                              z_scales)):
-            if type(delta) is tuple:
+            if done in skip:
+                pass
+            elif type(delta) is tuple:
                 _add_rows(w, *delta, coeff)
             else:
                 delta *= coeff
@@ -449,7 +456,7 @@ def axpy_perturbation(
     except BaseException:
         if done:
             axpy_perturbation(params[:done], pairs[:done], direction, -coeff,
-                              None if z_scales is None else z_scales[:done])
+                              None if z_scales is None else z_scales[:done], skip)
         raise
 
 

@@ -279,9 +279,16 @@ class MlpProblem:
     Parameters alternate matrix and vector layers ``[W1, b1, W2, b2, ...]``,
     which exercises both the low-rank path and the full-space fallback.
     The loss averages over batch examples and output coordinates.
+
+    ``loss`` also takes ``low_rank``, a mapping from a weight layer's index
+    to factors ``(u, c, v)``: that layer is then evaluated as
+    ``W + u c v^T`` without forming the sum, which is how the two-point
+    probe perturbs a large layer without writing it
+    (``loss_takes_low_rank`` declares this to the estimators).
     """
 
     name = "mlp"
+    loss_takes_low_rank = True
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray,
                  params0: list[np.ndarray]):
@@ -326,9 +333,9 @@ class MlpProblem:
         idx = batch.indices
         return self.inputs[idx], self.targets[idx]
 
-    def loss(self, params, batch) -> float:
+    def loss(self, params, batch, low_rank=None) -> float:
         x, y = self._batch_data(batch)
-        out = _forward(params, x)[-1]
+        out = _forward(params, x, low_rank)[-1]
         return _check_finite(float(np.mean((out - y) ** 2)), "mlp loss")
 
     def exact_gradient(self, params, batch) -> list[np.ndarray]:
@@ -347,8 +354,14 @@ class MlpProblem:
         return grads
 
 
-def _forward(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer; hidden layers tanh, final layer linear."""
+def _forward(params: list[np.ndarray], x: np.ndarray,
+             low_rank=None) -> list[np.ndarray]:
+    """Activations per layer; hidden layers tanh, final layer linear.
+
+    A weight layer ``k`` in ``low_rank``, with factors ``(u, c, v)``,
+    computes ``h @ W + ((h @ u) @ c) @ v.T``: the ``(r, r)`` core stays
+    factored, so the perturbed layer is never formed.
+    """
     if len(params) < 2 or len(params) % 2 != 0:
         raise ShapeError("mlp parameters must alternate weight and bias")
     acts = [x]
@@ -356,7 +369,10 @@ def _forward(params: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
     n_layers = len(params) // 2
     for i in range(n_layers):
         w, b = params[2 * i], params[2 * i + 1]
-        h = h @ w
+        h_in, h = h, h @ w
+        if low_rank is not None and 2 * i in low_rank:
+            u, c, v = low_rank[2 * i]
+            h += ((h_in @ u) @ c) @ v.T
         h += b
         if i < n_layers - 1:
             np.tanh(h, out=h)

@@ -12,8 +12,11 @@ from subzero.estimators import (DENSE_ENTRY_CAP, LossDifference,
                                 dense_subspace_probe, subzero_estimate,
                                 two_sided_loss_diff)
 from subzero.numcore import GaussianStream, stack_params
-from subzero.perturbation import build_pairs, iter_perturbation_layers
-from subzero.problems import QuadraticProblem, full_batch
+from subzero.perturbation import (_DOT_MAX_ENTRIES, build_pairs,
+                                  iter_perturbation_layers,
+                                  plan_alignment_scales)
+from subzero.problems import MlpProblem, QuadraticProblem, full_batch
+from subzero.verification import estimator_diagnostics
 
 
 def quadratic_setup(seed=3, shapes=((4, 3), (5,)), rank=2):
@@ -259,3 +262,114 @@ class TestDenseSubspace:
         assert est.meta.family == "spsa_dense_subspace"
         assert est.meta.q == 4
         assert est.meta.seed == 12
+
+
+def held_out_setup(seed=4):
+    """A 64-96-8 MLP at rank 16: W1 (64x96, 6144 entries) is native and
+    above the dot cut-over, so the probe holds it out; W2 (96x8) is relaid
+    to 32x24 and stays in the in-place passes with both biases."""
+    prob = MlpProblem.generate(seed, n_features=64, hidden=(96,), n_outputs=8,
+                               dataset_size=64)
+    params = prob.initial_params()
+    pairs = build_pairs(GaussianStream(seed + 100), params, 16)
+    assert params[0].size > _DOT_MAX_ENTRIES
+    assert (pairs[0].shape.rows, pairs[0].shape.cols) == params[0].shape
+    assert params[2].shape != (pairs[2].shape.rows, pairs[2].shape.cols)
+    return prob, params, pairs, full_batch(prob)
+
+
+class _LowRankSpy:
+    """Declares the factored loss and records every call: the held-out
+    layer's bytes, a copy of the other layers and the ``low_rank`` keys.
+    Returns inf on the ``fail_at``-th call."""
+
+    loss_takes_low_rank = True
+
+    def __init__(self, inner, fail_at=None):
+        self.inner = inner
+        self.fail_at = fail_at
+        self.dataset_size = inner.dataset_size
+        self.calls = []
+
+    def loss(self, params, batch, low_rank=None):
+        params = [np.asarray(w) for w in params]
+        self.calls.append((params[0].tobytes(), [w.copy() for w in params[1:]],
+                           sorted(low_rank or ())))
+        if len(self.calls) == self.fail_at:
+            return math.inf
+        return self.inner.loss(params, batch, low_rank=low_rank)
+
+
+class TestHeldOutLayers:
+    """The probe leaves a large native layer out of its in-place passes and
+    hands it to the loss in factored form."""
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scale_z"])
+    def test_factored_rho_matches_the_in_place_probe(self, scaled):
+        prob, params, pairs, batch = held_out_setup()
+        z_scales = plan_alignment_scales(pairs) if scaled else None
+        for seed in range(6):
+            factored = two_sided_loss_diff(prob, params, pairs, batch, 1e-3,
+                                           seed, z_scales)
+            in_place = two_sided_loss_diff(_Counting(prob), params, pairs, batch,
+                                           1e-3, seed, z_scales)
+            assert factored.rho == pytest.approx(in_place.rho, rel=1e-9)
+            assert factored.loss_plus == pytest.approx(in_place.loss_plus, rel=1e-12)
+
+    def test_held_out_layer_is_never_written(self):
+        prob, params, pairs, batch = held_out_setup()
+        spy = _LowRankSpy(prob)
+        w1 = params[0].tobytes()
+        before = [w.copy() for w in params]
+        two_sided_loss_diff(spy, params, pairs, batch, 1e-3, seed=3)
+        assert [keys for _, _, keys in spy.calls] == [[0], [0]]
+        assert all(held == w1 for held, _, _ in spy.calls)
+        # the other layers were displaced during the probe, and came back
+        assert all(np.max(np.abs(a - b)) > 0.0 for a, b in zip(spy.calls[0][1],
+                                                               before[1:]))
+        assert params[0].tobytes() == w1
+        for w, b in zip(params, before):
+            assert np.max(np.abs(w - b)) <= 1e-12
+
+    @pytest.mark.parametrize("fail_at", [1, 2], ids=["plus", "minus"])
+    def test_non_finite_loss_restores_and_leaves_the_held_out_layer(self, fail_at):
+        prob, params, pairs, batch = held_out_setup()
+        w1 = params[0].tobytes()
+        before = [w.copy() for w in params]
+        with pytest.raises(NonFiniteLoss):
+            two_sided_loss_diff(_LowRankSpy(prob, fail_at), params, pairs, batch,
+                                1e-3, seed=3)
+        assert params[0].tobytes() == w1
+        for w, b in zip(params, before):
+            assert np.max(np.abs(w - b)) <= 1e-12
+
+    # the in-place adds of one probe pass: b1, W2 and b2 (W1 is held out)
+    @pytest.mark.parametrize("fail_at", range(9),
+                             ids=[f"pass{k // 3}-{name}" for k, name in
+                                  enumerate(("b1", "W2", "b2") * 3)])
+    def test_failed_add_restores_and_leaves_the_held_out_layer(self, fail_at):
+        prob, params, pairs, batch = held_out_setup()
+        touches = 0
+
+        class FailingAdd(np.ndarray):
+            def __iadd__(self, other):
+                nonlocal touches
+                touches += 1
+                if touches == fail_at + 1:
+                    raise MemoryError("injected")
+                return super().__iadd__(other)
+
+        params = [w.view(FailingAdd) for w in params]
+        w1 = params[0].tobytes()
+        before = [np.array(w) for w in params]
+        with pytest.raises(MemoryError):
+            two_sided_loss_diff(_LowRankSpy(prob), params, pairs, batch, 1e-3,
+                                seed=3, z_scales=plan_alignment_scales(pairs))
+        assert params[0].tobytes() == w1
+        for w, b in zip(params, before):
+            assert np.max(np.abs(w - b)) <= 1e-12
+
+    def test_block_sampler_guard_passes_with_a_held_out_layer(self):
+        prob, params, pairs, _ = held_out_setup()
+        row = estimator_diagnostics(prob, params, "subzero", 64, pairs=pairs)
+        assert row.n_mc == 64 and math.isfinite(row.cosine)

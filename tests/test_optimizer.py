@@ -412,6 +412,41 @@ def test_step_on_a_512x512_layer_peaks_below_one_layer_buffer():
     assert peak < 512 * 512 * 8, peak
 
 
+@pytest.mark.parametrize("hidden, held_out", [((96,), [0]), ((16,), [])],
+                         ids=["held-out", "in-place"])
+def test_a_step_makes_four_passes_and_two_loss_calls(hidden, held_out, monkeypatch):
+    # the benchmark counts one pass per iter_perturbation_layers call and
+    # expects two per loss evaluation; a held-out layer (64x96 here, above
+    # the dot cut-over) changes what the passes add, not how many there are
+    import subzero.perturbation as perturbation
+    prob = MlpProblem.generate(4, n_features=64, hidden=hidden, n_outputs=8,
+                               dataset_size=64)
+    cfg = OptimizerConfig(family="subzero", steps=2, batch_size=16, rank=16,
+                          master_seed=1)
+    state = init_state(prob, cfg)
+    step(prob, state, cfg)      # draws the pairs
+    passes = 0
+    layers = perturbation.iter_perturbation_layers
+
+    def counting_layers(params, pairs, seed, z_scales=None):
+        nonlocal passes
+        passes += 1
+        return layers(params, pairs, seed, z_scales)
+
+    loss_calls = []
+    loss = prob.loss
+
+    def counting_loss(params, batch, **kwargs):
+        loss_calls.append(sorted(kwargs.get("low_rank") or ()))
+        return loss(params, batch, **kwargs)
+
+    monkeypatch.setattr(perturbation, "iter_perturbation_layers", counting_layers)
+    monkeypatch.setattr(prob, "loss", counting_loss)
+    step(prob, state, cfg)
+    assert passes == 4
+    assert loss_calls == [held_out, held_out]
+
+
 class TestAlignmentModes:
     def uniform_problem(self):
         return QuadraticProblem.generate(4, [(6, 6), (6, 6)], dataset_size=32)

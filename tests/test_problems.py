@@ -248,6 +248,24 @@ class TestMlp:
         with pytest.raises(ShapeError):
             self.prob.loss(params, full_batch(self.prob))
 
+    @pytest.mark.parametrize("layer", [2, 4], ids=["hidden", "output"])
+    def test_low_rank_factors_equal_the_layer_formed_whole(self, layer):
+        assert MlpProblem.loss_takes_low_rank
+        params = self.prob.initial_params()
+        m, n = params[layer].shape
+        stream = GaussianStream(11)
+        u = stream.normals(m * 2).reshape(m, 2)
+        c = stream.normals(4).reshape(2, 2)
+        v = stream.normals(n * 2).reshape(n, 2)
+        whole = [w.copy() for w in params]
+        whole[layer] += u @ c @ v.T
+        batch = full_batch(self.prob)
+        before = [w.tobytes() for w in params]
+        got = self.prob.loss(params, batch, low_rank={layer: (u, c, v)})
+        assert got == pytest.approx(self.prob.loss(whole, batch), rel=1e-12)
+        assert got != pytest.approx(self.prob.loss(params, batch), rel=1e-6)
+        assert [w.tobytes() for w in params] == before
+
 
 class TestMinibatch:
     def setup_method(self):
