@@ -3,7 +3,11 @@ baseline.
 
 Both share the same probe: perturb the parameters in place by
 ``+epsilon``, evaluate, swing to ``-epsilon`` in one pass, evaluate again,
-then restore.  The scalar
+then restore.  The seeded probe holds some layers out of those passes when
+the problem's loss can take them in factored form (the MLP's does): a
+matrix layer of more than ``_DOT_MAX_ENTRIES`` entries, perturbed in its
+own shape, is never written during the probe, and each loss call adds its
+``+-epsilon U Z V^T`` as ``((h U) Z) V^T``.  The scalar
 
     rho = (loss_plus - loss_minus) / (2 * epsilon)
 

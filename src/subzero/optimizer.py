@@ -4,10 +4,14 @@ A step of the layer-wise family never forms a gradient object.  It draws
 its direction once from the step seed (the q matrix-layer core values, and
 the vector layers' values when they fit the largest matrix layer), probes
 the loss twice along that direction, then replays it in one more
-``axpy_perturbation`` pass with coefficient ``-lr * rho``.  Peak transient
-memory is therefore the drawn direction plus one buffer of at most a small
-layer or a 256 kB row block of a large one, however many layers the model
-has, and a failed step leaves the parameters where it found them.
+``axpy_perturbation`` pass with coefficient ``-lr * rho``.  The probe's
+three passes skip the layers the problem's loss takes in factored form
+(large native MLP layers; see :func:`~subzero.estimators.two_sided_loss_diff`),
+so the update is the only pass that writes them.  Peak transient memory
+is therefore the drawn direction plus one buffer of at most a small layer
+or a 256 kB row block of a large one, or the loss evaluation's activations
+if they are larger, however many layers the model has, and a failed step
+leaves the parameters where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``
 through tagged hashes, with the step index mixed in.  Per-step perturbation

@@ -16,11 +16,13 @@ matrix layer's size, and skipped otherwise.  Every pass of
 :func:`axpy_perturbation` then reads its values from those arrays and
 replays from the seed only the vector layers that were skipped.  Replaying
 one direction with coefficients ``+eps``, ``-2 eps``, ``+eps`` and then
-``-lr * rho`` implements the probe, the restore and the update.  Across
-them a step holds ``8 (q + kept vector values)`` bytes of direction.  A
-pass adds one transient buffer at a time: the whole delta of a layer of at
-most ``_DOT_MAX_ENTRIES`` entries, or a row block of at most 256 kB of a
-larger matrix layer.
+``-lr * rho`` implements the probe, the restore and the update; the
+probe's passes skip the layers its loss takes in factored form, and a
+skipped layer costs a pass nothing.  Across them a step holds
+``8 (q + kept vector values)`` bytes of direction.  A pass adds one
+transient buffer at a time: the whole delta of a layer of at most
+``_DOT_MAX_ENTRIES`` entries, or a row block of at most 256 kB of a larger
+matrix layer.
 """
 
 from __future__ import annotations
