@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import AllocationRefused, NonFiniteLoss, ShapeError
 from .numcore import GaussianStream, stack_params
-from .perturbation import (_DOT_MAX_ENTRIES, Direction, ProjectionPair,
-                           _axpy_stored, axpy_perturbation, draw_direction,
+from .perturbation import (Direction, ProjectionPair, _axpy_stored,
+                           axpy_perturbation, draw_direction, held_out_factors,
                            iter_perturbation_layers, subspace_dimension)
 
 DENSE_ENTRY_CAP = 10 ** 8
@@ -141,8 +141,9 @@ def two_sided_loss_diff(
     """
     direction = draw_direction(params, pairs, seed)
     if direction.large and getattr(problem, "loss_takes_low_rank", False):
-        held = _HeldOut(problem, params, pairs, direction, z_scales)
-        if held.factors:
+        factors = held_out_factors(params, pairs, direction, z_scales)
+        if factors:
+            held = _HeldOut(problem, params, pairs, direction, z_scales, factors)
             return _probe(held, params, batch, epsilon, held.apply)
 
     def apply(coeff: float) -> None:
@@ -155,28 +156,19 @@ class _HeldOut:
     """The problem as :func:`_probe` sees it when large native layers are
     held out of the in-place passes.
 
-    ``factors`` maps each held-out layer's index to ``(u, scale * Z, v)``.
-    :meth:`apply` adds to every other layer and tracks the net coefficient
-    applied; :meth:`loss` passes the held-out layers to the problem's loss
-    as ``low_rank`` factors at that coefficient.
+    ``factors`` maps each held-out layer's index to ``(u, scale * Z, v)``
+    (:func:`~subzero.perturbation.held_out_factors`).  :meth:`apply` adds
+    to every other layer and tracks the net coefficient applied;
+    :meth:`loss` passes the held-out layers to the problem's loss as
+    ``low_rank`` factors at that coefficient.
     """
 
-    def __init__(self, problem, params, pairs, direction: Direction, z_scales):
+    def __init__(self, problem, params, pairs, direction: Direction, z_scales,
+                 factors):
         self.problem, self.params, self.pairs = problem, params, pairs
         self.direction, self.z_scales = direction, z_scales
-        self.factors = {}
+        self.factors = factors
         self.coeff = 0.0
-        at = 0
-        for i, (w, pair) in enumerate(zip(params, pairs)):
-            if pair is None:
-                continue
-            r = pair.rank
-            if w.size > _DOT_MAX_ENTRIES and w.shape == (pair.u.shape[0], pair.v.shape[0]):
-                z = direction.cores[at:at + r * r].reshape(r, r)
-                if z_scales is not None:
-                    z = float(z_scales[i]) * z
-                self.factors[i] = (pair.u, z, pair.v)
-            at += r * r
 
     def apply(self, coeff: float) -> None:
         axpy_perturbation(self.params, self.pairs, self.direction, coeff,

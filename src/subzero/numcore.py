@@ -74,22 +74,12 @@ def _mix64_block(x: np.ndarray) -> np.ndarray:
 def derive_seeds(master, *parts: int, last) -> np.ndarray:
     """``derive_seed(m, *parts, k)`` as a ``uint64`` array, bit for bit, for
     every master ``m`` (an int or a ``uint64`` array) broadcast against every
-    ``k`` in ``last``; no operand is 0-d, as numpy warns if one wraps.
-
-    An int master's prefix ``derive_seed(m, *parts)`` is mixed in Python
-    ints, so only ``last`` goes through the block finalizer: on a 1-element
-    array that costs about as much as on thousands of entries."""
-    if isinstance(master, int):
-        h = np.array(derive_seed(master, *parts), dtype=np.uint64, ndmin=1)
-    else:
-        h = _mix64_block(np.array(master, ndmin=1).astype(np.uint64)
-                         ^ np.uint64(_DERIVE_SALT))
-        for k in parts:
-            if k < 0:
-                raise ValueError("seed parts must be non-negative")
-            h = _mix64_block(h + np.uint64(_GOLDEN * (k + 1) & _MASK64))
-    return _mix64_block((np.array(last, dtype=np.uint64, ndmin=1) + np.uint64(1))
-                        * np.uint64(_GOLDEN) + h)
+    ``k`` in ``last``; no operand is 0-d, as numpy warns if one wraps."""
+    h = _mix64_block(np.array(master, ndmin=1).astype(np.uint64) ^ np.uint64(_DERIVE_SALT))
+    for k in (*parts, last):   # each part mixes in as ``last`` does
+        h = _mix64_block((np.array(k, dtype=np.uint64, ndmin=1) + np.uint64(1))
+                         * np.uint64(_GOLDEN) + h)
+    return h
 
 
 class GaussianStream:

@@ -233,6 +233,14 @@ def build_pairs(stream: GaussianStream, params: Sequence[np.ndarray], rank: int,
 #   1.08x at 128x128, 0.29x at 256x256 and 0.6-0.75x at 512x512, where
 #   64-row blocks beat 16, 32 and 128 rows.  Every other caller of
 #   iter_perturbation_layers gets the whole delta, from u @ (z @ v.T).
+#
+# The probe's held-out layers (held_out_factors) are the native ones above
+# it too.  Timed per optimizer step of a d->h->8 MLP at rank 16 and batch 32
+# (median of 20 alternating rounds of 200 steps on a 2-vCPU VM), holding W1 out of
+# the probe took 1.09x the in-place time at 64x48, 1.07x at 64x60, 1.02x at
+# 64x64, 1.07x at 64x96 (lower in 10 of 20 rounds) and 0.88x at 128x96.  So
+# the factored probe does not pay below this cut-over, and only starts to
+# pay somewhat above it.
 _DOT_MAX_ENTRIES = 4096
 _BLOCK_ENTRIES = 32768
 
@@ -356,15 +364,13 @@ def iter_perturbation_layers(
             z = cores[at:at + n].reshape(r, r)
             at += n
             index += n
-            if w.size <= _DOT_MAX_ENTRIES:
-                delta = u.dot(z.dot(v.T))
-            elif direction.factored and (w.flags.c_contiguous
-                                         or w.shape == (u.shape[0], v.shape[0])):
-                # rows of the pair's geometry must be views of the layer
+            if direction.factored and _yields_factors(w, pair):
                 scale = 1.0 if z_scales is None else float(z_scales[i])
                 i += 1
                 yield u, z, v, scale
                 continue
+            if w.size <= _DOT_MAX_ENTRIES:
+                delta = u.dot(z.dot(v.T))
             else:
                 delta = u @ (z @ v.T)
             if delta.shape != w.shape:
@@ -375,6 +381,40 @@ def iter_perturbation_layers(
                 delta *= scale
         i += 1
         yield delta
+
+
+def _yields_factors(w: np.ndarray, pair: ProjectionPair) -> bool:
+    """Whether a factored pass yields matrix layer ``w`` as factors: it is
+    above ``_DOT_MAX_ENTRIES`` and the rows of its pair's geometry are views
+    of it (C-contiguous, or in that geometry)."""
+    return w.size > _DOT_MAX_ENTRIES and (
+        w.flags.c_contiguous or w.shape == (pair.u.shape[0], pair.v.shape[0]))
+
+
+def held_out_factors(
+    params: Sequence[np.ndarray],
+    pairs: Sequence[Optional[ProjectionPair]],
+    direction: Direction,
+    z_scales: Optional[Sequence[float]] = None,
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The layers a loss can take in factored form, as ``{i: (u, scale * Z,
+    v)}``: those a factored pass yields as factors whose pair is in the
+    layer's own shape, so ``h @ W`` gains ``((h @ u) @ (scale * Z)) @ v.T``.
+    A pass of :func:`axpy_perturbation` that skips exactly these indices
+    costs them nothing.  Empty unless ``direction.large``."""
+    factors = {}
+    at = 0      # offset of the current core in ``direction.cores``
+    for i, (w, pair) in enumerate(zip(params, pairs)):
+        if pair is None:
+            continue
+        r = pair.rank
+        if _yields_factors(w, pair) and w.shape == (pair.u.shape[0], pair.v.shape[0]):
+            z = direction.cores[at:at + r * r].reshape(r, r)
+            if z_scales is not None:
+                z = float(z_scales[i]) * z
+            factors[i] = (pair.u, z, pair.v)
+        at += r * r
+    return factors
 
 
 def _add_rows(w: np.ndarray, u: np.ndarray, z: np.ndarray, v: np.ndarray,

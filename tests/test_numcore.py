@@ -234,7 +234,7 @@ class TestBlockSeedsAndValues:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("parts", [(), (0x51,), (0x51, 7)])
     @pytest.mark.parametrize("master", MASTERS + (-1, -(2 ** 63), MASK64 - 1))
-    def test_int_master_prefix_in_python_ints(self, master, parts):
+    def test_int_masters_match_derive_seed_at_the_ends(self, master, parts):
         # negative masters wrap modulo 2**64 in both functions
         seeds = derive_seeds(master, *parts, last=self.SAMPLES)
         assert seeds.dtype == np.uint64 and seeds.shape == (len(self.SAMPLES),)

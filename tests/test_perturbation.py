@@ -447,6 +447,38 @@ class TestRowBlockPass:
         assert isinstance(seed, Direction) and seed.factored
 
 
+    def test_held_out_factors_are_the_native_layers_a_pass_factors(self):
+        # native 300x200, 2048x8 relaid to 128x128, a native 64x60 just
+        # below the cut-over and a column-major native 300x200, each before
+        # a bias
+        s = GaussianStream(12)
+        shapes = [(300, 200), (2048, 8), (64, 60), (300, 200)]
+        params = []
+        for shape in shapes:
+            params += [s.normals(math.prod(shape)).reshape(shape), s.normals(3)]
+        params[6] = np.asfortranarray(params[6])
+        plans = plan_layers(params, 16)
+        pairs = pairs_from_plan(GaussianStream(4), plans)
+        scales = plan_alignment_scales(plans)
+        direction = draw_direction(params, pairs, 21)
+        factored = Direction(direction.seed, direction.cores, direction.vectors,
+                             True, True)
+        yielded = list(iter_perturbation_layers(params, pairs, factored, scales))
+        native = [i for i, d in enumerate(yielded) if type(d) is tuple
+                  and params[i].shape == (pairs[i].u.shape[0], pairs[i].v.shape[0])]
+        assert native == [0, 6] and type(yielded[2]) is tuple
+        held = perturbation.held_out_factors(params, pairs, direction, scales)
+        assert sorted(held) == native
+        for i in native:
+            u, z, v, scale = yielded[i]
+            held_u, held_z, held_v = held[i]
+            assert held_u is u and held_v is v
+            assert np.array_equal(held_z, scale * z)
+        assert perturbation.held_out_factors(params[4:6], pairs[4:6],
+                                             draw_direction(params[4:6], pairs[4:6],
+                                                            21)) == {}
+
+
 class TestPerturbRestore:
     def test_three_pass_sequence_restores(self):
         params = two_layer_params(3)
