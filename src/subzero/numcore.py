@@ -9,6 +9,9 @@ This module is the numerical floor of the package.  Everything above it
   stream is a pure function of ``(seed, j)``.  Replaying a seed therefore
   regenerates identical values regardless of how draws were batched, which is
   what lets the estimators re-create a perturbation instead of storing it.
+  A value depends on the C library's ``log``, numpy's float64 ``cos`` (which
+  calls the C library's ``cos`` on the builds measured) and IEEE ``sqrt``
+  and multiplication; ``tests/test_numcore.py`` pins the ``cos`` equality.
 
 The flattening convention used everywhere is column-major per layer: a 2-D
 layer contributes its entries column by column (``order="F"``), a 1-D layer
@@ -34,6 +37,10 @@ _DERIVE_SALT = 0xA0761D6478BD642F
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
+
+# numpy scalars, so the block path converts no Python int per ufunc call
+_MIX_A_U64, _MIX_B_U64 = np.uint64(_MIX_A), np.uint64(_MIX_B)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def _mix64(x: int) -> int:
@@ -62,12 +69,15 @@ def derive_seed(master: int, *parts: int) -> int:
 def _mix64_block(x: np.ndarray) -> np.ndarray:
     """:func:`_mix64` of every entry of a ``uint64`` array, in place; numpy
     wraps the products modulo 2**64 as the masks do, so each entry equals
-    the scalar finalizer's bit for bit."""
-    x ^= x >> 30
-    x *= np.uint64(_MIX_A)
-    x ^= x >> 27
-    x *= np.uint64(_MIX_B)
-    x ^= x >> 31
+    the scalar finalizer's bit for bit.  The three shifts share one buffer."""
+    t = np.right_shift(x, _SHIFT_30)
+    x ^= t
+    x *= _MIX_A_U64
+    np.right_shift(x, _SHIFT_27, out=t)
+    x ^= t
+    x *= _MIX_B_U64
+    np.right_shift(x, _SHIFT_31, out=t)
+    x ^= t
     return x
 
 
@@ -129,12 +139,14 @@ class GaussianStream:
 
 
 # Draws of _VECTOR_MIN or more values hash in uint64 blocks of up to _BLOCK
-# values (about 17 kB of scratch at 256), which wrap modulo 2**64 like the
-# masked int ops and still take math.log and math.cos per value, so each
-# value equals the scalar loop's bit for bit.  On a 2-vCPU VM a block costs
-# 2.2x the loop at 4 values, 1.0x at 10, 0.43x at 32 and 0.18x at 256, and
-# long draws run at about 3.2 M values/s, against 1.3-1.45 M in blocks of 32.
-_BLOCK = 256
+# values, which wrap modulo 2**64 like the masked int ops; each value equals
+# the scalar loop's bit for bit (math.log per value, numpy's cos, see
+# _box_muller).  A block's scratch is 32 B per value at its peak (the hashes
+# plus one shift buffer), about 17 kB at 512.  On a 2-vCPU VM a block costs
+# 2.1x the loop at 4 values, 0.93x at 10, 0.33x at 32 and 0.10x at 512, and
+# long draws run at about 3.2-3.4 M values/s, against 0.8-1.0 M in blocks of
+# 32 and 2.1 M with 256-value blocks that called math.cos per value.
+_BLOCK = 512
 _VECTOR_MIN = 10
 _BLOCK_STEPS = np.arange(2 * _BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
 
@@ -176,14 +188,26 @@ def normals_block(seeds, n: int) -> np.ndarray:
 
 
 def _box_muller(x: np.ndarray, out: np.ndarray) -> None:
-    """Normals from hashed pairs: ``out[j]`` from ``x[2j]`` and ``x[2j+1]``."""
+    """Normals from hashed pairs: ``out[j]`` from ``x[2j]`` and ``x[2j+1]``.
+
+    Consumes ``x``: the uniforms, and then ``cos(2 pi u2)``, are formed in
+    its own memory.  The other scratch is the ``log`` column and the copy
+    numpy stages of the overlapping input when it converts ``x`` to float."""
     m = out.size
-    u = ((x >> 11) + 0.5) * _INV_2_53
-    # a memoryview yields each entry as a float, one at a time, where
-    # tolist() would hold a whole block of float objects at once
-    log_u1 = np.fromiter(map(math.log, memoryview(u[0::2])), np.float64, m)
-    cos_u2 = np.fromiter(map(math.cos, memoryview(_TWO_PI * u[1::2])), np.float64, m)
-    np.multiply(np.sqrt(-2.0 * log_u1), cos_u2, out=out)
+    x >>= _SHIFT_11
+    u = x.view(np.float64)
+    np.add(x, 0.5, out=u)   # the top 53 bits convert exactly
+    u *= _INV_2_53
+    # math.log per value (numpy's own log kernel differs from libm's in the
+    # last bit on some inputs); a memoryview yields each entry as a float,
+    # one at a time, where tolist() would hold a whole block of floats
+    r = np.fromiter(map(math.log, memoryview(u[0::2])), np.float64, m)
+    c = u[1::2]
+    c *= _TWO_PI
+    np.cos(c, out=c)   # libm's cos on the builds measured, bit for bit
+    r *= -2.0
+    np.sqrt(r, out=r)
+    np.multiply(r, c, out=out)
 
 
 def gaussian_matrix(stream: GaussianStream, m: int, n: int) -> np.ndarray:
