@@ -1,10 +1,11 @@
 """Golden values pinning the stream and one short trajectory per family.
 
 What is bit-identical: stream values.  Each is a SplitMix64 hash pushed
-through ``math.log``, ``math.sqrt`` and ``math.cos``, so it is the same
-double on every machine whose libm rounds those three the same way, and
-independent of how draws are batched.  The stream pins compare
-``float.hex`` strings.
+through libm's ``log``, an IEEE ``sqrt`` and libm's ``cos`` (through
+numpy's float64 ``cos`` in blocks, which calls libm's on the builds
+measured), so it is the same double on every machine whose libm rounds
+``log`` and ``cos`` the same way, and independent of how draws are
+batched.  The stream pins compare ``float.hex`` strings.
 
 What is identical only to rounding: trajectories.  A step multiplies
 ``U``, ``Z`` and ``V`` with BLAS, whose summation order depends on the

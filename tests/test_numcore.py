@@ -2,6 +2,7 @@
 oracle the problem tests use."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,36 @@ class TestGaussianStream:
             s.reset(index)
             assert s.normals(n).tobytes() == expected[:n].tobytes(), n
         assert s.normal_at(index + longest - 1) == expected[-1]
+
+    @pytest.mark.parametrize("seed, index", [(0xC0FFEE, 0), (1, 10 ** 6),
+                                             (2, 2 ** 63 - 7), (3, 2 ** 64 - 2 ** 15)])
+    def test_numpy_cos_equals_libm_cos_on_the_streams_uniforms(self, seed, index):
+        # the block path takes cos(2 pi u2) from np.cos and the scalar loop
+        # from math.cos; 4 x 2**16 = 2**18 arguments, the last range crossing
+        # the 2**64 counter wrap.  A numpy whose float64 cos is not the C
+        # library's fails here by name, not only through the golden pins.
+        n = 2 ** 16
+        key = _mix64(seed ^ 0x8BADF00D5EEDC0DE)
+        first = (key + 0x9E3779B97F4A7C15 * (2 * index + 2)) & MASK64
+        step = np.uint64(2 * 0x9E3779B97F4A7C15 & MASK64)
+        x = np.uint64(first) + np.arange(n, dtype=np.uint64) * step
+        u2 = ((_mix64_block(x) >> 11) + 0.5) * 2.0 ** -53
+        args = 2.0 * math.pi * u2
+        libm = np.fromiter(map(math.cos, args.tolist()), np.float64, n)
+        assert np.cos(args).tobytes() == libm.tobytes()
+
+    def test_block_scratch_stays_under_budget(self):
+        # 8 B per value of output plus one block's scratch, 17.2 kB measured
+        # at 512 values; the step-memory budgets above this module assume it
+        s = GaussianStream(4)
+        s.normals(4096)
+        tracemalloc.start()
+        try:
+            s.normals(4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 4096 + 18_000
 
     def test_normal_at_matches_normals(self):
         s = GaussianStream(9)

@@ -10,57 +10,75 @@ diagnostics of all three estimator families on a small MLP and a small
 logistic problem, which have no row-wise ``losses``.  A change that keeps
 every value bit for bit prints the same digest.
 
+It prints one sha256 per section (the two benchmark runs, the quadratic
+runs, the Monte Carlo reports, the diagnostics), then the combined digest
+of all sections' bytes in that order as its last line.  The reports are
+hashed as the ``repr`` of one list, cut where the diagnostics begin.
+
 Run from the root of a checkout:
 
-    PYTHONPATH=src:perfbench python3 tools/digest.py
+    python3 tools/digest.py
 """
 import dataclasses
 import hashlib
+import sys
+from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import subzero as sz
-from subzero import cli, verification
-import workloads
+import numpy as np  # noqa: E402
 
-h = hashlib.sha256()
+import subzero as sz  # noqa: E402
+from subzero import cli, verification  # noqa: E402
+import workloads  # noqa: E402
 
-
-def feed(*xs):
-    for x in xs:
-        h.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
+combined = hashlib.sha256()
+sections = {}
 
 
-def run(problem, config):
+def feed(section, data):
+    combined.update(data)
+    sections.setdefault(section, hashlib.sha256()).update(data)
+
+
+def run(section, problem, config):
     state = sz.init_state(problem, config)
     for _ in range(config.steps):
         rec = sz.step(problem, state, config)
-        feed(rec.loss_plus, rec.loss_minus, rec.rho)
-    feed(*state.params)
+        for x in (rec.loss_plus, rec.loss_minus, rec.rho):
+            feed(section, np.ascontiguousarray(x, dtype=np.float64).tobytes())
+    for w in state.params:
+        feed(section, np.ascontiguousarray(w, dtype=np.float64).tobytes())
 
 
 for name, steps in (("train_mlp_wide", 60), ("train_mlp_fullspace", 20)):
     spec, config = workloads.WORKLOADS[name].configure(1)
-    run(cli.build_problem(spec), dataclasses.replace(config, steps=steps))
+    run(name, cli.build_problem(spec), dataclasses.replace(config, steps=steps))
 quad = sz.QuadraticProblem.generate(4, [(6, 6), (8, 2), (5,)], dataset_size=32)
 for extra in (dict(family="subzero", rank=2, alignment="scale_z"),
               dict(family="spsa_dense_subspace", dense_q=8)):
-    run(quad, sz.OptimizerConfig(steps=30, batch_size=8, learning_rate=0.01,
-                                 master_seed=9, **extra))
+    run("quadratic", quad, sz.OptimizerConfig(steps=30, batch_size=8, learning_rate=0.01,
+                                              master_seed=9, **extra))
 problem, params, pairs = verification.battery_cell(((3, 2), (3, 2)), 1, 11)
-reports = [sz.check_second_moment(problem, pairs, params, 500, family=f)
-           for f in ("subzero", "spsa_full")]
-reports += sz.run_default_battery(n_mc=300, n_mc_bias=300)
+monte_carlo = [sz.check_second_moment(problem, pairs, params, 500, family=f)
+               for f in ("subzero", "spsa_full")]
+monte_carlo += sz.run_default_battery(n_mc=300, n_mc_bias=300)
 # the battery's variance-ordering cell (seed 11 + 4), through the dense family
 problem, params, _ = verification.battery_cell(((10, 10),), 2, 15)
-reports.append(sz.estimator_diagnostics(problem, params, "spsa_dense_subspace",
-                                        300, dense_q=8))
+diagnostics = [sz.estimator_diagnostics(problem, params, "spsa_dense_subspace",
+                                        300, dense_q=8)]
 for problem in (sz.MlpProblem.generate(5, dataset_size=64),
                 sz.LogisticProblem.generate(6, (4, 5), dataset_size=64)):
     params = problem.initial_params()
     pairs = sz.build_pairs(sz.GaussianStream(7), params, 2)
-    reports += [sz.estimator_diagnostics(problem, params, family, 100,
-                                         pairs=pairs, dense_q=6)
-                for family in ("subzero", "spsa_full", "spsa_dense_subspace")]
-h.update(repr(reports).encode())
-print(h.hexdigest())
+    diagnostics += [sz.estimator_diagnostics(problem, params, family, 100,
+                                             pairs=pairs, dense_q=6)
+                    for family in ("subzero", "spsa_full", "spsa_dense_subspace")]
+text = repr(monte_carlo + diagnostics).encode()
+cut = len(repr(monte_carlo)) - 1   # the list's repr up to its closing bracket
+feed("monte_carlo", text[:cut])
+feed("diagnostics", text[cut:])
+for name, section in sections.items():
+    print(f"{name:20} {section.hexdigest()}")
+print(combined.hexdigest())
