@@ -9,9 +9,11 @@ This module is the numerical floor of the package.  Everything above it
   stream is a pure function of ``(seed, j)``.  Replaying a seed therefore
   regenerates identical values regardless of how draws were batched, which is
   what lets the estimators re-create a perturbation instead of storing it.
-  A value depends on the C library's ``log``, numpy's float64 ``cos`` (which
-  calls the C library's ``cos`` on the builds measured) and IEEE ``sqrt``
-  and multiplication; ``tests/test_numcore.py`` pins the ``cos`` equality.
+  A value depends on numpy's float64 ``log`` into a reversed output and
+  ``cos``, which run numpy's scalar loops over the C library's ``log`` and
+  ``cos`` on the one build measured (numpy 2.4.6, glibc 2.36, AVX-512), and
+  on IEEE ``sqrt`` and multiplication; ``tests/test_numcore.py`` pins both
+  equalities with ``math.log`` and ``math.cos`` by name.
 
 The flattening convention used everywhere is column-major per layer: a 2-D
 layer contributes its entries column by column (``order="F"``), a 1-D layer
@@ -140,12 +142,15 @@ class GaussianStream:
 
 # Draws of _VECTOR_MIN or more values hash in uint64 blocks of up to _BLOCK
 # values, which wrap modulo 2**64 like the masked int ops; each value equals
-# the scalar loop's bit for bit (math.log per value, numpy's cos, see
+# the scalar loop's bit for bit (numpy's log and cos over libm's, see
 # _box_muller).  A block's scratch is 32 B per value at its peak (the hashes
 # plus one shift buffer), about 17 kB at 512.  On a 2-vCPU VM a block costs
-# 2.1x the loop at 4 values, 0.93x at 10, 0.33x at 32 and 0.10x at 512, and
-# long draws run at about 3.2-3.4 M values/s, against 0.8-1.0 M in blocks of
-# 32 and 2.1 M with 256-value blocks that called math.cos per value.
+# about 27 us at any size up to 32 values, against about 3.1 us per value
+# for the loop: 2.0x the loop at 4 values, 1.1x at 8, 0.85-1.05x at 10 and
+# 0.56x at 16.  Long draws run at about 15-16 M values/s in 512-value
+# blocks, 21 M in 1024 and 23 M in 2048; blocks above 560 values would
+# break test_block_scratch_stays_under_budget's 18 kB, and the hashes alone
+# take 16 B per value.
 _BLOCK = 512
 _VECTOR_MIN = 10
 _BLOCK_STEPS = np.arange(2 * _BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)
@@ -198,16 +203,18 @@ def _box_muller(x: np.ndarray, out: np.ndarray) -> None:
     u = x.view(np.float64)
     np.add(x, 0.5, out=u)   # the top 53 bits convert exactly
     u *= _INV_2_53
-    # math.log per value (numpy's own log kernel differs from libm's in the
-    # last bit on some inputs); a memoryview yields each entry as a float,
-    # one at a time, where tolist() would hold a whole block of floats
-    r = np.fromiter(map(math.log, memoryview(u[0::2])), np.float64, m)
+    # numpy 2.4.6 runs its own AVX-512F float64 log, which differs from
+    # libm's in the last bit on some inputs, only into a unit-stride output;
+    # into a reversed view it runs its scalar loop, which calls libm's log.
+    # r holds log(u1) back to front, so the elementwise steps stay unit-stride
+    r = np.empty(m)
+    np.log(u[0::2], out=r[::-1])
     c = u[1::2]
     c *= _TWO_PI
     np.cos(c, out=c)   # libm's cos on the builds measured, bit for bit
     r *= -2.0
     np.sqrt(r, out=r)
-    np.multiply(r, c, out=out)
+    np.multiply(r[::-1], c, out=out)
 
 
 def gaussian_matrix(stream: GaussianStream, m: int, n: int) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Golden values pinning the stream and one short trajectory per family.
 
 What is bit-identical: stream values.  Each is a SplitMix64 hash pushed
-through libm's ``log``, an IEEE ``sqrt`` and libm's ``cos`` (through
-numpy's float64 ``cos`` in blocks, which calls libm's on the builds
-measured), so it is the same double on every machine whose libm rounds
-``log`` and ``cos`` the same way, and independent of how draws are
-batched.  The stream pins compare ``float.hex`` strings.
+through libm's ``log``, an IEEE ``sqrt`` and libm's ``cos``.  In blocks
+they come from numpy's float64 ``log`` into a reversed output and its
+``cos``, whose scalar loops call libm's on the one build measured (numpy
+2.4.6, glibc 2.36, AVX-512); ``tests/test_numcore.py`` names both
+equalities.  So a value is the same double on every machine whose libm
+rounds ``log`` and ``cos`` the same way and whose numpy sends these calls
+to libm, and independent of how draws are batched.  The stream pins
+compare ``float.hex`` strings.
 
 What is identical only to rounding: trajectories.  A step multiplies
 ``U``, ``Z`` and ``V`` with BLAS, whose summation order depends on the

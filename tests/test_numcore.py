@@ -15,6 +15,19 @@ from subzero.numcore import (GaussianStream, derive_seed, derive_seeds,
                              _mix64_block)
 
 MASK64 = (1 << 64) - 1
+# (seed, first value index) of the ranges the libm equality tests draw; the
+# last one crosses the 2**64 counter wrap
+WRAP_RANGES = [(0xC0FFEE, 0), (1, 10 ** 6), (2, 2 ** 63 - 7), (3, 2 ** 64 - 2 ** 15)]
+
+
+def stream_uniforms(seed, index, n):
+    """The uniforms of stream values ``index .. index + n - 1`` of
+    ``GaussianStream(seed)``, interleaved ``u1, u2`` as ``_box_muller``
+    forms them: ``x[2j]`` hashes ``key + golden * (2j + 1)``."""
+    key = _mix64(seed ^ 0x8BADF00D5EEDC0DE)
+    first = (key + 0x9E3779B97F4A7C15 * (2 * index + 1)) & MASK64
+    x = np.uint64(first) + np.arange(2 * n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return ((_mix64_block(x) >> 11) + 0.5) * 2.0 ** -53
 
 
 def reference_splitmix64(seed, count):
@@ -115,22 +128,35 @@ class TestGaussianStream:
             assert s.normals(n).tobytes() == expected[:n].tobytes(), n
         assert s.normal_at(index + longest - 1) == expected[-1]
 
-    @pytest.mark.parametrize("seed, index", [(0xC0FFEE, 0), (1, 10 ** 6),
-                                             (2, 2 ** 63 - 7), (3, 2 ** 64 - 2 ** 15)])
+    @pytest.mark.parametrize("seed, index", WRAP_RANGES)
     def test_numpy_cos_equals_libm_cos_on_the_streams_uniforms(self, seed, index):
         # the block path takes cos(2 pi u2) from np.cos and the scalar loop
         # from math.cos; 4 x 2**16 = 2**18 arguments, the last range crossing
         # the 2**64 counter wrap.  A numpy whose float64 cos is not the C
         # library's fails here by name, not only through the golden pins.
-        n = 2 ** 16
-        key = _mix64(seed ^ 0x8BADF00D5EEDC0DE)
-        first = (key + 0x9E3779B97F4A7C15 * (2 * index + 2)) & MASK64
-        step = np.uint64(2 * 0x9E3779B97F4A7C15 & MASK64)
-        x = np.uint64(first) + np.arange(n, dtype=np.uint64) * step
-        u2 = ((_mix64_block(x) >> 11) + 0.5) * 2.0 ** -53
-        args = 2.0 * math.pi * u2
-        libm = np.fromiter(map(math.cos, args.tolist()), np.float64, n)
+        args = 2.0 * math.pi * stream_uniforms(seed, index, 2 ** 16)[1::2]
+        libm = np.fromiter(map(math.cos, args.tolist()), np.float64, args.size)
         assert np.cos(args).tobytes() == libm.tobytes()
+
+    @pytest.mark.parametrize("seed, index", WRAP_RANGES)
+    def test_numpy_strided_log_equals_libm_log_on_the_streams_uniforms(self, seed, index):
+        # the block path takes log(u1) from np.log into a reversed output,
+        # which numpy runs through its scalar loop over the C library's log
+        # (its own SIMD log, taken for a unit-stride output, differs in the
+        # last bit); 2**18 of the stream's u1, the last range crossing the
+        # 2**64 counter wrap, and the 64 smallest and largest grid points
+        # (k + 0.5) 2**-53 after the first range.  A numpy that dispatches
+        # this call elsewhere fails here by name.
+        u = stream_uniforms(seed, index, 2 ** 16)
+        if index == 0:
+            k = np.r_[0:64, 2 ** 53 - 64:2 ** 53].astype(np.uint64)
+            grid = np.repeat((k + 0.5) * 2.0 ** -53, 2)
+            u = np.concatenate([u, grid])
+        m = u.size // 2
+        r = np.empty(m)
+        np.log(u[0::2], out=r[::-1])
+        libm = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, m)
+        assert r[::-1].tobytes() == libm.tobytes()
 
     def test_block_scratch_stays_under_budget(self):
         # 8 B per value of output plus one block's scratch, 17.2 kB measured
