@@ -69,6 +69,17 @@ class ProblemSpec:
     n_outputs: int = 4
     noise: float = 0.05
 
+    def __post_init__(self):
+        for shape in self.layer_shapes:
+            if not (isinstance(shape, (tuple, list)) and 1 <= len(shape) <= 2
+                    and all(type(n) is int and n >= 1 for n in shape)):
+                raise ValueError(f"a layer shape must be one or two positive ints, "
+                                 f"got {shape!r}")
+        if min(self.dataset_size, self.n_features, self.n_outputs, *self.hidden) < 1:
+            raise ValueError(f"sizes and widths must be at least 1, got {self}")
+        if not (self.kappa >= 1.0 and self.lam_max > 0.0):
+            raise ValueError(f"need kappa >= 1 and lam_max > 0, got {self}")
+
 
 @dataclass(frozen=True)
 class FamilySpec:

@@ -79,16 +79,27 @@ class GradEstimate:
         return stack_params(self.layers)
 
 
-def _checked(value: float, sign: str) -> float:
+def _loss(problem, params, batch, held: Optional[dict], coeff: float,
+          sign: str) -> float:
+    """One probe loss, with the held-out layers ``{i: (u, Z, v)}`` passed as
+    ``low_rank={i: (u, coeff * Z, v)}``; a non-finite value raises."""
+    if held is None:
+        value = problem.loss(params, batch)
+    else:
+        value = problem.loss(params, batch, low_rank={
+            i: (u, coeff * z, v) for i, (u, z, v) in held.items()})
     if not math.isfinite(value):
         raise NonFiniteLoss(f"probe loss at {sign}epsilon evaluated to {value!r}")
     return float(value)
 
 
 def _probe(problem, params: Sequence[np.ndarray], batch, epsilon: float,
-           apply: Callable[[float], None]) -> LossDifference:
+           apply: Callable[[float], None],
+           held: Optional[dict] = None) -> LossDifference:
     """The (+eps, -2 eps, +eps) probe around ``apply(coeff)``, which adds
-    ``coeff`` times one fixed direction to the parameters in place.  On any
+    ``coeff`` times one fixed direction to the parameters in place.  The
+    layers in ``held`` are left to the loss, which gets them in factored
+    form at the coefficient ``applied`` so far (:func:`_loss`).  On any
     error the net coefficient applied so far is taken back, which restores
     the parameters to rounding when a failed ``apply`` undoes itself.  A
     non-positive ``epsilon`` raises ``ValueError`` before the first pass."""
@@ -98,10 +109,10 @@ def _probe(problem, params: Sequence[np.ndarray], batch, epsilon: float,
     try:
         apply(epsilon)
         applied = epsilon
-        loss_plus = _checked(problem.loss(params, batch), "+")
+        loss_plus = _loss(problem, params, batch, held, applied, "+")
         apply(-2.0 * epsilon)
         applied = -epsilon
-        loss_minus = _checked(problem.loss(params, batch), "-")
+        loss_minus = _loss(problem, params, batch, held, applied, "-")
         apply(epsilon)
         applied = 0.0
     except BaseException:
@@ -118,12 +129,12 @@ def two_sided_loss_diff(
     batch,
     epsilon: float,
     seed: int | Direction,
-    z_scales: Optional[Sequence[float]] = None,
 ) -> LossDifference:
     """Probe the loss at ``+epsilon`` and ``-epsilon`` along one seeded
     perturbation, restoring the parameters before returning.
 
-    ``seed`` is an int or a :class:`~subzero.perturbation.Direction`.  The
+    ``seed`` is an int or a :class:`~subzero.perturbation.Direction`; a
+    norm-aligned probe passes a direction drawn with its scales.  The
     direction is drawn once and the three in-place passes of
     :func:`axpy_perturbation` share it, so nothing layer-sized is retained
     between passes, and each pass holds one transient buffer: a small
@@ -131,53 +142,23 @@ def two_sided_loss_diff(
 
     Some layers are held out of the passes and never written: those of
     more than ``_DOT_MAX_ENTRIES`` entries whose pair is in the layer's own
-    shape, when the problem sets ``loss_takes_low_rank``.  Each loss call
-    gets their perturbation as factors ``(u, coeff * scale * Z, v)``
-    instead, at the coefficient the passes have applied to the other
+    shape, when the problem sets ``loss_takes_low_rank``.  :func:`_probe`
+    gives each loss call their perturbation as factors ``(u, coeff * Z,
+    v)`` instead, at the coefficient the passes have applied to the other
     layers.  The probe losses then agree with the in-place ones to
     rounding, not bit for bit.  If a loss evaluation or a pass raises, the
     parameters are restored to working precision before the error
     propagates.
     """
     direction = draw_direction(params, pairs, seed)
+    held = None
     if direction.large and getattr(problem, "loss_takes_low_rank", False):
-        factors = held_out_factors(params, pairs, direction, z_scales)
-        if factors:
-            held = _HeldOut(problem, params, pairs, direction, z_scales, factors)
-            return _probe(held, params, batch, epsilon, held.apply)
+        held = held_out_factors(params, pairs, direction) or None
 
     def apply(coeff: float) -> None:
-        axpy_perturbation(params, pairs, direction, coeff, z_scales)
+        axpy_perturbation(params, pairs, direction, coeff, skip=held or ())
 
-    return _probe(problem, params, batch, epsilon, apply)
-
-
-class _HeldOut:
-    """The problem as :func:`_probe` sees it when large native layers are
-    held out of the in-place passes.
-
-    ``factors`` maps each held-out layer's index to ``(u, scale * Z, v)``
-    (:func:`~subzero.perturbation.held_out_factors`).  :meth:`apply` adds
-    to every other layer and tracks the net coefficient applied;
-    :meth:`loss` passes the held-out layers to the problem's loss as
-    ``low_rank`` factors at that coefficient.
-    """
-
-    def __init__(self, problem, params, pairs, direction: Direction, z_scales,
-                 factors):
-        self.problem, self.params, self.pairs = problem, params, pairs
-        self.direction, self.z_scales = direction, z_scales
-        self.factors = factors
-        self.coeff = 0.0
-
-    def apply(self, coeff: float) -> None:
-        axpy_perturbation(self.params, self.pairs, self.direction, coeff,
-                          self.z_scales, self.factors)
-        self.coeff += coeff
-
-    def loss(self, params, batch) -> float:
-        low_rank = {i: (u, self.coeff * z, v) for i, (u, z, v) in self.factors.items()}
-        return self.problem.loss(params, batch, low_rank=low_rank)
+    return _probe(problem, params, batch, epsilon, apply, held)
 
 
 def subzero_estimate(

@@ -1,8 +1,9 @@
 """Training loop around the two-point estimators.
 
 A step of the layer-wise family never forms a gradient object.  It draws
-its direction once from the step seed (the q matrix-layer core values, and
-the vector layers' values when they fit the largest matrix layer), probes
+its direction once from the step seed (the q matrix-layer core values,
+multiplied by their norm-alignment scales under ``scale_z``, and the vector
+layers' values when they fit the largest matrix layer), probes
 the loss twice along that direction, then replays it in one more
 ``axpy_perturbation`` pass with coefficient ``-lr * rho``.  The probe's
 three passes skip the layers the problem's loss takes in factored form
@@ -197,11 +198,11 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
         if config.family in ("subzero", "spsa_full"):
             if config.family == "subzero":
                 _refresh_pairs(state, config)
-            direction = draw_direction(state.params, state.pairs, seed_t)
+            direction = draw_direction(state.params, state.pairs, seed_t,
+                                       state.z_scales)
             ld = two_sided_loss_diff(problem, state.params, state.pairs, batch,
-                                     config.epsilon, direction, state.z_scales)
-            axpy_perturbation(state.params, state.pairs, direction,
-                              -(lr * ld.rho), state.z_scales)
+                                     config.epsilon, direction)
+            axpy_perturbation(state.params, state.pairs, direction, -(lr * ld.rho))
             loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
         elif config.family == "spsa_dense_subspace":
             ld, est = dense_subspace_probe(problem, state.params, batch,

@@ -249,15 +249,15 @@ class Direction:
     """A seeded perturbation with its stream values already drawn.
 
     ``cores`` holds the ``r_i**2`` core values of every matrix layer in
-    layer order, as one flat array of q floats.  ``vectors`` holds the
-    values of the vector layers in layer order when their total is at most
-    the largest matrix layer's size, and is ``None`` otherwise: then each
-    pass replays them from the seed.  So the kept values never outgrow one
-    matrix layer, and a model of vector layers only holds no
-    parameter-sized draw.  ``large`` records a matrix layer above
-    ``_DOT_MAX_ENTRIES``.  Every function that takes a seed also takes a
-    ``Direction`` in its place, so a step draws once and its passes replay
-    at most the vector layers.
+    layer order, as one flat array of q floats, norm-aligned if drawn so.
+    ``vectors`` holds the values of the vector layers in layer order when
+    their total is at most the largest matrix layer's size, and is ``None``
+    otherwise: then each pass replays them from the seed.  So the kept
+    values never outgrow one matrix layer, and a model of vector layers
+    only holds no parameter-sized draw.  ``large`` records a matrix layer
+    above ``_DOT_MAX_ENTRIES``.  Every function that takes a seed also
+    takes a ``Direction`` in its place, so a step draws once and its passes
+    replay at most the vector layers.
 
     ``factored`` is false on a drawn direction.  :func:`axpy_perturbation`
     sets it on a copy for its pass when ``large`` is set, and
@@ -279,15 +279,24 @@ class Direction:
 
 def draw_direction(params: Sequence[np.ndarray],
                    pairs: Sequence[Optional[ProjectionPair]],
-                   seed: int | Direction) -> Direction:
+                   seed: int | Direction,
+                   z_scales: Optional[Sequence[float]] = None) -> Direction:
     """Draw the matrix-layer cores of a seeded perturbation, and the vector
     layers' values when they fit the largest matrix layer, walking the
     stream in layer order and skipping what is not kept; a ``Direction`` is
-    returned as is."""
+    returned as is.  ``z_scales`` (norm alignment) multiplies each drawn
+    core by its layer's scale, so no pass applies one.  A scale other than
+    1.0 on a vector layer, which is replayed unscaled, and ``z_scales``
+    passed with a drawn ``Direction`` raise ``ValueError``."""
     if isinstance(seed, Direction):
+        if z_scales is not None:
+            raise ValueError("a drawn direction is already scaled; "
+                             "pass z_scales when drawing it")
         return seed
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
+    if z_scales is not None and len(z_scales) != len(params):
+        raise ShapeError("z_scales must align layer by layer")
     q = kept = largest = 0
     for w, pair in zip(params, pairs):
         if pair is None:
@@ -310,6 +319,15 @@ def draw_direction(params: Sequence[np.ndarray],
         else:
             start = stream.index - at
             vectors[start:start + w.size] = stream.normals(w.size)
+    if z_scales is not None:
+        at = 0
+        for pair, scale in zip(pairs, z_scales):
+            if pair is not None:
+                n = pair.rank ** 2
+                cores[at:at + n] *= scale
+                at += n
+            elif scale != 1.0:
+                raise ValueError(f"a vector layer cannot be scaled, got {scale}")
     return Direction(stream.seed, cores, vectors, largest > _DOT_MAX_ENTRIES)
 
 
@@ -323,23 +341,24 @@ def iter_perturbation_layers(
     :class:`Direction`, one at a time.
 
     Layer ``i`` is ``z`` (full Gaussian, layer-shaped) when ``pairs[i]`` is
-    ``None`` and ``scale * U Z V^T`` otherwise, always in the layer's native
-    shape.  Matrix cores and kept vector values come from the direction (an
-    int seed is drawn first), other vector layers from the stream at their
+    ``None`` and ``U Z V^T`` otherwise, always in the layer's native shape.
+    Matrix cores and kept vector values come from the direction (an int
+    seed is drawn first, with ``z_scales`` if given; see
+    :func:`draw_direction`), other vector layers from the stream at their
     counter offset, so a seed and its drawn direction yield the same values
     bit for bit.  Every pass of :func:`axpy_perturbation` walks this
     sequence.  For a ``factored`` direction, which only that pass makes, a
     matrix layer above ``_DOT_MAX_ENTRIES`` that is C-contiguous or in the
-    pair's geometry is yielded as the tuple ``(u, Z, v, scale)`` instead.
+    pair's geometry is yielded as the tuple ``(u, Z, v)`` instead.
+    ``z_scales`` is only passed on to :func:`draw_direction`; it stays a
+    parameter because the benchmark's tracer (``perfbench/tracing.py``)
+    wraps this function with four positional parameters.
     """
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
-    if z_scales is not None and len(z_scales) != len(params):
-        raise ShapeError("z_scales must align layer by layer")
-    direction = draw_direction(params, pairs, seed)
+    direction = draw_direction(params, pairs, seed, z_scales)
     cores = direction.cores
     stream = None
-    i = 0       # layer index
     index = 0   # stream counter at the current layer
     at = 0      # offset of the current core in ``cores``
     for w, pair in zip(params, pairs):
@@ -365,9 +384,7 @@ def iter_perturbation_layers(
             at += n
             index += n
             if direction.factored and _yields_factors(w, pair):
-                scale = 1.0 if z_scales is None else float(z_scales[i])
-                i += 1
-                yield u, z, v, scale
+                yield u, z, v
                 continue
             if w.size <= _DOT_MAX_ENTRIES:
                 delta = u.dot(z.dot(v.T))
@@ -375,11 +392,6 @@ def iter_perturbation_layers(
                 delta = u @ (z @ v.T)
             if delta.shape != w.shape:
                 delta = delta.reshape(w.shape)
-        if z_scales is not None:
-            scale = float(z_scales[i])
-            if scale != 1.0:
-                delta *= scale
-        i += 1
         yield delta
 
 
@@ -395,13 +407,12 @@ def held_out_factors(
     params: Sequence[np.ndarray],
     pairs: Sequence[Optional[ProjectionPair]],
     direction: Direction,
-    z_scales: Optional[Sequence[float]] = None,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The layers a loss can take in factored form, as ``{i: (u, scale * Z,
-    v)}``: those a factored pass yields as factors whose pair is in the
-    layer's own shape, so ``h @ W`` gains ``((h @ u) @ (scale * Z)) @ v.T``.
-    A pass of :func:`axpy_perturbation` that skips exactly these indices
-    costs them nothing.  Empty unless ``direction.large``."""
+    """The layers a loss can take in factored form, as ``{i: (u, Z, v)}``:
+    those a factored pass yields as factors whose pair is in the layer's
+    own shape, so ``h @ W`` gains ``((h @ u) @ Z) @ v.T``.  A pass of
+    :func:`axpy_perturbation` that skips exactly these indices costs them
+    nothing.  Empty unless ``direction.large``."""
     factors = {}
     at = 0      # offset of the current core in ``direction.cores``
     for i, (w, pair) in enumerate(zip(params, pairs)):
@@ -409,18 +420,15 @@ def held_out_factors(
             continue
         r = pair.rank
         if _yields_factors(w, pair) and w.shape == (pair.u.shape[0], pair.v.shape[0]):
-            z = direction.cores[at:at + r * r].reshape(r, r)
-            if z_scales is not None:
-                z = float(z_scales[i]) * z
-            factors[i] = (pair.u, z, pair.v)
+            factors[i] = (pair.u, direction.cores[at:at + r * r].reshape(r, r), pair.v)
         at += r * r
     return factors
 
 
 def _add_rows(w: np.ndarray, u: np.ndarray, z: np.ndarray, v: np.ndarray,
-              scale: float, coeff: float) -> None:
-    """Add ``coeff * scale * (u @ core)``, with ``core = z @ v.T``, to ``w``
-    in place, in the geometry of ``u @ core``, one block of rows at a time
+              coeff: float) -> None:
+    """Add ``coeff * (u @ core)``, with ``core = z @ v.T``, to ``w`` in
+    place, in the geometry of ``u @ core``, one block of rows at a time
     through one reused buffer.
 
     Each block is scaled in the order a whole delta is, and on the BLAS
@@ -438,21 +446,19 @@ def _add_rows(w: np.ndarray, u: np.ndarray, z: np.ndarray, v: np.ndarray,
     try:
         while done < m:
             target = w[done:done + rows]
-            target += _block(buf, u[done:done + rows], core, scale, coeff)
+            target += _block(buf, u[done:done + rows], core, coeff)
             done += rows
     except BaseException:
         for start in range(0, done, rows):
             target = w[start:start + rows]
-            target -= _block(buf, u[start:start + rows], core, scale, coeff)
+            target -= _block(buf, u[start:start + rows], core, coeff)
         raise
 
 
-def _block(buf: np.ndarray, u_rows: np.ndarray, core: np.ndarray, scale: float,
+def _block(buf: np.ndarray, u_rows: np.ndarray, core: np.ndarray,
            coeff: float) -> np.ndarray:
     block = buf[:u_rows.shape[0]]
     np.matmul(u_rows, core, out=block)
-    if scale != 1.0:
-        block *= scale
     block *= coeff
     return block
 
@@ -462,7 +468,6 @@ def axpy_perturbation(
     pairs: Sequence[Optional[ProjectionPair]],
     seed: int | Direction,
     coeff: float,
-    z_scales: Optional[Sequence[float]] = None,
     skip: Collection[int] = (),
 ) -> None:
     """Add ``coeff`` times the perturbation of a seed or a drawn
@@ -485,8 +490,7 @@ def axpy_perturbation(
                            True, True)
     done = 0
     try:
-        for w, delta in zip(params, iter_perturbation_layers(params, pairs, layers,
-                                                             z_scales)):
+        for w, delta in zip(params, iter_perturbation_layers(params, pairs, layers)):
             if done in skip:
                 pass
             elif type(delta) is tuple:
@@ -497,8 +501,7 @@ def axpy_perturbation(
             done += 1
     except BaseException:
         if done:
-            axpy_perturbation(params[:done], pairs[:done], direction, -coeff,
-                              None if z_scales is None else z_scales[:done], skip)
+            axpy_perturbation(params[:done], pairs[:done], direction, -coeff, skip)
         raise
 
 

@@ -448,6 +448,32 @@ class TestEstimateCommand:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+@pytest.mark.parametrize("problem", [
+    {"layer_shapes": [[0, 3]]},
+    {"layer_shapes": [[3, 3, 3]]},
+    {"dataset_size": 0},
+    {"dataset_size": -5},
+    {"family": "mlp", "hidden": [0]},
+    {"family": "mlp", "n_features": 0},
+    {"lam_max": 0},
+    {"kappa": -1},
+], ids=["shape_zero", "shape_three_dims", "dataset_size_zero",
+        "dataset_size_negative", "hidden_zero", "n_features_zero",
+        "lam_max_zero", "kappa_negative"])
+def test_bad_problem_sections_are_config_errors(tmp_path, capsys, command, problem):
+    # refused when the config is read: exit 2, no traceback, nothing written
+    path = write_config(tmp_path / "cfg.json", {
+        "problem": {"family": "quadratic", "layer_shapes": [[4, 4]],
+                    "dataset_size": 16, **problem},
+        "optimizer": {"steps": 5, "batch_size": 4, "rank": 2},
+        "estimate": {"n_mc": 5}})
+    rc = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: bad problem section")
+    assert not (tmp_path / "o").exists()
+
+
 class TestMainEntry:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit) as exc:

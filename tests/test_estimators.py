@@ -13,7 +13,7 @@ from subzero.estimators import (DENSE_ENTRY_CAP, LossDifference,
                                 two_sided_loss_diff)
 from subzero.numcore import GaussianStream, stack_params
 from subzero.perturbation import (_DOT_MAX_ENTRIES, build_pairs,
-                                  iter_perturbation_layers,
+                                  draw_direction, iter_perturbation_layers,
                                   plan_alignment_scales)
 from subzero.problems import MlpProblem, QuadraticProblem, full_batch
 from subzero.verification import estimator_diagnostics
@@ -171,8 +171,8 @@ class TestSubzeroEstimate:
     def test_z_scales_scale_the_probe_direction(self):
         prob, params, pairs, batch = quadratic_setup()
         scales = [2.0, 1.0]
-        ld = two_sided_loss_diff(prob, params, pairs, batch, 1e-4, seed=9,
-                                 z_scales=scales)
+        ld = two_sided_loss_diff(prob, params, pairs, batch, 1e-4,
+                                 seed=draw_direction(params, pairs, 9, scales))
         g = stack_params(prob.exact_gradient(params, batch))
         delta = stack_params(list(
             iter_perturbation_layers(params, pairs, 9, z_scales=scales)))
@@ -309,10 +309,11 @@ class TestHeldOutLayers:
         prob, params, pairs, batch = held_out_setup()
         z_scales = plan_alignment_scales(pairs) if scaled else None
         for seed in range(6):
+            direction = draw_direction(params, pairs, seed, z_scales)
             factored = two_sided_loss_diff(prob, params, pairs, batch, 1e-3,
-                                           seed, z_scales)
+                                           direction)
             in_place = two_sided_loss_diff(_Counting(prob), params, pairs, batch,
-                                           1e-3, seed, z_scales)
+                                           1e-3, direction)
             assert factored.rho == pytest.approx(in_place.rho, rel=1e-9)
             assert factored.loss_plus == pytest.approx(in_place.loss_plus, rel=1e-12)
 
@@ -362,9 +363,10 @@ class TestHeldOutLayers:
         params = [w.view(FailingAdd) for w in params]
         w1 = params[0].tobytes()
         before = [np.array(w) for w in params]
+        direction = draw_direction(params, pairs, 3, plan_alignment_scales(pairs))
         with pytest.raises(MemoryError):
             two_sided_loss_diff(_LowRankSpy(prob), params, pairs, batch, 1e-3,
-                                seed=3, z_scales=plan_alignment_scales(pairs))
+                                seed=direction)
         assert params[0].tobytes() == w1
         for w, b in zip(params, before):
             assert np.max(np.abs(w - b)) <= 1e-12

@@ -13,7 +13,8 @@ from subzero.estimators import (dense_subspace_probe, subzero_estimate,
 from subzero.numcore import GaussianStream, derive_seed, stack_params
 from subzero.optimizer import (OptimizerConfig, TrainerState, init_state, step,
                                theoretical_step_size, train, _TAG_STEP)
-from subzero.perturbation import build_pairs, iter_perturbation_layers
+from subzero.perturbation import (build_pairs, draw_direction,
+                                  iter_perturbation_layers)
 from subzero.problems import (Minibatch, MlpProblem, QuadraticProblem,
                               QuarticProblem, full_batch, sample_minibatch)
 
@@ -335,7 +336,8 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
     with pytest.raises((exc, StepFailure)):
         if target == "probe":
             two_sided_loss_diff(prob, state.params, pairs, batch, cfg.epsilon,
-                                seed=5, z_scales=state.z_scales)
+                                seed=draw_direction(state.params, pairs, 5,
+                                                    state.z_scales))
         elif target == "dense_probe":
             dense_subspace_probe(prob, state.params, batch, cfg.epsilon,
                                  cfg.dense_q, seed=5)

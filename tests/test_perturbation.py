@@ -313,6 +313,7 @@ class TestDrawnDirection:
     def walk_the_stream(params, pairs, seed, z_scales):
         # the definition: one stream walked in layer order, r**2 core values
         # per matrix layer and size values per vector layer
+        # per matrix layer, scaled by its z_scale as drawn
         s = GaussianStream(seed)
         out = []
         for i, (w, pair) in enumerate(zip(params, pairs)):
@@ -320,9 +321,9 @@ class TestDrawnDirection:
                 delta = s.normals(w.size).reshape(w.shape)
             else:
                 z = gaussian_matrix(s, pair.rank, pair.rank)
+                if z_scales is not None:
+                    z = float(z_scales[i]) * z
                 delta = (pair.u @ (z @ pair.v.T)).reshape(w.shape)
-            if z_scales is not None and z_scales[i] != 1.0:
-                delta *= z_scales[i]
             out.append(delta)
         return out
 
@@ -330,16 +331,18 @@ class TestDrawnDirection:
     def test_drawn_direction_replays_the_seed_bit_for_bit(self, aligned):
         params, pairs, scales = self.layers()
         z_scales = scales if aligned else None
-        direction = draw_direction(params, pairs, 17)
+        direction = draw_direction(params, pairs, 17, z_scales)
         assert direction.seed == 17 and direction.cores.size == 3 * 9
         expected = self.walk_the_stream(params, pairs, 17, z_scales)
-        for seed in (17, direction):
-            got = list(iter_perturbation_layers(params, pairs, seed, z_scales))
+        for seed, seed_scales in ((17, z_scales), (direction, None)):
+            got = list(iter_perturbation_layers(params, pairs, seed, seed_scales))
             assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
         moved = []
-        for seed in (17, direction):
+        # a pass scales nothing, so an aligned int seed is drawn first
+        for seed in (draw_direction(params, pairs, 17, z_scales) if aligned else 17,
+                     direction):
             work = [w.copy() for w in params]
-            axpy_perturbation(work, pairs, seed, -0.3, z_scales)
+            axpy_perturbation(work, pairs, seed, -0.3)
             moved.append(b"".join(w.tobytes() for w in work))
         assert moved[0] == moved[1]
 
@@ -353,6 +356,64 @@ class TestDrawnDirection:
         params, pairs, _ = self.layers()
         with pytest.raises(ShapeError):
             draw_direction(params, pairs[:-1], 3)
+
+    # both entry points draw, so both check z_scales
+    DRAWS = pytest.mark.parametrize("call", [
+        draw_direction, lambda *args: list(iter_perturbation_layers(*args))],
+        ids=["draw_direction", "iter_perturbation_layers"])
+
+    def test_z_scales_multiply_each_matrix_core_as_drawn(self):
+        params, pairs, scales = self.layers()
+        # the native 4x3 and the 8x2 relaid to 4x4 are scaled, not just 1.0
+        assert pairs[2].shape == LayerShape(4, 4) and params[2].shape == (8, 2)
+        assert scales[0] != 1.0 and scales[2] != 1.0
+        plain = draw_direction(params, pairs, 17)
+        scaled = draw_direction(params, pairs, 17, scales)
+        at = 0
+        for pair, scale in zip(pairs, scales):
+            if pair is None:
+                continue
+            n = pair.rank ** 2
+            expected = float(scale) * plain.cores[at:at + n]
+            assert scaled.cores[at:at + n].tobytes() == expected.tobytes()
+            at += n
+        assert at == scaled.cores.size
+        assert scaled.vectors.tobytes() == plain.vectors.tobytes()
+        assert (scaled.seed, scaled.large) == (plain.seed, plain.large)
+
+    @DRAWS
+    def test_a_drawn_direction_is_not_scaled_again(self, call):
+        params, pairs, scales = self.layers()
+        direction = draw_direction(params, pairs, 17, scales)
+        cores = direction.cores.copy()
+        with pytest.raises(ValueError):
+            call(params, pairs, direction, scales)
+        assert direction.cores.tobytes() == cores.tobytes()
+
+    @DRAWS
+    def test_a_vector_layer_scale_other_than_one_is_refused(self, call):
+        # a replayed vector layer could not carry it
+        params, pairs, scales = self.layers()
+        assert pairs[1] is None and scales[1] == 1.0
+        scales[1] = 2.0
+        with pytest.raises(ValueError):
+            call(params, pairs, 17, scales)
+
+    @DRAWS
+    def test_z_scales_of_the_wrong_length_raise_before_drawing(self, call,
+                                                              monkeypatch):
+        params, pairs, scales = self.layers()
+        drawn = []
+        normals = GaussianStream.normals
+
+        def counting_normals(stream, n):
+            drawn.append(n)
+            return normals(stream, n)
+
+        monkeypatch.setattr(GaussianStream, "normals", counting_normals)
+        with pytest.raises(ShapeError):
+            call(params, pairs, 17, scales[:-1])
+        assert drawn == []
 
 
     def test_vectors_are_kept_when_they_fit_the_largest_matrix_layer(self):
@@ -405,7 +466,8 @@ class TestRowBlockPass:
         z_scales = scales if aligned else None
         deltas = list(iter_perturbation_layers(params, pairs, 21, z_scales))
         work = [w.copy() for w in params]
-        axpy_perturbation(work, pairs, 21, -0.7, z_scales)
+        axpy_perturbation(work, pairs, draw_direction(params, pairs, 21, z_scales),
+                          -0.7)
         for w, before, delta in zip(work, params, deltas):
             expected = before + -0.7 * delta
             assert np.max(np.abs(w - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -417,7 +479,7 @@ class TestRowBlockPass:
         params, pairs, scales = self.layers(kind)
         deltas = list(iter_perturbation_layers(params, pairs, 21, scales))
         work = [np.array(w, order="F") for w in params]
-        axpy_perturbation(work, pairs, 21, 0.3, scales)
+        axpy_perturbation(work, pairs, draw_direction(params, pairs, 21, scales), 0.3)
         for w, before, delta in zip(work, params, deltas):
             expected = before + 0.3 * delta
             assert np.max(np.abs(w - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -441,8 +503,9 @@ class TestRowBlockPass:
             calls.append(seed)
             return walk(params, pairs, seed, z_scales)
 
+        direction = draw_direction(params, pairs, 21, scales)
         monkeypatch.setattr(perturbation, "iter_perturbation_layers", counting)
-        axpy_perturbation(params, pairs, 21, 0.5, scales)
+        axpy_perturbation(params, pairs, direction, 0.5)
         (seed,) = calls
         assert isinstance(seed, Direction) and seed.factored
 
@@ -460,20 +523,23 @@ class TestRowBlockPass:
         plans = plan_layers(params, 16)
         pairs = pairs_from_plan(GaussianStream(4), plans)
         scales = plan_alignment_scales(plans)
-        direction = draw_direction(params, pairs, 21)
+        direction = draw_direction(params, pairs, 21, scales)
         factored = Direction(direction.seed, direction.cores, direction.vectors,
                              True, True)
-        yielded = list(iter_perturbation_layers(params, pairs, factored, scales))
+        yielded = list(iter_perturbation_layers(params, pairs, factored))
         native = [i for i, d in enumerate(yielded) if type(d) is tuple
                   and params[i].shape == (pairs[i].u.shape[0], pairs[i].v.shape[0])]
         assert native == [0, 6] and type(yielded[2]) is tuple
-        held = perturbation.held_out_factors(params, pairs, direction, scales)
+        held = perturbation.held_out_factors(params, pairs, direction)
         assert sorted(held) == native
+        plain = perturbation.held_out_factors(params, pairs,
+                                              draw_direction(params, pairs, 21))
         for i in native:
-            u, z, v, scale = yielded[i]
+            u, z, v = yielded[i]
             held_u, held_z, held_v = held[i]
             assert held_u is u and held_v is v
-            assert np.array_equal(held_z, scale * z)
+            assert np.array_equal(held_z, z)
+            assert np.array_equal(held_z, scales[i] * plain[i][1])
         assert perturbation.held_out_factors(params[4:6], pairs[4:6],
                                              draw_direction(params[4:6], pairs[4:6],
                                                             21)) == {}
@@ -494,15 +560,19 @@ class TestPerturbRestore:
         (lambda p, pairs: perturb_params_inplace(
             p, pairs, PerturbSpec(epsilon=0.5, seed=8, direction=1)), 0.5, None),
         (lambda p, pairs: axpy_perturbation(p, pairs, 8, -0.3), -0.3, None),
-        (lambda p, pairs: axpy_perturbation(p, pairs, 8, 0.5, [3.0, 1.0]),
-         0.5, [3.0, 1.0]),
+        (lambda p, pairs: axpy_perturbation(
+            p, pairs, draw_direction(p, pairs, 8, [3.0, 1.0]), 0.5), 0.5, [3.0, 1.0]),
     ], ids=["perturb_spec", "axpy_negative", "axpy_z_scales"])
     def test_plus_pass_lands_where_expected(self, apply, coeff, z_scales):
         params = two_layer_params(3)
         before = [w.copy() for w in params]
         pairs = build_pairs(GaussianStream(1), params, 2)
-        deltas = list(iter_perturbation_layers(params, pairs, seed=8,
-                                               z_scales=z_scales))
+        # u (s Z V^T), with s the layer's z_scale, then the bias's values
+        s = GaussianStream(8)
+        z = gaussian_matrix(s, 2, 2)
+        if z_scales is not None:
+            z = float(z_scales[0]) * z
+        deltas = [pairs[0].u @ (z @ pairs[0].v.T), s.normals(5)]
         apply(params, pairs)
         for w, b, d in zip(params, before, deltas):
             assert np.array_equal(w, b + coeff * d)
