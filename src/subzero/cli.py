@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import traceback
@@ -75,10 +76,17 @@ class ProblemSpec:
                     and all(type(n) is int and n >= 1 for n in shape)):
                 raise ValueError(f"a layer shape must be one or two positive ints, "
                                  f"got {shape!r}")
-        if min(self.dataset_size, self.n_features, self.n_outputs, *self.hidden) < 1:
-            raise ValueError(f"sizes and widths must be at least 1, got {self}")
+        sizes = (self.dataset_size, self.n_features, self.n_outputs, *self.hidden)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   and n >= 1 for n in sizes):
+            raise ValueError(f"sizes and widths must be integers of at least 1, "
+                             f"got {self}")
         if not (self.kappa >= 1.0 and self.lam_max > 0.0):
             raise ValueError(f"need kappa >= 1 and lam_max > 0, got {self}")
+        if not (0.0 <= self.flip_fraction <= 1.0 and self.l2 >= 0.0
+                and self.noise >= 0.0):
+            raise ValueError(f"need flip_fraction in [0, 1], l2 >= 0 and "
+                             f"noise >= 0, got {self}")
 
 
 @dataclass(frozen=True)

@@ -134,15 +134,16 @@ def two_sided_loss_diff(
     perturbation, restoring the parameters before returning.
 
     ``seed`` is an int or a :class:`~subzero.perturbation.Direction`; a
-    norm-aligned probe passes a direction drawn with its scales.  The
+    norm-aligned probe passes a direction drawn with ``aligned=True``.  The
     direction is drawn once and the three in-place passes of
     :func:`axpy_perturbation` share it, so nothing layer-sized is retained
     between passes, and each pass holds one transient buffer: a small
     layer's delta or a row block of at most 256 kB of a large one.
 
-    Some layers are held out of the passes and never written: those of
-    more than ``_DOT_MAX_ENTRIES`` entries whose pair is in the layer's own
-    shape, when the problem sets ``loss_takes_low_rank``.  :func:`_probe`
+    When the problem sets ``loss_takes_low_rank``, some layers are held
+    out of the passes and never written: those of more than
+    ``_DOT_MAX_ENTRIES`` entries whose pair is in the layer's own shape
+    (:func:`~subzero.perturbation.held_out_factors`).  :func:`_probe`
     gives each loss call their perturbation as factors ``(u, coeff * Z,
     v)`` instead, at the coefficient the passes have applied to the other
     layers.  The probe losses then agree with the in-place ones to
@@ -152,7 +153,7 @@ def two_sided_loss_diff(
     """
     direction = draw_direction(params, pairs, seed)
     held = None
-    if direction.large and getattr(problem, "loss_takes_low_rank", False):
+    if getattr(problem, "loss_takes_low_rank", False):
         held = held_out_factors(params, pairs, direction) or None
 
     def apply(coeff: float) -> None:

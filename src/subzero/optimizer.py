@@ -1,18 +1,19 @@
 """Training loop around the two-point estimators.
 
 A step of the layer-wise family never forms a gradient object.  It draws
-its direction once from the step seed (the q matrix-layer core values,
-multiplied by their norm-alignment scales under ``scale_z``, and the vector
-layers' values when they fit the largest matrix layer), probes
-the loss twice along that direction, then replays it in one more
-``axpy_perturbation`` pass with coefficient ``-lr * rho``.  The probe's
-three passes skip the layers the problem's loss takes in factored form
-(large native MLP layers; see :func:`~subzero.estimators.two_sided_loss_diff`),
-so the update is the only pass that writes them.  Peak transient memory
-is therefore the drawn direction plus one buffer of at most a small layer
-or a 256 kB row block of a large one, or the loss evaluation's activations
-if they are larger, however many layers the model has, and a failed step
-leaves the parameters where it found them.
+its direction once from the step seed (the q matrix-layer core values, each
+multiplied under ``scale_z`` by the norm-alignment scale ``sqrt(m * n) / r``
+read from its pair, and the vector layers' values when they fit the largest
+matrix layer), probes the loss twice along that direction, then replays it
+in one more ``axpy_perturbation`` pass with coefficient ``-lr * rho``.  The
+probe's three passes skip the layers the problem's loss takes in factored
+form (large native MLP layers; see
+:func:`~subzero.estimators.two_sided_loss_diff`), so the update is the only
+pass that writes them.  Peak transient memory is therefore the drawn
+direction plus one buffer of at most a small layer or a 256 kB row block of
+a large one, or the loss evaluation's activations if they are larger,
+however many layers the model has, and a failed step leaves the parameters
+where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``
 through tagged hashes, with the step index mixed in.  Per-step perturbation
@@ -24,6 +25,7 @@ aside) and runs with different seeds are unrelated.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -34,7 +36,7 @@ from .errors import ConfigError, ShapeError, StepFailure, SubzeroError
 from .numcore import GaussianStream, derive_seed
 from .perturbation import (RESHAPE_POLICIES, LayerPlan, ProjectionPair,
                            _axpy_stored, axpy_perturbation, draw_direction,
-                           pairs_from_plan, plan_alignment_scales, plan_layers)
+                           pairs_from_plan, plan_layers)
 from .estimators import dense_subspace_probe, two_sided_loss_diff
 from .problems import full_batch, sample_minibatch
 
@@ -65,6 +67,11 @@ class OptimizerConfig:
     eval_interval: int = 500
 
     def __post_init__(self):
+        for name in ("steps", "batch_size", "rank", "refresh_period", "dense_q",
+                     "master_seed", "eval_interval"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown estimator family {self.family!r}")
         if self.schedule not in SCHEDULES:
@@ -110,7 +117,6 @@ class TrainerState:
     step: int = 0
     pairs: Optional[list[Optional[ProjectionPair]]] = None
     plans: Optional[list[LayerPlan]] = None
-    z_scales: Optional[list[float]] = None
     pinned_pairs: bool = False
 
 
@@ -152,8 +158,7 @@ def init_state(problem, config: OptimizerConfig,
                params: Optional[Sequence[np.ndarray]] = None,
                pairs: Optional[list[Optional[ProjectionPair]]] = None) -> TrainerState:
     """Set up a run: copy the starting point, plan the layer routing, and
-    resolve the norm alignment mode into per-layer core scales (from the
-    pinned pairs when given, since they need not follow the plan)."""
+    pin the given pairs, if any."""
     if params is None:
         work = problem.initial_params()
     else:
@@ -171,9 +176,6 @@ def init_state(problem, config: OptimizerConfig,
                 raise ShapeError("pinned pairs must align with the parameters")
             state.pairs = list(pairs)
             state.pinned_pairs = True
-        if config.alignment == "scale_z":
-            state.z_scales = plan_alignment_scales(
-                state.pairs if state.pinned_pairs else state.plans)
     return state
 
 
@@ -199,7 +201,7 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
             if config.family == "subzero":
                 _refresh_pairs(state, config)
             direction = draw_direction(state.params, state.pairs, seed_t,
-                                       state.z_scales)
+                                       config.alignment == "scale_z")
             ld = two_sided_loss_diff(problem, state.params, state.pairs, batch,
                                      config.epsilon, direction)
             axpy_perturbation(state.params, state.pairs, direction, -(lr * ld.rho))

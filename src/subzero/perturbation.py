@@ -10,7 +10,9 @@ marked by a ``None`` entry in the pairs list.
 Perturbations are never stored whole.  A step draws its direction once:
 :func:`draw_direction` walks the layers in stream order and draws the
 ``r_i**2`` core values of each matrix layer into one flat array of
-``q = sum r_i**2`` floats.  The ``size`` values each vector layer owns are
+``q = sum r_i**2`` floats, each core multiplied as it is drawn by the
+norm-alignment scale ``sqrt(m * n) / r`` of its pair when the direction is
+drawn aligned.  The ``size`` values each vector layer owns are
 drawn into a second flat array when their total is at most the largest
 matrix layer's size, and skipped otherwise.  Every pass of
 :func:`axpy_perturbation` then reads its values from those arrays and
@@ -254,49 +256,38 @@ class Direction:
     their total is at most the largest matrix layer's size, and is ``None``
     otherwise: then each pass replays them from the seed.  So the kept
     values never outgrow one matrix layer, and a model of vector layers
-    only holds no parameter-sized draw.  ``large`` records a matrix layer
-    above ``_DOT_MAX_ENTRIES``.  Every function that takes a seed also
-    takes a ``Direction`` in its place, so a step draws once and its passes
-    replay at most the vector layers.
-
-    ``factored`` is false on a drawn direction.  :func:`axpy_perturbation`
-    sets it on a copy for its pass when ``large`` is set, and
-    :func:`iter_perturbation_layers` then yields each large matrix layer as
-    factors instead of a layer-sized array.
+    only holds no parameter-sized draw.  Every function that takes a seed
+    also takes a ``Direction`` in its place, so a step draws once and its
+    passes replay at most the vector layers.
     """
 
-    __slots__ = ("seed", "cores", "vectors", "large", "factored")
+    __slots__ = ("seed", "cores", "vectors")
 
     def __init__(self, seed: int, cores: np.ndarray,
-                 vectors: Optional[np.ndarray] = None, large: bool = False,
-                 factored: bool = False):
+                 vectors: Optional[np.ndarray] = None):
         self.seed = seed
         self.cores = cores
         self.vectors = vectors
-        self.large = large
-        self.factored = factored
 
 
 def draw_direction(params: Sequence[np.ndarray],
                    pairs: Sequence[Optional[ProjectionPair]],
-                   seed: int | Direction,
-                   z_scales: Optional[Sequence[float]] = None) -> Direction:
+                   seed: int | Direction, aligned: bool = False) -> Direction:
     """Draw the matrix-layer cores of a seeded perturbation, and the vector
     layers' values when they fit the largest matrix layer, walking the
     stream in layer order and skipping what is not kept; a ``Direction`` is
-    returned as is.  ``z_scales`` (norm alignment) multiplies each drawn
-    core by its layer's scale, so no pass applies one.  A scale other than
-    1.0 on a vector layer, which is replayed unscaled, and ``z_scales``
-    passed with a drawn ``Direction`` raise ``ValueError``."""
+    returned as is.  ``aligned`` (norm alignment, ``"scale_z"``) multiplies
+    each core as it is drawn by ``sqrt(m * n) / r``, read from its pair, so
+    the low-rank perturbation has the Frobenius norm a full Gaussian would
+    in expectation and no pass scales anything.  ``aligned`` with a drawn
+    ``Direction`` raises ``ValueError``, so nothing is scaled twice."""
     if isinstance(seed, Direction):
-        if z_scales is not None:
-            raise ValueError("a drawn direction is already scaled; "
-                             "pass z_scales when drawing it")
+        if aligned:
+            raise ValueError("aligned applies when a direction is drawn, "
+                             "not to a drawn one")
         return seed
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
-    if z_scales is not None and len(z_scales) != len(params):
-        raise ShapeError("z_scales must align layer by layer")
     q = kept = largest = 0
     for w, pair in zip(params, pairs):
         if pair is None:
@@ -312,30 +303,24 @@ def draw_direction(params: Sequence[np.ndarray],
     for w, pair in zip(params, pairs):
         if pair is not None:
             n = pair.rank ** 2
-            cores[at:at + n] = stream.normals(n)
+            core = cores[at:at + n]
+            core[:] = stream.normals(n)
+            if aligned:
+                core *= math.sqrt(pair.u.shape[0] * pair.v.shape[0]) / pair.rank
             at += n
         elif vectors is None:
             stream.skip(w.size)
         else:
             start = stream.index - at
             vectors[start:start + w.size] = stream.normals(w.size)
-    if z_scales is not None:
-        at = 0
-        for pair, scale in zip(pairs, z_scales):
-            if pair is not None:
-                n = pair.rank ** 2
-                cores[at:at + n] *= scale
-                at += n
-            elif scale != 1.0:
-                raise ValueError(f"a vector layer cannot be scaled, got {scale}")
-    return Direction(stream.seed, cores, vectors, largest > _DOT_MAX_ENTRIES)
+    return Direction(stream.seed, cores, vectors)
 
 
 def iter_perturbation_layers(
     params: Sequence[np.ndarray],
     pairs: Sequence[Optional[ProjectionPair]],
     seed: int | Direction,
-    z_scales: Optional[Sequence[float]] = None,
+    factored: bool = False,
 ) -> Iterator[np.ndarray]:
     """Yield each layer's unit perturbation for a seed or a drawn
     :class:`Direction`, one at a time.
@@ -343,20 +328,16 @@ def iter_perturbation_layers(
     Layer ``i`` is ``z`` (full Gaussian, layer-shaped) when ``pairs[i]`` is
     ``None`` and ``U Z V^T`` otherwise, always in the layer's native shape.
     Matrix cores and kept vector values come from the direction (an int
-    seed is drawn first, with ``z_scales`` if given; see
-    :func:`draw_direction`), other vector layers from the stream at their
-    counter offset, so a seed and its drawn direction yield the same values
-    bit for bit.  Every pass of :func:`axpy_perturbation` walks this
-    sequence.  For a ``factored`` direction, which only that pass makes, a
-    matrix layer above ``_DOT_MAX_ENTRIES`` that is C-contiguous or in the
-    pair's geometry is yielded as the tuple ``(u, Z, v)`` instead.
-    ``z_scales`` is only passed on to :func:`draw_direction`; it stays a
-    parameter because the benchmark's tracer (``perfbench/tracing.py``)
-    wraps this function with four positional parameters.
+    seed is drawn first, unaligned; see :func:`draw_direction`), other
+    vector layers from the stream at their counter offset, so a seed and
+    its drawn direction yield the same values bit for bit.  Every pass of
+    :func:`axpy_perturbation` walks this sequence with ``factored`` set:
+    then a matrix layer above ``_DOT_MAX_ENTRIES`` that is C-contiguous or
+    in the pair's geometry is yielded as the tuple ``(u, Z, v)`` instead.
     """
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
-    direction = draw_direction(params, pairs, seed, z_scales)
+    direction = draw_direction(params, pairs, seed)
     cores = direction.cores
     stream = None
     index = 0   # stream counter at the current layer
@@ -383,11 +364,11 @@ def iter_perturbation_layers(
             z = cores[at:at + n].reshape(r, r)
             at += n
             index += n
-            if direction.factored and _yields_factors(w, pair):
-                yield u, z, v
-                continue
             if w.size <= _DOT_MAX_ENTRIES:
                 delta = u.dot(z.dot(v.T))
+            elif factored and _yields_factors(w, pair):
+                yield u, z, v
+                continue
             else:
                 delta = u @ (z @ v.T)
             if delta.shape != w.shape:
@@ -412,7 +393,8 @@ def held_out_factors(
     those a factored pass yields as factors whose pair is in the layer's
     own shape, so ``h @ W`` gains ``((h @ u) @ Z) @ v.T``.  A pass of
     :func:`axpy_perturbation` that skips exactly these indices costs them
-    nothing.  Empty unless ``direction.large``."""
+    nothing.  A large layer in a relayout geometry is not among them: its
+    pass adds it in row blocks.  Empty when no layer qualifies."""
     factors = {}
     at = 0      # offset of the current core in ``direction.cores``
     for i, (w, pair) in enumerate(zip(params, pairs)):
@@ -484,13 +466,12 @@ def axpy_perturbation(
     propagates.
     """
     direction = draw_direction(params, pairs, seed)
-    layers = direction
-    if direction.large:
-        layers = Direction(direction.seed, direction.cores, direction.vectors,
-                           True, True)
     done = 0
     try:
-        for w, delta in zip(params, iter_perturbation_layers(params, pairs, layers)):
+        # factored=True goes positionally: the benchmark's tracer wraps the
+        # generator with four positional parameters and forwards them as given
+        for w, delta in zip(params, iter_perturbation_layers(params, pairs,
+                                                             direction, True)):
             if done in skip:
                 pass
             elif type(delta) is tuple:
@@ -529,19 +510,6 @@ def perturb_params_inplace(
     """Add ``direction * epsilon`` times the seeded perturbation to params;
     see :func:`axpy_perturbation`."""
     axpy_perturbation(params, pairs, spec.seed, float(spec.direction) * spec.epsilon)
-
-
-def plan_alignment_scales(
-        plans: Sequence[LayerPlan | Optional[ProjectionPair]]) -> list[float]:
-    """Per-layer core scales implementing norm alignment (``"scale_z"``).
-
-    Each matrix layer's core draw is multiplied by ``sqrt(m * n) / r`` so
-    the low-rank perturbation has the Frobenius norm a full Gaussian would;
-    vector layers already are full Gaussians and get scale one.  Takes layer
-    plans or the projection pairs applied (``None`` for a vector layer).
-    """
-    return [1.0 if plan is None or plan.shape is None
-            else math.sqrt(plan.shape.size) / plan.rank for plan in plans]
 
 
 def subspace_dimension(params: Sequence[np.ndarray],

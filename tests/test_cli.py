@@ -386,6 +386,25 @@ class TestBenchCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["optimizer", "sweep"])
+    def test_a_fractional_refresh_period_is_a_config_error(self, tmp_path, capsys,
+                                                          where):
+        # step % 1.5 == 0 would refresh every third step; it must not run
+        raw = {
+            "problem": {"family": "quadratic", "layer_shapes": [[6, 6]]},
+            "optimizer": {"steps": 4, "batch_size": 8, "rank": 2},
+        }
+        if where == "optimizer":
+            raw["optimizer"]["refresh_period"] = 1.5
+        else:
+            raw["sweep"] = {"refresh_period": [2, 1.5]}
+        path = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "never"
+        rc = main(["bench", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_rows_per_family(self, tmp_path):
@@ -458,9 +477,20 @@ class TestEstimateCommand:
     {"family": "mlp", "n_features": 0},
     {"lam_max": 0},
     {"kappa": -1},
+    {"flip_fraction": -0.1},
+    {"flip_fraction": 1.5},
+    {"l2": -1e-3},
+    {"noise": -0.05},
+    {"dataset_size": 16.5},
+    {"family": "mlp", "n_features": 6.0},
+    {"family": "mlp", "n_outputs": 4.5},
+    {"family": "mlp", "hidden": [8.5]},
 ], ids=["shape_zero", "shape_three_dims", "dataset_size_zero",
         "dataset_size_negative", "hidden_zero", "n_features_zero",
-        "lam_max_zero", "kappa_negative"])
+        "lam_max_zero", "kappa_negative", "flip_fraction_negative",
+        "flip_fraction_over_one", "l2_negative", "noise_negative",
+        "dataset_size_float", "n_features_float", "n_outputs_float",
+        "hidden_float"])
 def test_bad_problem_sections_are_config_errors(tmp_path, capsys, command, problem):
     # refused when the config is read: exit 2, no traceback, nothing written
     path = write_config(tmp_path / "cfg.json", {

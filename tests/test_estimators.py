@@ -13,8 +13,7 @@ from subzero.estimators import (DENSE_ENTRY_CAP, LossDifference,
                                 two_sided_loss_diff)
 from subzero.numcore import GaussianStream, stack_params
 from subzero.perturbation import (_DOT_MAX_ENTRIES, build_pairs,
-                                  draw_direction, iter_perturbation_layers,
-                                  plan_alignment_scales)
+                                  draw_direction, iter_perturbation_layers)
 from subzero.problems import MlpProblem, QuadraticProblem, full_batch
 from subzero.verification import estimator_diagnostics
 
@@ -169,14 +168,16 @@ class TestSubzeroEstimate:
             subzero_estimate(prob, params, pairs[:1], batch, 1e-4, seed=0)
 
     def test_z_scales_scale_the_probe_direction(self):
+        # the aligned 4x3 core at rank 2 carries sqrt(12) / 2, so rho is the
+        # derivative along the scaled direction, not the plain one
         prob, params, pairs, batch = quadratic_setup()
-        scales = [2.0, 1.0]
-        ld = two_sided_loss_diff(prob, params, pairs, batch, 1e-4,
-                                 seed=draw_direction(params, pairs, 9, scales))
+        direction = draw_direction(params, pairs, 9, aligned=True)
+        ld = two_sided_loss_diff(prob, params, pairs, batch, 1e-4, seed=direction)
         g = stack_params(prob.exact_gradient(params, batch))
-        delta = stack_params(list(
-            iter_perturbation_layers(params, pairs, 9, z_scales=scales)))
+        delta = stack_params(list(iter_perturbation_layers(params, pairs, direction)))
+        plain = stack_params(list(iter_perturbation_layers(params, pairs, 9)))
         assert ld.rho == pytest.approx(float(g @ delta), rel=1e-7)
+        assert float(g @ delta) != pytest.approx(float(g @ plain), rel=1e-3)
 
 
 class TestSpsaFull:
@@ -307,9 +308,8 @@ class TestHeldOutLayers:
     @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scale_z"])
     def test_factored_rho_matches_the_in_place_probe(self, scaled):
         prob, params, pairs, batch = held_out_setup()
-        z_scales = plan_alignment_scales(pairs) if scaled else None
         for seed in range(6):
-            direction = draw_direction(params, pairs, seed, z_scales)
+            direction = draw_direction(params, pairs, seed, scaled)
             factored = two_sided_loss_diff(prob, params, pairs, batch, 1e-3,
                                            direction)
             in_place = two_sided_loss_diff(_Counting(prob), params, pairs, batch,
@@ -363,7 +363,7 @@ class TestHeldOutLayers:
         params = [w.view(FailingAdd) for w in params]
         w1 = params[0].tobytes()
         before = [np.array(w) for w in params]
-        direction = draw_direction(params, pairs, 3, plan_alignment_scales(pairs))
+        direction = draw_direction(params, pairs, 3, aligned=True)
         with pytest.raises(MemoryError):
             two_sided_loss_diff(_LowRankSpy(prob), params, pairs, batch, 1e-3,
                                 seed=direction)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from subzero import optimizer
 from subzero.errors import ConfigError, ShapeError, StepFailure
 from subzero.estimators import (dense_subspace_probe, subzero_estimate,
                                  two_sided_loss_diff)
@@ -44,10 +45,25 @@ class TestConfigValidation:
         {"family": "spsa_full", "alignment": "scale_z"},
         {"alignment": "scale_hyper"},
         {"reshape": "always"},
+        {"refresh_period": 1.5},
+        {"rank": 2.5},
+        {"steps": 2.5},
+        {"batch_size": 4.5},
+        {"dense_q": 2.5},
+        {"rank": True},
+        {"master_seed": 1.0},
+        {"eval_interval": 10.0},
+        {"steps": "5"},
     ])
     def test_rejections(self, overrides):
         with pytest.raises(ConfigError):
             OptimizerConfig(**overrides)
+
+    def test_numpy_integer_counts_pass(self):
+        counts = dict(steps=3, batch_size=4, rank=2, refresh_period=5,
+                      dense_q=8, master_seed=7, eval_interval=9)
+        config = OptimizerConfig(**{k: np.int64(v) for k, v in counts.items()})
+        assert config == OptimizerConfig(**counts)
 
     def test_learning_rate_schedules(self):
         const = OptimizerConfig(learning_rate=0.2, schedule="constant", steps=10)
@@ -337,7 +353,7 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
         if target == "probe":
             two_sided_loss_diff(prob, state.params, pairs, batch, cfg.epsilon,
                                 seed=draw_direction(state.params, pairs, 5,
-                                                    state.z_scales))
+                                                    aligned=True))
         elif target == "dense_probe":
             dense_subspace_probe(prob, state.params, batch, cfg.epsilon,
                                  cfg.dense_q, seed=5)
@@ -417,9 +433,11 @@ def test_step_on_a_512x512_layer_peaks_below_one_layer_buffer():
 @pytest.mark.parametrize("hidden, held_out", [((96,), [0]), ((16,), [])],
                          ids=["held-out", "in-place"])
 def test_a_step_makes_four_passes_and_two_loss_calls(hidden, held_out, monkeypatch):
-    # the benchmark counts one pass per iter_perturbation_layers call and
-    # expects two per loss evaluation; a held-out layer (64x96 here, above
-    # the dot cut-over) changes what the passes add, not how many there are
+    # the benchmark counts one pass per iter_perturbation_layers call, which
+    # it wraps with these four positional parameters, and expects two per
+    # loss evaluation; every pass switches the factored walk on through the
+    # fourth.  A held-out layer (64x96 here, above the dot cut-over) changes
+    # what the passes add, not how many there are
     import subzero.perturbation as perturbation
     prob = MlpProblem.generate(4, n_features=64, hidden=hidden, n_outputs=8,
                                dataset_size=64)
@@ -427,12 +445,11 @@ def test_a_step_makes_four_passes_and_two_loss_calls(hidden, held_out, monkeypat
                           master_seed=1)
     state = init_state(prob, cfg)
     step(prob, state, cfg)      # draws the pairs
-    passes = 0
+    passes = []
     layers = perturbation.iter_perturbation_layers
 
     def counting_layers(params, pairs, seed, z_scales=None):
-        nonlocal passes
-        passes += 1
+        passes.append(z_scales)
         return layers(params, pairs, seed, z_scales)
 
     loss_calls = []
@@ -445,7 +462,7 @@ def test_a_step_makes_four_passes_and_two_loss_calls(hidden, held_out, monkeypat
     monkeypatch.setattr(perturbation, "iter_perturbation_layers", counting_layers)
     monkeypatch.setattr(prob, "loss", counting_loss)
     step(prob, state, cfg)
-    assert passes == 4
+    assert passes == [True] * 4
     assert loss_calls == [held_out, held_out]
 
 
@@ -461,15 +478,29 @@ class TestAlignmentModes:
         scaled = train(prob, OptimizerConfig(alignment="scale_z", **base))
         assert plain.steps[0].rho != scaled.steps[0].rho
 
-    def test_scale_z_follows_pinned_pairs_not_the_plan(self):
+    def test_scale_z_follows_pinned_pairs_not_the_plan(self, monkeypatch):
         # a rank-1 pair pinned on a 6x6 layer under a rank-3 config scales
         # by sqrt(36) / 1, not by the plan's sqrt(36) / 3
         prob = QuadraticProblem.generate(4, [(6, 6), (5,)], dataset_size=32)
         pair = build_pairs(GaussianStream(3), prob.initial_params()[:1], 1)[0]
-        cfg = OptimizerConfig(family="subzero", rank=3, alignment="scale_z")
-        state = init_state(prob, cfg, pairs=[pair, None])
-        assert state.z_scales == [6.0, 1.0]
-        assert init_state(prob, cfg).z_scales == [2.0, 1.0]
+        cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=3,
+                              alignment="scale_z")
+        drawn = []
+        draw = optimizer.draw_direction
+
+        def recording(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(optimizer, "draw_direction", recording)
+        for pinned, rank, scale in (([pair, None], 1, 6.0), (None, 3, 2.0)):
+            state = init_state(prob, cfg, pairs=pinned)
+            step(prob, state, cfg)
+            aligned = drawn.pop()
+            plain = draw(state.params, state.pairs, aligned.seed)
+            assert state.pairs[0].rank == rank
+            assert aligned.cores.tobytes() == (scale * plain.cores).tobytes()
+            assert aligned.vectors.tobytes() == plain.vectors.tobytes()
 
 
 class TestTrainBookkeeping:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from subzero import perturbation
+from subzero import estimators, perturbation
 from subzero.errors import ShapeError
 from subzero.numcore import GaussianStream, gaussian_matrix
 from subzero.errors import ConfigError
@@ -15,8 +15,7 @@ from subzero.perturbation import (RESHAPE_POLICIES, Direction, LayerPlan,
                                   axpy_perturbation, build_pairs,
                                   draw_direction, generate_proj_pair,
                                   iter_perturbation_layers, pairs_from_plan,
-                                  perturb_params_inplace,
-                                  plan_alignment_scales, plan_layers,
+                                  perturb_params_inplace, plan_layers,
                                   reshape_near_square, reshaped_view,
                                   subspace_dimension)
 
@@ -24,6 +23,30 @@ from subzero.perturbation import (RESHAPE_POLICIES, Direction, LayerPlan,
 def two_layer_params(seed=0):
     s = GaussianStream(seed)
     return [gaussian_matrix(s, 4, 3), s.normals(5)]
+
+
+def alignment_scale(pair):
+    """Norm alignment's core scale for a pair: sqrt(m * n) / r."""
+    return math.sqrt(pair.u.shape[0] * pair.v.shape[0]) / pair.rank
+
+
+def assert_cores_scaled(params, pairs, scales, seed=17):
+    """An aligned draw's cores are ``scales[i]`` times the plain draw's, bit
+    for bit, one per matrix layer; the vector values are the plain ones."""
+    plain = draw_direction(params, pairs, seed)
+    aligned = draw_direction(params, pairs, seed, aligned=True)
+    at = 0
+    for pair, scale in zip((p for p in pairs if p is not None), scales):
+        n = pair.rank ** 2
+        expected = float(scale) * plain.cores[at:at + n]
+        assert aligned.cores[at:at + n].tobytes() == expected.tobytes()
+        at += n
+    assert at == aligned.cores.size == plain.cores.size
+    assert aligned.seed == plain.seed
+    if plain.vectors is None:
+        assert aligned.vectors is None
+    else:
+        assert aligned.vectors.tobytes() == plain.vectors.tobytes()
 
 
 class TestProjectionPair:
@@ -282,19 +305,15 @@ class TestIterPerturbationLayers:
             list(iter_perturbation_layers(two_layer_params(), [None], seed=0))
 
     def test_z_scales_multiply_exactly(self):
+        # an aligned direction scales the 4x3 layer at rank 2 by sqrt(12) / 2
         params = two_layer_params()
         pairs = build_pairs(GaussianStream(0), params, 2)
         plain = list(iter_perturbation_layers(params, pairs, seed=4))
-        scaled = list(iter_perturbation_layers(params, pairs, seed=4,
-                                               z_scales=[3.0, 1.0]))
-        assert np.max(np.abs(scaled[0] - 3.0 * plain[0])) < 1e-15
+        scaled = list(iter_perturbation_layers(
+            params, pairs, draw_direction(params, pairs, 4, aligned=True)))
+        scale = math.sqrt(12) / 2
+        assert np.max(np.abs(scaled[0] - scale * plain[0])) < 1e-15
         assert np.array_equal(scaled[1], plain[1])
-
-    def test_z_scales_length_checked(self):
-        params = two_layer_params()
-        pairs = build_pairs(GaussianStream(0), params, 2)
-        with pytest.raises(ShapeError):
-            list(iter_perturbation_layers(params, pairs, seed=0, z_scales=[1.0]))
 
 
 class TestDrawnDirection:
@@ -307,39 +326,39 @@ class TestDrawnDirection:
         params = [s.normals(math.prod(shape)).reshape(shape) for shape in self.SHAPES]
         plans = plan_layers(params, rank=3)
         pairs = pairs_from_plan(GaussianStream(1), plans)
-        return params, pairs, plan_alignment_scales(plans)
+        return params, pairs
 
     @staticmethod
-    def walk_the_stream(params, pairs, seed, z_scales):
+    def walk_the_stream(params, pairs, seed, aligned):
         # the definition: one stream walked in layer order, r**2 core values
-        # per matrix layer and size values per vector layer
-        # per matrix layer, scaled by its z_scale as drawn
+        # per matrix layer and size values per vector layer, each core
+        # scaled by sqrt(m * n) / r as drawn when aligned
         s = GaussianStream(seed)
         out = []
-        for i, (w, pair) in enumerate(zip(params, pairs)):
+        for w, pair in zip(params, pairs):
             if pair is None:
                 delta = s.normals(w.size).reshape(w.shape)
             else:
                 z = gaussian_matrix(s, pair.rank, pair.rank)
-                if z_scales is not None:
-                    z = float(z_scales[i]) * z
+                if aligned:
+                    z = alignment_scale(pair) * z
                 delta = (pair.u @ (z @ pair.v.T)).reshape(w.shape)
             out.append(delta)
         return out
 
     @pytest.mark.parametrize("aligned", [False, True], ids=["plain", "scale_z"])
     def test_drawn_direction_replays_the_seed_bit_for_bit(self, aligned):
-        params, pairs, scales = self.layers()
-        z_scales = scales if aligned else None
-        direction = draw_direction(params, pairs, 17, z_scales)
+        params, pairs = self.layers()
+        direction = draw_direction(params, pairs, 17, aligned)
         assert direction.seed == 17 and direction.cores.size == 3 * 9
-        expected = self.walk_the_stream(params, pairs, 17, z_scales)
-        for seed, seed_scales in ((17, z_scales), (direction, None)):
-            got = list(iter_perturbation_layers(params, pairs, seed, seed_scales))
+        expected = self.walk_the_stream(params, pairs, 17, aligned)
+        # an int seed is drawn plain, so only the aligned direction replays
+        for seed in (direction,) if aligned else (17, direction):
+            got = list(iter_perturbation_layers(params, pairs, seed))
             assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
         moved = []
         # a pass scales nothing, so an aligned int seed is drawn first
-        for seed in (draw_direction(params, pairs, 17, z_scales) if aligned else 17,
+        for seed in (draw_direction(params, pairs, 17, aligned) if aligned else 17,
                      direction):
             work = [w.copy() for w in params]
             axpy_perturbation(work, pairs, seed, -0.3)
@@ -347,90 +366,67 @@ class TestDrawnDirection:
         assert moved[0] == moved[1]
 
     def test_a_drawn_direction_is_passed_through(self):
-        params, pairs, _ = self.layers()
+        params, pairs = self.layers()
         direction = draw_direction(params, pairs, 3)
         assert draw_direction(params, pairs, direction) is direction
         assert isinstance(direction, Direction)
 
     def test_draw_checks_alignment(self):
-        params, pairs, _ = self.layers()
+        params, pairs = self.layers()
         with pytest.raises(ShapeError):
             draw_direction(params, pairs[:-1], 3)
 
-    # both entry points draw, so both check z_scales
-    DRAWS = pytest.mark.parametrize("call", [
-        draw_direction, lambda *args: list(iter_perturbation_layers(*args))],
-        ids=["draw_direction", "iter_perturbation_layers"])
-
     def test_z_scales_multiply_each_matrix_core_as_drawn(self):
-        params, pairs, scales = self.layers()
+        params, pairs = self.layers()
         # the native 4x3 and the 8x2 relaid to 4x4 are scaled, not just 1.0
         assert pairs[2].shape == LayerShape(4, 4) and params[2].shape == (8, 2)
-        assert scales[0] != 1.0 and scales[2] != 1.0
-        plain = draw_direction(params, pairs, 17)
-        scaled = draw_direction(params, pairs, 17, scales)
-        at = 0
-        for pair, scale in zip(pairs, scales):
-            if pair is None:
-                continue
-            n = pair.rank ** 2
-            expected = float(scale) * plain.cores[at:at + n]
-            assert scaled.cores[at:at + n].tobytes() == expected.tobytes()
-            at += n
-        assert at == scaled.cores.size
-        assert scaled.vectors.tobytes() == plain.vectors.tobytes()
-        assert (scaled.seed, scaled.large) == (plain.seed, plain.large)
+        scales = [alignment_scale(pair) for pair in pairs if pair is not None]
+        assert scales[0] != 1.0 and scales[1] != 1.0
+        assert_cores_scaled(params, pairs, scales)
 
-    @DRAWS
+    @pytest.mark.parametrize("shapes, pinned_rank, scale", [
+        (((4, 3), (5,)), None, math.sqrt(12) / 3),
+        (((8, 2), (5,)), None, 4 / 3),
+        (((6, 6), (5,)), 1, 6.0),
+        (((6, 6), (5,)), None, 2.0),
+    ], ids=["native", "relayout", "pinned_rank1", "plan_rank3"])
+    def test_aligned_cores_carry_sqrt_mn_over_r_of_their_pair(self, shapes,
+                                                                pinned_rank, scale):
+        # under a rank-3 plan, and for a rank-1 pair pinned on a 6x6 layer,
+        # whose scale comes from the pair and not from the plan
+        s = GaussianStream(8)
+        params = [s.normals(math.prod(shape)).reshape(shape) for shape in shapes]
+        if pinned_rank is None:
+            pairs = pairs_from_plan(GaussianStream(1), plan_layers(params, rank=3))
+        else:
+            pairs = [generate_proj_pair(GaussianStream(1), 6, 6, pinned_rank), None]
+        relaid = pairs[0].shape != LayerShape(*params[0].shape)
+        assert relaid == (shapes[0] == (8, 2))
+        assert_cores_scaled(params, pairs, [scale])
+
+    @pytest.mark.parametrize("call", [draw_direction], ids=["draw_direction"])
     def test_a_drawn_direction_is_not_scaled_again(self, call):
-        params, pairs, scales = self.layers()
-        direction = draw_direction(params, pairs, 17, scales)
+        params, pairs = self.layers()
+        direction = draw_direction(params, pairs, 17, aligned=True)
         cores = direction.cores.copy()
         with pytest.raises(ValueError):
-            call(params, pairs, direction, scales)
+            call(params, pairs, direction, True)
         assert direction.cores.tobytes() == cores.tobytes()
 
-    @DRAWS
-    def test_a_vector_layer_scale_other_than_one_is_refused(self, call):
-        # a replayed vector layer could not carry it
-        params, pairs, scales = self.layers()
-        assert pairs[1] is None and scales[1] == 1.0
-        scales[1] = 2.0
-        with pytest.raises(ValueError):
-            call(params, pairs, 17, scales)
-
-    @DRAWS
-    def test_z_scales_of_the_wrong_length_raise_before_drawing(self, call,
-                                                              monkeypatch):
-        params, pairs, scales = self.layers()
-        drawn = []
-        normals = GaussianStream.normals
-
-        def counting_normals(stream, n):
-            drawn.append(n)
-            return normals(stream, n)
-
-        monkeypatch.setattr(GaussianStream, "normals", counting_normals)
-        with pytest.raises(ShapeError):
-            call(params, pairs, 17, scales[:-1])
-        assert drawn == []
-
-
     def test_vectors_are_kept_when_they_fit_the_largest_matrix_layer(self):
-        params, pairs, _ = self.layers()
+        params, pairs = self.layers()
         direction = draw_direction(params, pairs, 17)
         # the vector layers' 7 + 5 values, at their stream offsets
         s = GaussianStream(17)
         expected = [s.normal_at(j) for j in range(9, 16)]
         expected += [s.normal_at(j) for j in range(34, 39)]
         assert direction.vectors.tobytes() == np.array(expected).tobytes()
-        assert direction.large
 
     def test_vectors_beyond_the_largest_matrix_layer_are_not_drawn(self):
         params = [np.zeros((3, 2)), np.zeros(7)]
         pairs = build_pairs(GaussianStream(1), params, 1)
         direction = draw_direction(params, pairs, 17)
-        assert direction.vectors is None and not direction.large
+        assert direction.vectors is None
         full_space = draw_direction(params, [None, None], 17)
         assert full_space.vectors is None and full_space.cores.size == 0
 
@@ -451,7 +447,7 @@ class TestRowBlockPass:
         pairs = pairs_from_plan(GaussianStream(4), plans)
         assert params[0].size > perturbation._DOT_MAX_ENTRIES
         assert (pairs[0].shape == LayerShape(128, 128)) == (kind == "relayout")
-        return params, pairs, plan_alignment_scales(plans)
+        return params, pairs
 
     @pytest.mark.parametrize("block_entries", [None, 1400], ids=["256kB", "1400"])
     @pytest.mark.parametrize("aligned", [False, True], ids=["plain", "scale_z"])
@@ -460,13 +456,13 @@ class TestRowBlockPass:
                                               monkeypatch):
         if block_entries is not None:
             monkeypatch.setattr(perturbation, "_BLOCK_ENTRIES", block_entries)
-        params, pairs, scales = self.layers(kind)
+        params, pairs = self.layers(kind)
         rows = perturbation._BLOCK_ENTRIES // pairs[0].shape.cols
         assert pairs[0].shape.rows % rows != 0 or rows > pairs[0].shape.rows
-        z_scales = scales if aligned else None
-        deltas = list(iter_perturbation_layers(params, pairs, 21, z_scales))
+        deltas = list(iter_perturbation_layers(
+            params, pairs, draw_direction(params, pairs, 21, aligned)))
         work = [w.copy() for w in params]
-        axpy_perturbation(work, pairs, draw_direction(params, pairs, 21, z_scales),
+        axpy_perturbation(work, pairs, draw_direction(params, pairs, 21, aligned),
                           -0.7)
         for w, before, delta in zip(work, params, deltas):
             expected = before + -0.7 * delta
@@ -476,38 +472,48 @@ class TestRowBlockPass:
     def test_column_major_layers_are_added_too(self, kind):
         # a relayout has no view of a column-major layer, so that layer is
         # formed whole; a native one is added in row blocks of strided rows
-        params, pairs, scales = self.layers(kind)
-        deltas = list(iter_perturbation_layers(params, pairs, 21, scales))
+        params, pairs = self.layers(kind)
+        direction = draw_direction(params, pairs, 21, aligned=True)
+        deltas = list(iter_perturbation_layers(params, pairs, direction))
         work = [np.array(w, order="F") for w in params]
-        axpy_perturbation(work, pairs, draw_direction(params, pairs, 21, scales), 0.3)
+        axpy_perturbation(work, pairs, direction, 0.3)
         for w, before, delta in zip(work, params, deltas):
             expected = before + 0.3 * delta
             assert np.max(np.abs(w - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("kind", ["native", "relayout"])
     def test_int_seeds_and_drawn_directions_still_yield_arrays(self, kind):
-        params, pairs, _ = self.layers(kind)
+        params, pairs = self.layers(kind)
         for seed in (21, draw_direction(params, pairs, 21)):
             deltas = list(iter_perturbation_layers(params, pairs, seed))
             assert [type(d) for d in deltas] == [np.ndarray, np.ndarray]
             assert [d.shape for d in deltas] == [w.shape for w in params]
 
     def test_each_pass_walks_the_generator_once(self, monkeypatch):
-        # a traced run wraps the module's generator, with these parameters,
-        # and counts one pass per call
-        params, pairs, scales = self.layers("native")
+        # a traced run wraps the module's generator, under every name, with
+        # these four positional parameters, and counts one pass per call; a
+        # pass switches the factored walk on through the fourth, and the
+        # estimate's gradient walk leaves it out
+        params, pairs = self.layers("native")
         calls = []
         walk = perturbation.iter_perturbation_layers
 
         def counting(params, pairs, seed, z_scales=None):
-            calls.append(seed)
+            calls.append((seed, z_scales))
             return walk(params, pairs, seed, z_scales)
 
-        direction = draw_direction(params, pairs, 21, scales)
+        class SumOfSquares:
+            def loss(self, params, batch):
+                return sum(float(np.sum(w * w)) for w in params)
+
+        direction = draw_direction(params, pairs, 21, aligned=True)
         monkeypatch.setattr(perturbation, "iter_perturbation_layers", counting)
+        monkeypatch.setattr(estimators, "iter_perturbation_layers", counting)
         axpy_perturbation(params, pairs, direction, 0.5)
-        (seed,) = calls
-        assert isinstance(seed, Direction) and seed.factored
+        assert calls == [(direction, True)]
+        estimators.subzero_estimate(SumOfSquares(), params, pairs, None, 1e-3,
+                                    direction)
+        assert calls[1:] == [(direction, True)] * 3 + [(direction, None)]
 
 
     def test_held_out_factors_are_the_native_layers_a_pass_factors(self):
@@ -522,11 +528,8 @@ class TestRowBlockPass:
         params[6] = np.asfortranarray(params[6])
         plans = plan_layers(params, 16)
         pairs = pairs_from_plan(GaussianStream(4), plans)
-        scales = plan_alignment_scales(plans)
-        direction = draw_direction(params, pairs, 21, scales)
-        factored = Direction(direction.seed, direction.cores, direction.vectors,
-                             True, True)
-        yielded = list(iter_perturbation_layers(params, pairs, factored))
+        direction = draw_direction(params, pairs, 21, aligned=True)
+        yielded = list(iter_perturbation_layers(params, pairs, direction, True))
         native = [i for i, d in enumerate(yielded) if type(d) is tuple
                   and params[i].shape == (pairs[i].u.shape[0], pairs[i].v.shape[0])]
         assert native == [0, 6] and type(yielded[2]) is tuple
@@ -539,7 +542,7 @@ class TestRowBlockPass:
             held_u, held_z, held_v = held[i]
             assert held_u is u and held_v is v
             assert np.array_equal(held_z, z)
-            assert np.array_equal(held_z, scales[i] * plain[i][1])
+            assert np.array_equal(held_z, alignment_scale(pairs[i]) * plain[i][1])
         assert perturbation.held_out_factors(params[4:6], pairs[4:6],
                                              draw_direction(params[4:6], pairs[4:6],
                                                             21)) == {}
@@ -556,22 +559,24 @@ class TestPerturbRestore:
         for w, b in zip(params, before):
             assert np.max(np.abs(w - b)) <= 1e-12
 
-    @pytest.mark.parametrize("apply, coeff, z_scales", [
+    @pytest.mark.parametrize("apply, coeff, scale", [
         (lambda p, pairs: perturb_params_inplace(
             p, pairs, PerturbSpec(epsilon=0.5, seed=8, direction=1)), 0.5, None),
         (lambda p, pairs: axpy_perturbation(p, pairs, 8, -0.3), -0.3, None),
         (lambda p, pairs: axpy_perturbation(
-            p, pairs, draw_direction(p, pairs, 8, [3.0, 1.0]), 0.5), 0.5, [3.0, 1.0]),
+            p, pairs, draw_direction(p, pairs, 8, aligned=True), 0.5), 0.5,
+         math.sqrt(12) / 2),
     ], ids=["perturb_spec", "axpy_negative", "axpy_z_scales"])
-    def test_plus_pass_lands_where_expected(self, apply, coeff, z_scales):
+    def test_plus_pass_lands_where_expected(self, apply, coeff, scale):
         params = two_layer_params(3)
         before = [w.copy() for w in params]
         pairs = build_pairs(GaussianStream(1), params, 2)
-        # u (s Z V^T), with s the layer's z_scale, then the bias's values
+        # u (s Z V^T), with s the 4x3 layer's alignment scale at rank 2, then
+        # the bias's values
         s = GaussianStream(8)
         z = gaussian_matrix(s, 2, 2)
-        if z_scales is not None:
-            z = float(z_scales[0]) * z
+        if scale is not None:
+            z = scale * z
         deltas = [pairs[0].u @ (z @ pairs[0].v.T), s.normals(5)]
         apply(params, pairs)
         for w, b, d in zip(params, before, deltas):
@@ -589,26 +594,28 @@ class TestPerturbRestore:
 class TestAlignment:
     def test_factor_formula(self):
         # sqrt(m * n) / r, with the rank the plan clamped to min(m, n)
-        params = [np.zeros((8, 2)), np.zeros((6, 6)), np.zeros((4, 3))]
-        scales = plan_alignment_scales(plan_layers(params, 2, "never"))
-        assert scales[:2] == pytest.approx([2.0, 3.0])
-        clamped = plan_alignment_scales(plan_layers(params[2:], 5, "never"))
-        assert clamped == pytest.approx([math.sqrt(12) / 3])
+        params = [np.zeros((8, 2)), np.zeros((6, 6))]
+        assert_cores_scaled(params, pairs_from_plan(
+            GaussianStream(1), plan_layers(params, 2, "never")), [2.0, 3.0])
+        params = [np.zeros((4, 3))]
+        assert_cores_scaled(params, pairs_from_plan(
+            GaussianStream(1), plan_layers(params, 5, "never")), [math.sqrt(12) / 3])
 
     def test_scale_z_matches_factor_per_layer(self):
-        scales = plan_alignment_scales(plan_layers(two_layer_params(), 2))
-        assert scales[0] == pytest.approx(math.sqrt(12) / 2)
-        assert scales[1] == 1.0
+        # the vector layer is a full Gaussian already and keeps its values
+        params = two_layer_params()
+        pairs = build_pairs(GaussianStream(1), params, 2)
+        assert pairs[1] is None
+        assert_cores_scaled(params, pairs, [math.sqrt(12) / 2])
 
     def test_aligned_norm_matches_full_gaussian_in_expectation(self):
         # E||mu * U Z V^T||_F^2 = mu^2 r^2 = m n = E||full draw||_F^2
         params = [np.zeros((6, 4))]
         pairs = build_pairs(GaussianStream(3), params, 2)
-        (mu,) = plan_alignment_scales(plan_layers(params, 2))
         acc = 0.0
         n = 4000
         for k in range(n):
-            (delta,) = iter_perturbation_layers(params, pairs, seed=k,
-                                                z_scales=[mu])
+            (delta,) = iter_perturbation_layers(
+                params, pairs, draw_direction(params, pairs, k, aligned=True))
             acc += float(np.sum(delta * delta))
         assert acc / n == pytest.approx(24.0, rel=0.1)
