@@ -6,11 +6,11 @@ writes one run CSV per cell plus a summary.  ``estimate`` evaluates the
 gradient-quality diagnostics for a list of estimator families at a fixed
 point.
 
-Configs are JSON with four sections (problem, optimizer, sweep, and the
-per-command settings); every omitted key takes its documented default, and
-parse -> serialize -> parse is the identity.  Output file names are
-functions of the config hash and cell index only, so re-running a config
-overwrites its own artifacts and nothing else.
+Configs are JSON objects of five sections (problem, optimizer, sweep,
+verify, estimate) plus ``out_dir``, each checked as it is built; an omitted
+key takes its documented default, and parse -> serialize -> parse is the
+identity.  Output names are functions of the config hash and cell index
+only, so re-running a config overwrites its own artifacts and nothing else.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_counts
 from .numcore import GaussianStream, derive_seed
 from .perturbation import build_pairs, plan_layers
 from .estimators import DENSE_ENTRY_CAP
@@ -72,15 +71,10 @@ class ProblemSpec:
 
     def __post_init__(self):
         for shape in self.layer_shapes:
-            if not (isinstance(shape, (tuple, list)) and 1 <= len(shape) <= 2
-                    and all(type(n) is int and n >= 1 for n in shape)):
-                raise ValueError(f"a layer shape must be one or two positive ints, "
-                                 f"got {shape!r}")
-        sizes = (self.dataset_size, self.n_features, self.n_outputs, *self.hidden)
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                   and n >= 1 for n in sizes):
-            raise ValueError(f"sizes and widths must be integers of at least 1, "
-                             f"got {self}")
+            if not (isinstance(shape, (tuple, list)) and 1 <= len(shape) <= 2):
+                raise ValueError(f"a layer shape has one or two dimensions: {shape!r}")
+        check_counts(self, {"layer_shapes": 1, "dataset_size": 1, "n_features": 1,
+                            "hidden": 1, "n_outputs": 1, "seed": None})
         if not (self.kappa >= 1.0 and self.lam_max > 0.0):
             raise ValueError(f"need kappa >= 1 and lam_max > 0, got {self}")
         if not (0.0 <= self.flip_fraction <= 1.0 and self.l2 >= 0.0
@@ -97,6 +91,11 @@ class FamilySpec:
     rank: int = 2
     dense_q: int = 16
 
+    def __post_init__(self):
+        if self.family not in ("subzero", "spsa_full", "spsa_dense_subspace"):
+            raise ConfigError(f"unknown estimator family {self.family!r}")
+        check_counts(self, {"rank": 1, "dense_q": 1})
+
 
 @dataclass(frozen=True)
 class VerifySettings:
@@ -105,8 +104,7 @@ class VerifySettings:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_mc, self.n_mc_bias) < 1:
-            raise ValueError(f"n_mc and n_mc_bias must be at least 1, got {self}")
+        check_counts(self, {"n_mc": 1, "n_mc_bias": 1, "seed": None})
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,9 @@ class EstimateSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.families or self.n_mc < 1 or not self.epsilon > 0.0:
-            raise ValueError(f"need a family, n_mc >= 1 and epsilon > 0, got {self}")
+        check_counts(self, {"n_mc": 1, "seed": None})
+        if not self.families or not self.epsilon > 0.0:
+            raise ValueError(f"need a family and epsilon > 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +132,8 @@ class ExperimentConfig:
 
 
 def _from_section(cls, section: dict, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} section must be an object, got {section!r}")
     allowed = {f.name for f in fields(cls)}
     unknown = set(section) - allowed
     if unknown:
@@ -167,13 +168,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"sweep axis {key!r} must be a non-empty list")
     sweep = tuple(sorted((k, tuple(v)) for k, v in sweep_raw.items()))
     verify = _from_section(VerifySettings, raw.get("verify", {}), "verify")
-    est_raw = dict(raw.get("estimate", {}))
-    if "families" in est_raw:
+    est_raw = raw.get("estimate", {})
+    if isinstance(est_raw, dict) and "families" in est_raw:
         fams = est_raw["families"]
         if not isinstance(fams, list):
             raise ConfigError("estimate.families must be a list")
-        est_raw["families"] = tuple(
-            _from_section(FamilySpec, f, "estimate.families") for f in fams)
+        est_raw = {**est_raw, "families": tuple(
+            _from_section(FamilySpec, f, "estimate.families") for f in fams)}
     estimate = _from_section(EstimateSettings, est_raw, "estimate")
     out_dir = raw.get("out_dir", "results")
     if not isinstance(out_dir, str):
@@ -260,26 +261,21 @@ def expand_cells(config: ExperimentConfig, seed_offset: int = 0) -> list[Optimiz
     return cells
 
 
-def _check_family(template, family: str, rank: int, dense_q: int,
-                  reshape: str = "auto") -> None:
-    """Reject a rank or dense subspace dimension that ``family`` reads and
-    that is not positive, that some matrix layer cannot carry even in its
-    best geometry under ``reshape``, or whose projection exceeds the cap."""
-    if family == "subzero":
-        if rank < 1:
-            raise ConfigError(f"rank must be at least 1, got {rank}")
-        for w, plan in zip(template, plan_layers(template, rank, reshape)):
-            if plan.shape is not None and plan.rank < rank:
+def _check_family(template, spec, reshape: str = "auto") -> None:
+    """Reject a bench cell or estimate family ``spec`` whose rank or dense
+    subspace dimension some matrix layer cannot carry even in its best
+    geometry under ``reshape``, or whose projection exceeds the cap."""
+    if spec.family == "subzero":
+        for w, plan in zip(template, plan_layers(template, spec.rank, reshape)):
+            if plan.shape is not None and plan.rank < spec.rank:
                 raise ConfigError(
-                    f"rank {rank} does not fit layer of shape {w.shape} "
+                    f"rank {spec.rank} does not fit layer of shape {w.shape} "
                     f"(best geometry {plan.shape} supports rank {plan.rank})")
-    elif family == "spsa_dense_subspace":
-        if dense_q < 1:
-            raise ConfigError(f"dense subspace dimension must be at least 1, got {dense_q}")
+    elif spec.family == "spsa_dense_subspace":
         d = sum(w.size for w in template)
-        if d * dense_q > DENSE_ENTRY_CAP:
+        if d * spec.dense_q > DENSE_ENTRY_CAP:
             raise ConfigError(
-                f"dense projection of {d}x{dense_q} entries exceeds the "
+                f"dense projection of {d}x{spec.dense_q} entries exceeds the "
                 f"allocation cap {DENSE_ENTRY_CAP}")
 
 
@@ -288,8 +284,7 @@ def validate_cell(problem, cell: OptimizerConfig) -> None:
     if cell.batch_size > problem.dataset_size:
         raise ConfigError(
             f"batch size {cell.batch_size} exceeds dataset size {problem.dataset_size}")
-    _check_family(problem.initial_params(), cell.family, cell.rank, cell.dense_q,
-                  cell.reshape)
+    _check_family(problem.initial_params(), cell, cell.reshape)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +371,8 @@ def _run_cell(payload: tuple) -> tuple:
 
 def cli_bench(config_path: str | None, out: str | None = None,
               workers: int = 1, seed_offset: int = 0) -> int:
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     config = load_config(config_path)
     out_dir = out or config.out_dir
     cells = expand_cells(config, seed_offset)
@@ -416,9 +413,7 @@ def cli_estimate(config_path: str | None, out: str | None = None,
     problem = build_problem(config.problem)
     params = problem.initial_params()
     for fam in settings.families:   # all families vetted before any sampling
-        if fam.family not in ("subzero", "spsa_full", "spsa_dense_subspace"):
-            raise ConfigError(f"unknown estimator family {fam.family!r}")
-        _check_family(params, fam.family, fam.rank, fam.dense_q)
+        _check_family(params, fam)
     seed = settings.seed + seed_offset
     rows = []
     for fam in settings.families:
@@ -450,10 +445,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for sweep cells")
         p.add_argument("--seed-offset", type=int, default=0,
                        help="added to every configured seed")
+        if name == "bench":
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes for sweep cells")
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":

@@ -6,6 +6,8 @@ catch library failures without also swallowing programming errors.
 
 from __future__ import annotations
 
+import numbers
+
 
 class SubzeroError(Exception):
     """Base class for all errors raised by this package."""
@@ -46,6 +48,22 @@ class BudgetExceeded(SubzeroError, RuntimeError):
 
 class ConfigError(SubzeroError, ValueError):
     """An experiment configuration failed validation."""
+
+
+def check_counts(section, minimums: dict) -> None:
+    """Refuse a count field of a config ``section`` that is a bool, not an
+    integer, or below its minimum (``None``: no minimum).  A tuple field is
+    checked entry by entry, at any depth."""
+    for name, least in minimums.items():
+        values = [getattr(section, name)]
+        for value in values:    # a tuple field's entries join the list
+            if isinstance(value, (tuple, list)):
+                values.extend(value)
+            elif (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                  or least is not None and value < least):
+                at_least = "" if least is None else f" of at least {least}"
+                raise ConfigError(f"{name} must be an integer{at_least}, "
+                                  f"got {value!r}")
 
 
 class StepFailure(SubzeroError, RuntimeError):

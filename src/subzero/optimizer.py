@@ -25,14 +25,14 @@ aside) and runs with different seeds are unrelated.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StepFailure, SubzeroError
+from .errors import (ConfigError, ShapeError, StepFailure, SubzeroError,
+                     check_counts)
 from .numcore import GaussianStream, derive_seed
 from .perturbation import (RESHAPE_POLICIES, LayerPlan, ProjectionPair,
                            _axpy_stored, axpy_perturbation, draw_direction,
@@ -67,11 +67,8 @@ class OptimizerConfig:
     eval_interval: int = 500
 
     def __post_init__(self):
-        for name in ("steps", "batch_size", "rank", "refresh_period", "dense_q",
-                     "master_seed", "eval_interval"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_counts(self, {"steps": 0, "batch_size": 1, "rank": 1, "refresh_period": 1,
+                            "dense_q": 1, "master_seed": 0, "eval_interval": 1})
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown estimator family {self.family!r}")
         if self.schedule not in SCHEDULES:
@@ -80,24 +77,10 @@ class OptimizerConfig:
             raise ConfigError(f"unknown alignment mode {self.alignment!r}")
         if self.reshape not in RESHAPE_POLICIES:
             raise ConfigError(f"unknown reshape policy {self.reshape!r}")
-        if self.steps < 0:
-            raise ConfigError("steps must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be at least 1")
         if not self.learning_rate > 0.0:
             raise ConfigError("learning rate must be positive")
         if not self.epsilon > 0.0:
             raise ConfigError("epsilon must be positive")
-        if self.rank < 1:
-            raise ConfigError("rank must be at least 1")
-        if self.refresh_period < 1:
-            raise ConfigError("refresh period must be at least 1")
-        if self.dense_q < 1:
-            raise ConfigError("dense subspace dimension must be at least 1")
-        if self.eval_interval < 1:
-            raise ConfigError("eval interval must be at least 1")
-        if self.master_seed < 0:
-            raise ConfigError("master seed must be non-negative")
         if self.alignment != "none" and self.family != "subzero":
             raise ConfigError("norm alignment only applies to the subzero family")
 

@@ -110,6 +110,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict({"out_dir": 3})
 
+    @pytest.mark.parametrize("raw", [
+        {"problem": 5}, {"problem": "ab"}, {"optimizer": None}, {"verify": 3},
+        {"estimate": 7}, {"estimate": {"families": [5]}},
+    ], ids=["problem_int", "problem_str", "optimizer_null", "verify_int",
+            "estimate_int", "family_int"])
+    def test_non_object_section_rejected(self, raw):
+        with pytest.raises(ConfigError, match="section must be an object"):
+            config_from_dict(raw)
+
+    def test_large_seeds_and_numpy_counts_pass(self):
+        # bench passes derive_seed outputs, up to 2**64 - 1, as problem seeds
+        assert ProblemSpec(seed=2**64 - 1).seed == 2**64 - 1
+        i = np.int64
+        assert ProblemSpec(layer_shapes=((i(4), i(3)),), seed=np.uint64(7),
+                           dataset_size=i(16), hidden=(i(8),)) == \
+            ProblemSpec(layer_shapes=((4, 3),), seed=7, dataset_size=16, hidden=(8,))
+        assert FamilySpec(rank=i(3), dense_q=i(4)) == FamilySpec(rank=3, dense_q=4)
+        assert VerifySettings(n_mc=i(5), n_mc_bias=i(6), seed=i(7)) == \
+            VerifySettings(n_mc=5, n_mc_bias=6, seed=7)
+        assert EstimateSettings(n_mc=i(5), seed=i(7)) == \
+            EstimateSettings(n_mc=5, seed=7)
+
     def test_missing_file_reports_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.json"))
@@ -441,8 +463,13 @@ class TestEstimateCommand:
         {"epsilon": 0.0},
         {"epsilon": -1e-3},
         {"epsilon": float("nan")},
+        {"families": [{"family": "subzero", "rank": 1.5}]},
+        {"n_mc": 5.5},
+        {"n_mc": True},
+        {"families": [{"family": "subzero", "dense_q": 0}]},
     ], ids=["rank_over_4x4", "rank_zero", "dense_q_zero", "n_mc_zero",
-            "epsilon_zero", "epsilon_negative", "epsilon_nan"])
+            "epsilon_zero", "epsilon_negative", "epsilon_nan", "rank_float",
+            "n_mc_float", "n_mc_bool", "subzero_dense_q_zero"])
     def test_bad_family_settings_are_config_errors(self, tmp_path, capsys,
                                                    estimate):
         # vetted like bench cells: no clamped rank, no traceback, no output
@@ -457,7 +484,9 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("verify", [
         {"n_mc": 0}, {"n_mc": -5}, {"n_mc_bias": 0}, {"n_mc_bias": -1},
-    ], ids=["n_mc_zero", "n_mc_negative", "n_mc_bias_zero", "n_mc_bias_negative"])
+        {"n_mc": 5.5}, {"n_mc_bias": 2.5}, {"seed": 2.5},
+    ], ids=["n_mc_zero", "n_mc_negative", "n_mc_bias_zero", "n_mc_bias_negative",
+            "n_mc_float", "n_mc_bias_float", "seed_float"])
     def test_bad_verify_settings_are_config_errors(self, tmp_path, capsys, verify):
         path = write_config(tmp_path / "cfg.json",
                             {"verify": {"n_mc": 5, "n_mc_bias": 5, **verify}})
@@ -485,12 +514,14 @@ class TestEstimateCommand:
     {"family": "mlp", "n_features": 6.0},
     {"family": "mlp", "n_outputs": 4.5},
     {"family": "mlp", "hidden": [8.5]},
+    {"seed": 1.5},
+    {"seed": True},
 ], ids=["shape_zero", "shape_three_dims", "dataset_size_zero",
         "dataset_size_negative", "hidden_zero", "n_features_zero",
         "lam_max_zero", "kappa_negative", "flip_fraction_negative",
         "flip_fraction_over_one", "l2_negative", "noise_negative",
         "dataset_size_float", "n_features_float", "n_outputs_float",
-        "hidden_float"])
+        "hidden_float", "seed_float", "seed_bool"])
 def test_bad_problem_sections_are_config_errors(tmp_path, capsys, command, problem):
     # refused when the config is read: exit 2, no traceback, nothing written
     path = write_config(tmp_path / "cfg.json", {
@@ -519,3 +550,22 @@ class TestMainEntry:
         rc = main(["verify", "--config", str(tmp_path / "no.json"),
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["verify", "estimate"])
+    def test_workers_is_a_bench_option(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "2", "--config", str(tmp_path / "no.json"),
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bench_needs_a_worker(self, tmp_path, capsys, workers):
+        path = write_config(tmp_path / "cfg.json", {
+            "problem": {"layer_shapes": [[4, 4]], "dataset_size": 16},
+            "optimizer": {"steps": 2, "batch_size": 4}})
+        out = tmp_path / "o"
+        assert main(["bench", f"--workers={workers}", "--config", path,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
