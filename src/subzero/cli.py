@@ -27,7 +27,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
-from .errors import ConfigError, check_counts
+from .errors import ConfigError, check_count, check_counts
 from .numcore import GaussianStream, derive_seed
 from .perturbation import build_pairs, plan_layers
 from .estimators import DENSE_ENTRY_CAP
@@ -73,8 +73,12 @@ class ProblemSpec:
         for shape in self.layer_shapes:
             if not (isinstance(shape, (tuple, list)) and 1 <= len(shape) <= 2):
                 raise ValueError(f"a layer shape has one or two dimensions: {shape!r}")
-        check_counts(self, {"layer_shapes": 1, "dataset_size": 1, "n_features": 1,
-                            "hidden": 1, "n_outputs": 1, "seed": None})
+        if not isinstance(self.hidden, tuple):
+            raise ValueError(f"hidden must be a list of widths, got {self.hidden!r}")
+        for n in (*(n for shape in self.layer_shapes for n in shape), *self.hidden):
+            check_count("a layer dimension or hidden width", n, 1)
+        check_counts(self, {"dataset_size": 1, "n_features": 1, "n_outputs": 1,
+                            "seed": None})
         if not (self.kappa >= 1.0 and self.lam_max > 0.0):
             raise ValueError(f"need kappa >= 1 and lam_max > 0, got {self}")
         if not (0.0 <= self.flip_fraction <= 1.0 and self.l2 >= 0.0

@@ -50,20 +50,18 @@ class ConfigError(SubzeroError, ValueError):
     """An experiment configuration failed validation."""
 
 
+def check_count(name: str, value, least=None) -> None:
+    """Refuse a bool, a non-integer, or a count below ``least`` if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        at_least = "" if least is None else f" of at least {least}"
+        raise ConfigError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
 def check_counts(section, minimums: dict) -> None:
-    """Refuse a count field of a config ``section`` that is a bool, not an
-    integer, or below its minimum (``None``: no minimum).  A tuple field is
-    checked entry by entry, at any depth."""
+    """Run check_count on each field of ``section`` named in ``minimums``."""
     for name, least in minimums.items():
-        values = [getattr(section, name)]
-        for value in values:    # a tuple field's entries join the list
-            if isinstance(value, (tuple, list)):
-                values.extend(value)
-            elif (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                  or least is not None and value < least):
-                at_least = "" if least is None else f" of at least {least}"
-                raise ConfigError(f"{name} must be an integer{at_least}, "
-                                  f"got {value!r}")
+        check_count(name, getattr(section, name), least)
 
 
 class StepFailure(SubzeroError, RuntimeError):

@@ -427,6 +427,23 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", [
+        {"optimizer": {"steps": [5]}},
+        {"optimizer": {"batch_size": []}},
+        {"sweep": {"rank": [[2]]}},
+    ], ids=["steps_list", "batch_size_empty_list", "sweep_rank_list"])
+    def test_a_list_valued_count_is_a_config_error(self, tmp_path, capsys, raw):
+        # one count is one integer; a list is refused before any cell runs
+        path = write_config(tmp_path / "cfg.json", {
+            "problem": {"family": "quadratic", "layer_shapes": [[6, 6]]},
+            **raw, "optimizer": {"steps": 4, "batch_size": 8, "rank": 2,
+                                 **raw.get("optimizer", {})}})
+        out = tmp_path / "never"
+        rc = main(["bench", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_rows_per_family(self, tmp_path):
@@ -467,9 +484,12 @@ class TestEstimateCommand:
         {"n_mc": 5.5},
         {"n_mc": True},
         {"families": [{"family": "subzero", "dense_q": 0}]},
+        {"families": [{"family": "subzero", "rank": [2]}]},
+        {"n_mc": [5]},
     ], ids=["rank_over_4x4", "rank_zero", "dense_q_zero", "n_mc_zero",
             "epsilon_zero", "epsilon_negative", "epsilon_nan", "rank_float",
-            "n_mc_float", "n_mc_bool", "subzero_dense_q_zero"])
+            "n_mc_float", "n_mc_bool", "subzero_dense_q_zero", "rank_list",
+            "n_mc_list"])
     def test_bad_family_settings_are_config_errors(self, tmp_path, capsys,
                                                    estimate):
         # vetted like bench cells: no clamped rank, no traceback, no output
@@ -484,9 +504,9 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("verify", [
         {"n_mc": 0}, {"n_mc": -5}, {"n_mc_bias": 0}, {"n_mc_bias": -1},
-        {"n_mc": 5.5}, {"n_mc_bias": 2.5}, {"seed": 2.5},
+        {"n_mc": 5.5}, {"n_mc_bias": 2.5}, {"seed": 2.5}, {"n_mc": [5]},
     ], ids=["n_mc_zero", "n_mc_negative", "n_mc_bias_zero", "n_mc_bias_negative",
-            "n_mc_float", "n_mc_bias_float", "seed_float"])
+            "n_mc_float", "n_mc_bias_float", "seed_float", "n_mc_list"])
     def test_bad_verify_settings_are_config_errors(self, tmp_path, capsys, verify):
         path = write_config(tmp_path / "cfg.json",
                             {"verify": {"n_mc": 5, "n_mc_bias": 5, **verify}})
@@ -516,12 +536,18 @@ class TestEstimateCommand:
     {"family": "mlp", "hidden": [8.5]},
     {"seed": 1.5},
     {"seed": True},
+    {"layer_shapes": [[[4]]]},
+    {"layer_shapes": [[[4], [3]]]},
+    {"family": "mlp", "hidden": 5},
+    {"dataset_size": [16]},
+    {"seed": [1]},
 ], ids=["shape_zero", "shape_three_dims", "dataset_size_zero",
         "dataset_size_negative", "hidden_zero", "n_features_zero",
         "lam_max_zero", "kappa_negative", "flip_fraction_negative",
         "flip_fraction_over_one", "l2_negative", "noise_negative",
         "dataset_size_float", "n_features_float", "n_outputs_float",
-        "hidden_float", "seed_float", "seed_bool"])
+        "hidden_float", "seed_float", "seed_bool", "shape_list_dim",
+        "shape_list_dims", "hidden_int", "dataset_size_list", "seed_list"])
 def test_bad_problem_sections_are_config_errors(tmp_path, capsys, command, problem):
     # refused when the config is read: exit 2, no traceback, nothing written
     path = write_config(tmp_path / "cfg.json", {

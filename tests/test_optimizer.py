@@ -54,6 +54,9 @@ class TestConfigValidation:
         {"master_seed": 1.0},
         {"eval_interval": 10.0},
         {"steps": "5"},
+        {"steps": [5]},
+        {"rank": (2,)},
+        {"batch_size": ()},
     ])
     def test_rejections(self, overrides):
         with pytest.raises(ConfigError):
