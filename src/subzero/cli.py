@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import traceback
@@ -192,6 +193,8 @@ def _untuple(value):
         return {k: _untuple(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [_untuple(v) for v in value]
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)   # a numpy count, which json cannot write
     return value
 
 

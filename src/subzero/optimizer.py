@@ -1,19 +1,19 @@
 """Training loop around the two-point estimators.
 
-A step of the layer-wise family never forms a gradient object.  It draws
-its direction once from the step seed (the q matrix-layer core values, each
-multiplied under ``scale_z`` by the norm-alignment scale ``sqrt(m * n) / r``
-read from its pair, and the vector layers' values when they fit the largest
-matrix layer), probes the loss twice along that direction, then replays it
+A step of every zeroth-order family never forms a gradient object.  It
+draws its direction once from the step seed (the q matrix-layer core
+values, each multiplied under ``scale_z`` by the norm-alignment scale
+``sqrt(m * n) / r`` read from its pair, and the vector layers' values when
+they fit the largest matrix layer; for ``spsa_dense_subspace`` the stored
+``P z``), probes the loss twice along it in three passes, then replays it
 in one more ``axpy_perturbation`` pass with coefficient ``-lr * rho``.  The
-probe's three passes skip the layers the problem's loss takes in factored
-form (large native MLP layers; see
-:func:`~subzero.estimators.two_sided_loss_diff`), so the update is the only
-pass that writes them.  Peak transient memory is therefore the drawn
-direction plus one buffer of at most a small layer or a 256 kB row block of
-a large one, or the loss evaluation's activations if they are larger,
-however many layers the model has, and a failed step leaves the parameters
-where it found them.
+probe's passes skip the layers the problem's loss takes in factored form
+(large native MLP layers; see :func:`~subzero.estimators.two_sided_loss_diff`),
+so the update is the only pass that writes them.  Peak transient memory of
+a layer-wise step is therefore the drawn direction plus one buffer of at
+most a small layer or a 256 kB row block of a large one, or the loss
+evaluation's activations if they are larger, however many layers the model
+has, and a failed step leaves the parameters where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``
 through tagged hashes, with the step index mixed in.  Per-step perturbation
@@ -37,7 +37,7 @@ from .numcore import GaussianStream, derive_seed
 from .perturbation import (RESHAPE_POLICIES, LayerPlan, ProjectionPair,
                            _axpy_stored, axpy_perturbation, draw_direction,
                            pairs_from_plan, plan_layers)
-from .estimators import dense_subspace_probe, two_sided_loss_diff
+from .estimators import _dense_direction, two_sided_loss_diff
 from .problems import full_batch, sample_minibatch
 
 _TAG_STEP = 0x51
@@ -141,7 +141,9 @@ def init_state(problem, config: OptimizerConfig,
                params: Optional[Sequence[np.ndarray]] = None,
                pairs: Optional[list[Optional[ProjectionPair]]] = None) -> TrainerState:
     """Set up a run: copy the starting point, plan the layer routing, and
-    pin the given pairs, if any."""
+    pin the given pairs, if any (``subzero`` only; other families refuse them)."""
+    if pairs is not None and config.family != "subzero":
+        raise ConfigError(f"only subzero takes pinned pairs, not {config.family!r}")
     if params is None:
         work = problem.initial_params()
     else:
@@ -150,15 +152,15 @@ def init_state(problem, config: OptimizerConfig,
         if w.ndim not in (1, 2):
             raise ShapeError(f"parameters must be 1-D or 2-D, got ndim={w.ndim}")
     state = TrainerState(params=work)
-    if config.family == "spsa_full":
-        state.pairs = [None] * len(work)
-    elif config.family == "subzero":
+    if config.family == "subzero":
         state.plans = plan_layers(work, config.rank, config.reshape)
         if pairs is not None:
             if len(pairs) != len(work):
                 raise ShapeError("pinned pairs must align with the parameters")
             state.pairs = list(pairs)
             state.pinned_pairs = True
+    elif config.family != "exact_sgd":
+        state.pairs = [None] * len(work)
     return state
 
 
@@ -180,27 +182,23 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
     batch = sample_minibatch(problem, config.master_seed, t, config.batch_size)
     seed_t = derive_seed(config.master_seed, _TAG_STEP, t)
     try:
-        if config.family in ("subzero", "spsa_full"):
-            if config.family == "subzero":
-                _refresh_pairs(state, config)
-            direction = draw_direction(state.params, state.pairs, seed_t,
-                                       config.alignment == "scale_z")
-            ld = two_sided_loss_diff(problem, state.params, state.pairs, batch,
-                                     config.epsilon, direction)
-            axpy_perturbation(state.params, state.pairs, direction, -(lr * ld.rho))
-            loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
-        elif config.family == "spsa_dense_subspace":
-            ld, est = dense_subspace_probe(problem, state.params, batch,
-                                           config.epsilon, config.dense_q, seed_t)
-            _axpy_stored(state.params, est.layers, -lr)
-            loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
-        elif config.family == "exact_sgd":
+        if config.family == "exact_sgd":
             loss_plus = loss_minus = problem.loss(state.params, batch)
             grads = problem.exact_gradient(state.params, batch)
             _axpy_stored(state.params, grads, -lr)
             rho = math.nan
-        else:  # unreachable, config validated
-            raise ConfigError(f"unknown estimator family {config.family!r}")
+        else:
+            if config.family == "subzero":
+                _refresh_pairs(state, config)
+            if config.family == "spsa_dense_subspace":
+                direction = _dense_direction(state.params, config.dense_q, seed_t, None)
+            else:
+                direction = draw_direction(state.params, state.pairs, seed_t,
+                                           config.alignment == "scale_z")
+            ld = two_sided_loss_diff(problem, state.params, state.pairs, batch,
+                                     config.epsilon, direction)
+            axpy_perturbation(state.params, state.pairs, direction, -(lr * ld.rho))
+            loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
     except SubzeroError as exc:
         raise StepFailure(t, str(exc)) from exc
     state.step = t + 1

@@ -7,7 +7,8 @@ fresh every step.  Vector layers (biases and the like) have no useful
 low-rank structure; they fall back to a full Gaussian perturbation and are
 marked by a ``None`` entry in the pairs list.
 
-Perturbations are never stored whole.  A step draws its direction once:
+Seeded perturbations are never stored whole (see :class:`Direction` for
+the dense baseline's stored one).  A step draws its direction once:
 :func:`draw_direction` walks the layers in stream order and draws the
 ``r_i**2`` core values of each matrix layer into one flat array of
 ``q = sum r_i**2`` floats, each core multiplied as it is drawn by the
@@ -258,7 +259,10 @@ class Direction:
     values never outgrow one matrix layer, and a model of vector layers
     only holds no parameter-sized draw.  Every function that takes a seed
     also takes a ``Direction`` in its place, so a step draws once and its
-    passes replay at most the vector layers.
+    passes replay at most the vector layers.  The exception is a stored
+    direction, the dense baseline's ``P z``: empty ``cores`` and all d values
+    in ``vectors``, read with every pair ``None``.  That d-sized direction is
+    exactly the cost the dense baseline exists to show.
     """
 
     __slots__ = ("seed", "cores", "vectors")
@@ -488,9 +492,8 @@ def axpy_perturbation(
 
 def _axpy_stored(params: Sequence[np.ndarray], layers: Sequence[np.ndarray],
                  coeff: float) -> None:
-    """Add ``coeff * layers[i]`` to ``params[i]`` in place, for a direction
-    that is stored rather than seeded.  Atomic like
-    :func:`axpy_perturbation`: on error the layers done are taken back."""
+    """Add ``coeff * layers[i]`` to ``params[i]`` in place (exact SGD's
+    gradient); on error the layers done are taken back."""
     done = 0
     try:
         for w, g in zip(params, layers):

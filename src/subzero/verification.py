@@ -14,8 +14,8 @@ because the sample count was too small to resolve a discrepancy.
 Every check, the convergence battery included, runs on blocks and never
 touches the parameters.  It forms many perturbations as stacked rows (the
 seeded families' from ``uint64`` seeds and stream values, with one
-``einsum`` per matrix layer; the dense family's from the estimator's own
-direction) and probes every row out of place with one central difference,
+``einsum`` per matrix layer; the dense family's by replaying the
+estimator's own stored direction) and probes every row out of place with one central difference,
 on the full batch: by the problem's row-wise ``losses(xs)`` where it has
 one, one ``loss`` call per row otherwise.  Seeds, stream values, and the
 rows of vector layers and of the dense family are bit for bit the
@@ -45,8 +45,7 @@ from .numcore import (GaussianStream, derive_seed, derive_seeds,
                       unstack_params)
 from .perturbation import (ProjectionPair, build_pairs,
                            iter_perturbation_layers, subspace_dimension)
-from .estimators import (_dense_direction, _split_rowmajor,
-                         dense_subspace_probe, subzero_estimate)
+from .estimators import _dense_direction, dense_subspace_probe, subzero_estimate
 from .optimizer import _TAG_STEP, theoretical_step_size
 from .problems import QuadraticProblem, QuarticProblem, full_batch
 
@@ -214,15 +213,16 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
     """
     batch = full_batch(problem)
     x0 = stack_params(params)
+    nones = [None] * len(params)
     size = max(1, _BLOCK_FLOATS // x0.size)
     stop = first + n_mc
     for start in range(first, stop, size):
         seeds = derive_seeds(seed, _TAG_MC, last=np.arange(start, min(start + size, stop)))
         if dense_q is None:
             delta = _delta_rows(params, pairs, seeds)
-        else:   # the estimator splits its direction row-major per layer
-            delta = np.array([stack_params(_split_rowmajor(
-                _dense_direction(params, dense_q, s, None), params))
+        else:   # the estimator's stored direction, replayed as its passes read it
+            delta = np.array([stack_params(list(iter_perturbation_layers(
+                params, nones, _dense_direction(params, dense_q, s, None))))
                 for s in seeds.tolist()])
         rho = _central_difference(problem, params, x0, delta, epsilon)
         # all estimator calls first: interleaved with the comparisons, 3 % dearer

@@ -8,8 +8,7 @@ from subzero import (OptimizerConfig, derive_seed, full_batch, init_state,
                      iter_perturbation_layers, stack_params, step,
                      subspace_dimension, subzero_estimate,
                      theoretical_step_size)
-from subzero.estimators import (_dense_direction, _split_rowmajor,
-                                dense_subspace_probe)
+from subzero.estimators import _dense_direction, dense_subspace_probe
 from subzero.problems import Minibatch
 from subzero.verification import subspace_start
 
@@ -48,7 +47,8 @@ def loop_estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
     """The per-sample reference for ``verification._estimates``, with the
     same signature and sample order: sample ``k`` runs the estimator once,
     on a fresh copy of the parameters, and its perturbation is replayed
-    from the seed.  Yields one block ``(rho, delta)``."""
+    layer by layer from the seed, or from the dense family's stored
+    direction.  Yields one block ``(rho, delta)``."""
     batch = full_batch(problem)
     rho = np.empty(n_mc)
     delta = np.empty((n_mc, sum(w.size for w in params)))
@@ -60,7 +60,8 @@ def loop_estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
             layers = list(iter_perturbation_layers(params, pairs, s))
         else:
             ld, _ = dense_subspace_probe(problem, work, batch, epsilon, dense_q, s)
-            layers = _split_rowmajor(_dense_direction(params, dense_q, s, None), params)
+            layers = list(iter_perturbation_layers(
+                params, [None] * len(params), _dense_direction(params, dense_q, s, None)))
         rho[i] = ld.rho
         delta[i] = stack_params(layers)
     yield rho, delta

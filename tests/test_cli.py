@@ -170,6 +170,28 @@ class TestConfigHash:
         assert config_hash(every_section) == "1fa96344"
 
 
+    def test_numpy_counts_hash_like_plain_ints(self):
+        # config_to_dict writes plain ints, so json can serialize them
+        i = np.int64
+        numpy_counts = ExperimentConfig(
+            problem=ProblemSpec(layer_shapes=((i(6), i(6)),), seed=np.uint64(2),
+                                dataset_size=i(64)),
+            optimizer=OptimizerConfig(steps=i(40), batch_size=i(8), rank=i(2)),
+            sweep=(("master_seed", (i(5), i(6))),),
+            verify=VerifySettings(n_mc=i(250), n_mc_bias=i(250), seed=i(0)),
+            estimate=EstimateSettings(families=(FamilySpec(rank=i(2), dense_q=i(8)),),
+                                      n_mc=i(40), seed=i(3)))
+        plain = ExperimentConfig(
+            problem=ProblemSpec(layer_shapes=((6, 6),), seed=2, dataset_size=64),
+            optimizer=OptimizerConfig(steps=40, batch_size=8, rank=2),
+            sweep=(("master_seed", (5, 6)),),
+            verify=VerifySettings(n_mc=250, n_mc_bias=250, seed=0),
+            estimate=EstimateSettings(families=(FamilySpec(rank=2, dense_q=8),),
+                                      n_mc=40, seed=3))
+        assert config_hash(numpy_counts) == config_hash(plain)
+        assert config_from_dict(config_to_dict(numpy_counts)) == plain
+
+
 class TestBuildProblem:
     def test_family_dispatch(self):
         assert isinstance(build_problem(ProblemSpec()), QuadraticProblem)
@@ -501,6 +523,15 @@ class TestEstimateCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
+
+    def test_a_seed_of_2_to_the_64_runs(self, tmp_path):
+        # the Monte Carlo seeds reduce it modulo 2**64, as derive_seed does
+        path = write_config(tmp_path / "cfg.json", {
+            "problem": {"family": "quadratic", "layer_shapes": [[4, 4]],
+                        "dataset_size": 16},
+            "estimate": {"n_mc": 5, "seed": 2 ** 64}})
+        rc = main(["estimate", "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 0
 
     @pytest.mark.parametrize("verify", [
         {"n_mc": 0}, {"n_mc": -5}, {"n_mc_bias": 0}, {"n_mc_bias": -1},

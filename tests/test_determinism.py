@@ -25,6 +25,7 @@ and two OpenBLAS threads, and a Monte Carlo report moves by rounding only
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,3 +145,18 @@ def test_blas_thread_count_moves_no_trajectory():
     assert one["hits"] == two["hits"] == [681, 340, 167]
     assert one["variance_ordering"] == pytest.approx(two["variance_ordering"],
                                                      rel=1e-12, abs=0.0)
+
+
+def test_digest_tool_prints_five_sections_and_a_combined_hash():
+    # tools/digest.py is what every bit-identity claim cites; its hashes
+    # depend on the numpy, libm and BLAS build, so none is pinned here
+    digest = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+    proc = subprocess.run([sys.executable, str(digest)], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    *sections, combined = proc.stdout.splitlines()
+    assert [line.split()[0] for line in sections] == [
+        "train_mlp_wide", "train_mlp_fullspace", "quadratic", "monte_carlo",
+        "diagnostics"]
+    assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in sections)
+    assert re.fullmatch("[0-9a-f]{64}", combined)

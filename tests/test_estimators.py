@@ -257,6 +257,30 @@ class TestDenseSubspace:
         with pytest.raises(ShapeError):
             dense_subspace_probe(prob, params, batch, 1e-3, q=0, seed=0)
 
+    # (loss_plus, loss_minus) and the last estimate layer, as float.hex, of
+    # the probe at the initial parameters on the full batch, q=4, seed=7
+    PINS = {
+        "quadratic": (("0x1.dee7398509249p-2", "0x1.ddb3ffb9bc8e7p-2"),
+                      ["0x1.d7d4635747bb2p-2", "-0x1.550af2c561e11p-1",
+                       "0x1.9966e9bf31770p-7", "0x1.f15390879b6e6p+0",
+                       "0x1.ce7a7e5824b36p-1"]),
+        "mlp": (("0x1.dd5b39c8b918bp-1", "0x1.dc87024300c9cp-1"),
+                ["-0x1.61ac6f1513699p-4", "-0x1.7ad93f1c98034p-1",
+                 "0x1.ecb682f75551cp-6", "-0x1.11a84e346b47ep-3"]),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(PINS))
+    def test_probe_losses_and_estimate_are_pinned(self, cell):
+        if cell == "quadratic":
+            prob = QuadraticProblem.generate(3, [(4, 3), (5,)])
+        else:
+            prob = MlpProblem.generate(37, dataset_size=64)
+        ld, est = dense_subspace_probe(prob, prob.initial_params(),
+                                       full_batch(prob), 1e-3, q=4, seed=7)
+        losses, layer = self.PINS[cell]
+        assert (ld.loss_plus.hex(), ld.loss_minus.hex()) == losses
+        assert [float(x).hex() for x in est.layers[-1]] == layer
+
     def test_meta(self):
         prob, params, _, batch = quadratic_setup()
         _, est = dense_subspace_probe(prob, params, batch, 1e-3, q=4, seed=12)

@@ -253,7 +253,8 @@ class TestBlockSeedsAndValues:
         got = _mix64_block(np.array(xs, dtype=np.uint64))
         assert [int(v) for v in got] == [_mix64(x) for x in xs]
 
-    @pytest.mark.parametrize("master", MASTERS)
+    # int masters outside [0, 2**64) reduce modulo 2**64, as derive_seed's do
+    @pytest.mark.parametrize("master", MASTERS + (-1, 2 ** 64, 2 ** 64 + 3))
     def test_block_seeds_match_derive_seed(self, master):
         seeds = derive_seeds(master, 0x61, last=self.SAMPLES)
         assert seeds.dtype == np.uint64

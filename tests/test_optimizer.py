@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subzero import optimizer
+from subzero import optimizer, perturbation
 from subzero.errors import ConfigError, ShapeError, StepFailure
 from subzero.estimators import (dense_subspace_probe, subzero_estimate,
                                  two_sided_loss_diff)
@@ -369,6 +369,40 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
         assert np.max(np.abs(w - b)) <= 1e-12
 
 
+@pytest.mark.parametrize("family", ["subzero", "spsa_full", "spsa_dense_subspace"])
+def test_a_step_is_one_probe_then_one_update_pass(family, monkeypatch):
+    # every zeroth-order family probes in three passes, then updates in one
+    # pass with coefficient -lr * rho
+    prob = make_problem()
+    cfg = OptimizerConfig(family=family, steps=1, batch_size=8, rank=2, dense_q=4)
+    state = init_state(prob, cfg)
+    events = []
+    probe = optimizer.two_sided_loss_diff
+    axpy = optimizer.axpy_perturbation
+    layers = perturbation.iter_perturbation_layers
+
+    def recording_probe(*args):
+        events.append("probe")
+        ld = probe(*args)
+        events.append("probed")
+        return ld
+
+    def recording_axpy(params, pairs, direction, coeff):
+        events.append(("update", coeff))
+        axpy(params, pairs, direction, coeff)
+
+    def recording_layers(*args):
+        events.append("pass")
+        return layers(*args)
+
+    monkeypatch.setattr(optimizer, "two_sided_loss_diff", recording_probe)
+    monkeypatch.setattr(optimizer, "axpy_perturbation", recording_axpy)
+    monkeypatch.setattr(perturbation, "iter_perturbation_layers", recording_layers)
+    rec = step(prob, state, cfg)
+    assert events == ["probe", "pass", "pass", "pass", "probed",
+                      ("update", -(rec.lr * rec.rho)), "pass"]
+
+
 def _values_drawn(layers, call, monkeypatch):
     """Stream values one ``step`` or ``subzero_estimate`` draws on a
     quadratic cell at rank 3, with q and the vector layers' total."""
@@ -541,8 +575,18 @@ class TestTrainBookkeeping:
         rec = train(prob, cfg)
         assert rec.validation[-1][1] < 0.25 * rec.validation[0][1]
 
-    def test_rejects_bad_pinned_pairs(self):
+    @pytest.mark.parametrize("family", ["subzero", "spsa_full",
+                                        "spsa_dense_subspace", "exact_sgd"])
+    def test_rejects_bad_pinned_pairs(self, family):
         prob = make_problem()
-        cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=1)
-        with pytest.raises(ShapeError):
-            init_state(prob, cfg, pairs=[None])
+        cfg = OptimizerConfig(family=family, steps=1, batch_size=8, rank=1)
+        if family == "subzero":
+            with pytest.raises(ShapeError):
+                init_state(prob, cfg, pairs=[None])
+            return
+        # aligned pairs, which only subzero reads, are refused, not dropped
+        pairs = build_pairs(GaussianStream(1), prob.initial_params(), 1)
+        with pytest.raises(ConfigError, match="pinned pairs"):
+            init_state(prob, cfg, pairs=pairs)
+        with pytest.raises(ConfigError, match="pinned pairs"):
+            train(prob, cfg, pairs=pairs)

@@ -695,8 +695,10 @@ class TestBlockGuard:
                 return dense(params, q, derive_seed(0, 0x61, 6), projection)
             out = dense(params, q, s, projection)
             if corruption == "flipped_sign":
-                return -out
-            return np.roll(out, params[0].size)
+                out.vectors = -out.vectors
+            else:
+                out.vectors = np.roll(out.vectors, params[0].size)
+            return out
 
         row_losses = verification._row_losses
         evaluated = []
