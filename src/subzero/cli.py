@@ -80,11 +80,11 @@ class ProblemSpec:
             check_count("a layer dimension or hidden width", n, 1)
         check_counts(self, {"dataset_size": 1, "n_features": 1, "n_outputs": 1,
                             "seed": None})
-        if not (self.kappa >= 1.0 and self.lam_max > 0.0):
-            raise ValueError(f"need kappa >= 1 and lam_max > 0, got {self}")
-        if not (0.0 <= self.flip_fraction <= 1.0 and self.l2 >= 0.0
-                and self.noise >= 0.0):
-            raise ValueError(f"need flip_fraction in [0, 1], l2 >= 0 and "
+        if not (1.0 <= self.kappa < math.inf and 0.0 < self.lam_max < math.inf):
+            raise ValueError(f"need finite kappa >= 1 and lam_max > 0, got {self}")
+        if not (0.0 <= self.flip_fraction <= 1.0 and 0.0 <= self.l2 < math.inf
+                and 0.0 <= self.noise < math.inf):
+            raise ValueError(f"need flip_fraction in [0, 1], finite l2 >= 0 and "
                              f"noise >= 0, got {self}")
 
 
@@ -122,8 +122,8 @@ class EstimateSettings:
 
     def __post_init__(self):
         check_counts(self, {"n_mc": 1, "seed": None})
-        if not self.families or not self.epsilon > 0.0:
-            raise ValueError(f"need a family and epsilon > 0, got {self}")
+        if not self.families or not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"need a family and finite epsilon > 0, got {self}")
 
 
 @dataclass(frozen=True)

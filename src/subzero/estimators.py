@@ -180,30 +180,21 @@ def subzero_estimate(
                      subspace_dimension(params, pairs))
 
 
-def _dense_direction(params: Sequence[np.ndarray], q: int, seed: int,
-                     projection: Optional[np.ndarray]) -> Direction:
+def _dense_direction(params: Sequence[np.ndarray], q: int, seed: int) -> Direction:
     """The dense-subspace direction ``P z``, stored whole as the kept vector
     values of a :class:`~subzero.perturbation.Direction` with no cores; its
-    passes read it row-major per layer, with every pair ``None``.
-
-    Draw order is ``z`` first (q values), then ``P`` row-major, so
-    overriding ``P`` (the identity hook) leaves ``z`` unchanged and
-    reproduces the full-space draws value for value.
+    passes read it row-major per layer, with every pair ``None``.  Draw
+    order is ``z`` first (q values), then ``P`` row-major.
     """
     d = sum(w.size for w in params)
     if q < 1:
         raise ShapeError(f"subspace dimension must be positive, got {q}")
+    if d * q > DENSE_ENTRY_CAP:
+        raise AllocationRefused(f"dense projection needs {d * q} entries, "
+                                f"over the cap of {DENSE_ENTRY_CAP}")
     stream = GaussianStream(seed)
     z = stream.normals(q)
-    if projection is None:
-        if d * q > DENSE_ENTRY_CAP:
-            raise AllocationRefused(f"dense projection needs {d * q} entries, "
-                                    f"over the cap of {DENSE_ENTRY_CAP}")
-        p = stream.normals(d * q).reshape(d, q)
-    else:
-        p = np.asarray(projection, dtype=np.float64)
-        if p.shape != (d, q):
-            raise ShapeError(f"projection must be {(d, q)}, got {p.shape}")
+    p = stream.normals(d * q).reshape(d, q)
     return Direction(stream.seed, np.empty(0), p @ z)
 
 
@@ -214,16 +205,13 @@ def dense_subspace_probe(
     epsilon: float,
     q: int,
     seed: int,
-    projection: Optional[np.ndarray] = None,
 ) -> tuple[LossDifference, GradEstimate]:
     """Two-point estimate restricted to a dense random q-dimensional
     subspace of the stacked parameter space, plus its probe losses.
 
     Draws an unstructured Gaussian projection of d-by-q entries each call,
     refusing allocations over ``DENSE_ENTRY_CAP``, and probes along ``P z``.
-    ``projection`` overrides the drawn matrix; the identity at ``q = d``
-    reproduces the full-space estimate exactly, which tests rely on.
     """
-    direction = _dense_direction(params, q, seed, projection)
+    direction = _dense_direction(params, q, seed)
     return _estimate(problem, params, [None] * len(params), batch, epsilon,
                      direction, "spsa_dense_subspace", q)

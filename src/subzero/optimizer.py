@@ -5,12 +5,15 @@ draws its direction once from the step seed (the q matrix-layer core
 values, each multiplied under ``scale_z`` by the norm-alignment scale
 ``sqrt(m * n) / r`` read from its pair, and the vector layers' values when
 they fit the largest matrix layer; for ``spsa_dense_subspace`` the stored
-``P z``), probes the loss twice along it in three passes, then replays it
-in one more ``axpy_perturbation`` pass with coefficient ``-lr * rho``.  The
-probe's passes skip the layers the problem's loss takes in factored form
-(large native MLP layers; see :func:`~subzero.estimators.two_sided_loss_diff`),
-so the update is the only pass that writes them.  Peak transient memory of
-a layer-wise step is therefore the drawn direction plus one buffer of at
+``P z``) and probes the loss twice along it in three passes.  The probe's
+passes skip the layers the problem's loss takes in factored form (large
+native MLP layers; see :func:`~subzero.estimators.two_sided_loss_diff`),
+so the update is the only pass that writes them.  Exact SGD, the
+backpropagation reference, stores its minibatch gradient as the direction
+instead and does not probe.  Every family then ends its step with one
+``axpy_perturbation`` pass along its direction, with coefficient
+``-lr * rho``, or ``-lr`` for exact SGD.  Peak transient memory of a
+layer-wise step is therefore the drawn direction plus one buffer of at
 most a small layer or a 256 kB row block of a large one, or the loss
 evaluation's activations if they are larger, however many layers the model
 has, and a failed step leaves the parameters where it found them.
@@ -34,9 +37,9 @@ import numpy as np
 from .errors import (ConfigError, ShapeError, StepFailure, SubzeroError,
                      check_counts)
 from .numcore import GaussianStream, derive_seed
-from .perturbation import (RESHAPE_POLICIES, LayerPlan, ProjectionPair,
-                           _axpy_stored, axpy_perturbation, draw_direction,
-                           pairs_from_plan, plan_layers)
+from .perturbation import (RESHAPE_POLICIES, Direction, LayerPlan, ProjectionPair,
+                           axpy_perturbation, draw_direction, pairs_from_plan,
+                           plan_layers)
 from .estimators import _dense_direction, two_sided_loss_diff
 from .problems import full_batch, sample_minibatch
 
@@ -77,10 +80,10 @@ class OptimizerConfig:
             raise ConfigError(f"unknown alignment mode {self.alignment!r}")
         if self.reshape not in RESHAPE_POLICIES:
             raise ConfigError(f"unknown reshape policy {self.reshape!r}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError("learning rate must be positive")
-        if not self.epsilon > 0.0:
-            raise ConfigError("epsilon must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning rate must be positive and finite")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be positive and finite")
         if self.alignment != "none" and self.family != "subzero":
             raise ConfigError("norm alignment only applies to the subzero family")
 
@@ -159,7 +162,7 @@ def init_state(problem, config: OptimizerConfig,
                 raise ShapeError("pinned pairs must align with the parameters")
             state.pairs = list(pairs)
             state.pinned_pairs = True
-    elif config.family != "exact_sgd":
+    else:
         state.pairs = [None] * len(work)
     return state
 
@@ -185,20 +188,23 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
         if config.family == "exact_sgd":
             loss_plus = loss_minus = problem.loss(state.params, batch)
             grads = problem.exact_gradient(state.params, batch)
-            _axpy_stored(state.params, grads, -lr)
+            direction = Direction(seed_t, np.empty(0),
+                                  np.concatenate([g.ravel() for g in grads]))
             rho = math.nan
+            coeff = -lr
         else:
             if config.family == "subzero":
                 _refresh_pairs(state, config)
             if config.family == "spsa_dense_subspace":
-                direction = _dense_direction(state.params, config.dense_q, seed_t, None)
+                direction = _dense_direction(state.params, config.dense_q, seed_t)
             else:
                 direction = draw_direction(state.params, state.pairs, seed_t,
                                            config.alignment == "scale_z")
             ld = two_sided_loss_diff(problem, state.params, state.pairs, batch,
                                      config.epsilon, direction)
-            axpy_perturbation(state.params, state.pairs, direction, -(lr * ld.rho))
             loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
+            coeff = -(lr * rho)
+        axpy_perturbation(state.params, state.pairs, direction, coeff)
     except SubzeroError as exc:
         raise StepFailure(t, str(exc)) from exc
     state.step = t + 1

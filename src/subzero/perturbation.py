@@ -8,14 +8,16 @@ low-rank structure; they fall back to a full Gaussian perturbation and are
 marked by a ``None`` entry in the pairs list.
 
 Seeded perturbations are never stored whole (see :class:`Direction` for
-the dense baseline's stored one).  A step draws its direction once:
-:func:`draw_direction` walks the layers in stream order and draws the
-``r_i**2`` core values of each matrix layer into one flat array of
-``q = sum r_i**2`` floats, each core multiplied as it is drawn by the
-norm-alignment scale ``sqrt(m * n) / r`` of its pair when the direction is
-drawn aligned.  The ``size`` values each vector layer owns are
-drawn into a second flat array when their total is at most the largest
-matrix layer's size, and skipped otherwise.  Every pass of
+the two stored directions, the dense baseline's and exact SGD's gradient).
+Every write to a model's parameters, probe and update of every family, is
+a pass of :func:`axpy_perturbation` along one direction.  A step draws its
+direction once: :func:`draw_direction` walks the layers in stream order
+and draws the ``r_i**2`` core values of each matrix layer into one flat
+array of ``q = sum r_i**2`` floats, each core multiplied as it is drawn by
+the norm-alignment scale ``sqrt(m * n) / r`` of its pair when the
+direction is drawn aligned.  The ``size`` values each vector layer owns
+are drawn into a second flat array when their total is at most the
+largest matrix layer's size, and skipped otherwise.  Every pass of
 :func:`axpy_perturbation` then reads its values from those arrays and
 replays from the seed only the vector layers that were skipped.  Replaying
 one direction with coefficients ``+eps``, ``-2 eps``, ``+eps`` and then
@@ -259,10 +261,13 @@ class Direction:
     values never outgrow one matrix layer, and a model of vector layers
     only holds no parameter-sized draw.  Every function that takes a seed
     also takes a ``Direction`` in its place, so a step draws once and its
-    passes replay at most the vector layers.  The exception is a stored
-    direction, the dense baseline's ``P z``: empty ``cores`` and all d values
-    in ``vectors``, read with every pair ``None``.  That d-sized direction is
-    exactly the cost the dense baseline exists to show.
+    passes replay at most the vector layers.
+
+    A stored direction is the exception: empty ``cores`` and all d values
+    in ``vectors``, read row-major per layer with every pair ``None``.
+    There are two: the dense baseline's ``P z``, whose d-sized direction is
+    exactly the cost that baseline exists to show, and exact SGD's
+    minibatch gradient, a copy the backpropagation reference pays for.
     """
 
     __slots__ = ("seed", "cores", "vectors")
@@ -487,21 +492,6 @@ def axpy_perturbation(
     except BaseException:
         if done:
             axpy_perturbation(params[:done], pairs[:done], direction, -coeff, skip)
-        raise
-
-
-def _axpy_stored(params: Sequence[np.ndarray], layers: Sequence[np.ndarray],
-                 coeff: float) -> None:
-    """Add ``coeff * layers[i]`` to ``params[i]`` in place (exact SGD's
-    gradient); on error the layers done are taken back."""
-    done = 0
-    try:
-        for w, g in zip(params, layers):
-            w += coeff * g
-            done += 1
-    except BaseException:
-        for w, g in zip(params[:done], layers[:done]):
-            w -= coeff * g
         raise
 
 

@@ -222,7 +222,7 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
             delta = _delta_rows(params, pairs, seeds)
         else:   # the estimator's stored direction, replayed as its passes read it
             delta = np.array([stack_params(list(iter_perturbation_layers(
-                params, nones, _dense_direction(params, dense_q, s, None))))
+                params, nones, _dense_direction(params, dense_q, s))))
                 for s in seeds.tolist()])
         rho = _central_difference(problem, params, x0, delta, epsilon)
         # all estimator calls first: interleaved with the comparisons, 3 % dearer

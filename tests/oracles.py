@@ -61,7 +61,7 @@ def loop_estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
         else:
             ld, _ = dense_subspace_probe(problem, work, batch, epsilon, dense_q, s)
             layers = list(iter_perturbation_layers(
-                params, [None] * len(params), _dense_direction(params, dense_q, s, None)))
+                params, [None] * len(params), _dense_direction(params, dense_q, s)))
         rho[i] = ld.rho
         delta[i] = stack_params(layers)
     yield rho, delta

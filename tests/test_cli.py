@@ -453,9 +453,14 @@ class TestBenchCommand:
         {"optimizer": {"steps": [5]}},
         {"optimizer": {"batch_size": []}},
         {"sweep": {"rank": [[2]]}},
-    ], ids=["steps_list", "batch_size_empty_list", "sweep_rank_list"])
+        {"optimizer": {"learning_rate": math.inf}},
+        {"optimizer": {"epsilon": math.inf}},
+        {"sweep": {"learning_rate": [0.01, math.inf]}},
+    ], ids=["steps_list", "batch_size_empty_list", "sweep_rank_list",
+            "learning_rate_inf", "epsilon_inf", "sweep_learning_rate_inf"])
     def test_a_list_valued_count_is_a_config_error(self, tmp_path, capsys, raw):
-        # one count is one integer; a list is refused before any cell runs
+        # one count is one integer, and one real a finite number; a list or
+        # an infinity is refused before any cell runs
         path = write_config(tmp_path / "cfg.json", {
             "problem": {"family": "quadratic", "layer_shapes": [[6, 6]]},
             **raw, "optimizer": {"steps": 4, "batch_size": 8, "rank": 2,
@@ -502,6 +507,7 @@ class TestEstimateCommand:
         {"epsilon": 0.0},
         {"epsilon": -1e-3},
         {"epsilon": float("nan")},
+        {"epsilon": math.inf},
         {"families": [{"family": "subzero", "rank": 1.5}]},
         {"n_mc": 5.5},
         {"n_mc": True},
@@ -509,9 +515,9 @@ class TestEstimateCommand:
         {"families": [{"family": "subzero", "rank": [2]}]},
         {"n_mc": [5]},
     ], ids=["rank_over_4x4", "rank_zero", "dense_q_zero", "n_mc_zero",
-            "epsilon_zero", "epsilon_negative", "epsilon_nan", "rank_float",
-            "n_mc_float", "n_mc_bool", "subzero_dense_q_zero", "rank_list",
-            "n_mc_list"])
+            "epsilon_zero", "epsilon_negative", "epsilon_nan", "epsilon_inf",
+            "rank_float", "n_mc_float", "n_mc_bool", "subzero_dense_q_zero",
+            "rank_list", "n_mc_list"])
     def test_bad_family_settings_are_config_errors(self, tmp_path, capsys,
                                                    estimate):
         # vetted like bench cells: no clamped rank, no traceback, no output
@@ -561,6 +567,10 @@ class TestEstimateCommand:
     {"flip_fraction": 1.5},
     {"l2": -1e-3},
     {"noise": -0.05},
+    {"kappa": math.inf},
+    {"lam_max": math.inf},
+    {"family": "logistic", "l2": math.inf},
+    {"family": "mlp", "noise": math.inf},
     {"dataset_size": 16.5},
     {"family": "mlp", "n_features": 6.0},
     {"family": "mlp", "n_outputs": 4.5},
@@ -575,9 +585,9 @@ class TestEstimateCommand:
 ], ids=["shape_zero", "shape_three_dims", "dataset_size_zero",
         "dataset_size_negative", "hidden_zero", "n_features_zero",
         "lam_max_zero", "kappa_negative", "flip_fraction_negative",
-        "flip_fraction_over_one", "l2_negative", "noise_negative",
-        "dataset_size_float", "n_features_float", "n_outputs_float",
-        "hidden_float", "seed_float", "seed_bool", "shape_list_dim",
+        "flip_fraction_over_one", "l2_negative", "noise_negative", "kappa_inf",
+        "lam_max_inf", "l2_inf", "noise_inf", "dataset_size_float",
+        "n_features_float", "n_outputs_float", "hidden_float", "seed_float", "seed_bool", "shape_list_dim",
         "shape_list_dims", "hidden_int", "dataset_size_list", "seed_list"])
 def test_bad_problem_sections_are_config_errors(tmp_path, capsys, command, problem):
     # refused when the config is read: exit 2, no traceback, nothing written

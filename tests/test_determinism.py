@@ -147,7 +147,7 @@ def test_blas_thread_count_moves_no_trajectory():
                                                      rel=1e-12, abs=0.0)
 
 
-def test_digest_tool_prints_five_sections_and_a_combined_hash():
+def test_digest_tool_prints_six_sections_and_a_combined_hash():
     # tools/digest.py is what every bit-identity claim cites; its hashes
     # depend on the numpy, libm and BLAS build, so none is pinned here
     digest = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
@@ -157,6 +157,6 @@ def test_digest_tool_prints_five_sections_and_a_combined_hash():
     *sections, combined = proc.stdout.splitlines()
     assert [line.split()[0] for line in sections] == [
         "train_mlp_wide", "train_mlp_fullspace", "quadratic", "monte_carlo",
-        "diagnostics"]
+        "diagnostics", "exact_sgd"]
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in sections)
     assert re.fullmatch("[0-9a-f]{64}", combined)

@@ -12,7 +12,7 @@ from subzero.estimators import (DENSE_ENTRY_CAP, LossDifference,
                                 dense_subspace_probe, subzero_estimate,
                                 two_sided_loss_diff)
 from subzero.numcore import GaussianStream, stack_params
-from subzero.perturbation import (_DOT_MAX_ENTRIES, build_pairs,
+from subzero.perturbation import (_DOT_MAX_ENTRIES, Direction, build_pairs,
                                   draw_direction, iter_perturbation_layers)
 from subzero.problems import MlpProblem, QuadraticProblem, full_batch
 from subzero.verification import estimator_diagnostics
@@ -202,12 +202,16 @@ class TestSpsaFull:
 
 class TestDenseSubspace:
     def test_identity_projection_reproduces_full_space(self):
+        # a stored direction holding the seed's full-space draws (P = I)
+        # gives the seeded full-space estimate bit for bit
         prob, params, _, batch = quadratic_setup()
         d = sum(w.size for w in params)
-        _, dense = dense_subspace_probe(prob, [w.copy() for w in params], batch,
-                                        1e-4, q=d, seed=4, projection=np.eye(d))
-        _, full = subzero_estimate(prob, [w.copy() for w in params],
-                                   [None, None], batch, 1e-4, seed=4)
+        stored = Direction(4, np.empty(0), GaussianStream(4).normals(d))
+        ld_s, dense = subzero_estimate(prob, [w.copy() for w in params],
+                                       [None, None], batch, 1e-4, stored)
+        ld_f, full = subzero_estimate(prob, [w.copy() for w in params],
+                                      [None, None], batch, 1e-4, seed=4)
+        assert ld_s == ld_f
         for a, b in zip(dense.layers, full.layers):
             assert np.array_equal(a, b)
 
@@ -245,12 +249,6 @@ class TestDenseSubspace:
         monkeypatch.setattr(estimators, "DENSE_ENTRY_CAP", 10)
         with pytest.raises(AllocationRefused):
             dense_subspace_probe(prob, params, batch, 1e-3, q=4, seed=0)
-
-    def test_projection_shape_validated(self):
-        prob, params, _, batch = quadratic_setup()
-        with pytest.raises(ShapeError):
-            dense_subspace_probe(prob, params, batch, 1e-3, q=2, seed=0,
-                                 projection=np.eye(5))
 
     def test_q_must_be_positive(self):
         prob, params, _, batch = quadratic_setup()

@@ -37,6 +37,8 @@ class TestConfigValidation:
         {"batch_size": 0},
         {"learning_rate": 0.0},
         {"epsilon": -1e-3},
+        {"learning_rate": math.inf},
+        {"epsilon": math.inf},
         {"rank": 0},
         {"refresh_period": 0},
         {"dense_q": 0},
@@ -369,13 +371,17 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
         assert np.max(np.abs(w - b)) <= 1e-12
 
 
-@pytest.mark.parametrize("family", ["subzero", "spsa_full", "spsa_dense_subspace"])
+@pytest.mark.parametrize("family", ["subzero", "spsa_full", "spsa_dense_subspace",
+                                    "exact_sgd"])
 def test_a_step_is_one_probe_then_one_update_pass(family, monkeypatch):
     # every zeroth-order family probes in three passes, then updates in one
-    # pass with coefficient -lr * rho
+    # pass with coefficient -lr * rho; exact SGD skips the probe and updates
+    # along its stored gradient with coefficient -lr
     prob = make_problem()
     cfg = OptimizerConfig(family=family, steps=1, batch_size=8, rank=2, dense_q=4)
     state = init_state(prob, cfg)
+    if family == "exact_sgd":
+        assert state.pairs == [None] * len(state.params)
     events = []
     probe = optimizer.two_sided_loss_diff
     axpy = optimizer.axpy_perturbation
@@ -399,8 +405,11 @@ def test_a_step_is_one_probe_then_one_update_pass(family, monkeypatch):
     monkeypatch.setattr(optimizer, "axpy_perturbation", recording_axpy)
     monkeypatch.setattr(perturbation, "iter_perturbation_layers", recording_layers)
     rec = step(prob, state, cfg)
-    assert events == ["probe", "pass", "pass", "pass", "probed",
-                      ("update", -(rec.lr * rec.rho)), "pass"]
+    if family == "exact_sgd":
+        assert events == [("update", -rec.lr), "pass"]
+    else:
+        assert events == ["probe", "pass", "pass", "pass", "probed",
+                          ("update", -(rec.lr * rec.rho)), "pass"]
 
 
 def _values_drawn(layers, call, monkeypatch):

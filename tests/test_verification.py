@@ -688,12 +688,12 @@ class TestBlockGuard:
                 out[5] = np.roll(out[5], params[0].size)
             return out
 
-        def corrupted_dense(params, q, s, projection):
+        def corrupted_dense(params, q, s):
             if s != bad_seed:
-                return dense(params, q, s, projection)
+                return dense(params, q, s)
             if corruption == "seed_off_by_one":
-                return dense(params, q, derive_seed(0, 0x61, 6), projection)
-            out = dense(params, q, s, projection)
+                return dense(params, q, derive_seed(0, 0x61, 6))
+            out = dense(params, q, s)
             if corruption == "flipped_sign":
                 out.vectors = -out.vectors
             else:

@@ -7,13 +7,15 @@ on a small quadratic, ``check_second_moment`` for ``subzero`` and
 ``spsa_full``, ``run_default_battery(n_mc=300, n_mc_bias=300)``, and
 ``spsa_dense_subspace`` diagnostics on the battery's ordering cell, and
 diagnostics of all three estimator families on a small MLP and a small
-logistic problem, which have no row-wise ``losses``.  A change that keeps
+logistic problem, which have no row-wise ``losses``, and last 60 steps of
+``train_mlp_wide``'s config under ``exact_sgd``.  A change that keeps
 every value bit for bit prints the same digest.
 
 It prints one sha256 per section (the two benchmark runs, the quadratic
-runs, the Monte Carlo reports, the diagnostics), then the combined digest
-of all sections' bytes in that order as its last line.  The reports are
-hashed as the ``repr`` of one list, cut where the diagnostics begin.
+runs, the Monte Carlo reports, the diagnostics, the exact SGD run), then
+the combined digest of all sections' bytes in that order as its last
+line.  The reports are hashed as the ``repr`` of one list, cut where the
+diagnostics begin.
 
 Run from the root of a checkout:
 
@@ -79,6 +81,9 @@ text = repr(monte_carlo + diagnostics).encode()
 cut = len(repr(monte_carlo)) - 1   # the list's repr up to its closing bracket
 feed("monte_carlo", text[:cut])
 feed("diagnostics", text[cut:])
+spec, config = workloads.WORKLOADS["train_mlp_wide"].configure(1)
+run("exact_sgd", cli.build_problem(spec),
+    dataclasses.replace(config, steps=60, family="exact_sgd"))
 for name, section in sections.items():
     print(f"{name:20} {section.hexdigest()}")
 print(combined.hexdigest())
