@@ -5,10 +5,10 @@ Both run one probe along a drawn :class:`~subzero.perturbation.Direction`:
 perturb the parameters in place by ``+epsilon``, evaluate, swing to
 ``-epsilon`` in one pass, evaluate again, then restore.  The probe holds
 some layers out of those passes when the problem's loss can take them in
-factored form (the MLP's does): a matrix layer of more than
-``_DOT_MAX_ENTRIES`` entries, perturbed in its own shape, is never written
-during the probe, and each loss call adds its ``+-epsilon U Z V^T`` as
-``((h U) Z) V^T``.  The scalar
+factored form, which its ``probe_batch`` hook declares (the MLP's does): a
+matrix layer of more than ``_DOT_MAX_ENTRIES`` entries, perturbed in its
+own shape, is never written during the probe, and each loss call adds its
+``+-epsilon U Z V^T`` as ``((h U) Z) V^T``.  The scalar
 
     rho = (loss_plus - loss_minus) / (2 * epsilon)
 
@@ -111,22 +111,27 @@ def two_sided_loss_diff(
     block of at most 256 kB of a large one.  A non-positive ``epsilon``
     raises ``ValueError`` before the first pass.
 
-    When the problem sets ``loss_takes_low_rank``, some layers are held
+    When the problem has a ``probe_batch`` hook, some layers are held
     out of the passes and never written: those of more than
     ``_DOT_MAX_ENTRIES`` entries whose pair is in the layer's own shape
     (:func:`~subzero.perturbation.held_out_factors`).  Each loss call gets
     their perturbation as factors ``(u, coeff * Z, v)`` instead, at the
     coefficient the passes have applied to the other layers, so the probe
-    losses agree with the in-place ones to rounding, not bit for bit.  If
-    a loss or a pass raises, the net coefficient applied so far is taken
-    back (a failed pass first undoes itself) before the error propagates.
+    losses agree with the in-place ones to rounding, not bit for bit.  The
+    hook is called once, before the first pass, with those factors, and
+    both loss calls take the batch it returns: the MLP's forms its held
+    first layer's input products there once for both signs, bit for bit
+    as each call formed them before.  If a loss or a pass raises, the net
+    coefficient applied so far is taken back (a failed pass first undoes
+    itself) before the error propagates.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     direction = draw_direction(params, pairs, seed)
     held = {}
-    if getattr(problem, "loss_takes_low_rank", False):
+    if hasattr(problem, "probe_batch"):
         held = held_out_factors(params, pairs, direction)
+        batch = problem.probe_batch(params, batch, held)
     applied = 0.0
     try:
         axpy_perturbation(params, pairs, direction, epsilon, held)

@@ -87,10 +87,14 @@ def derive_seeds(master, *parts: int, last) -> np.ndarray:
     """``derive_seed(m, *parts, k)`` as a ``uint64`` array, bit for bit, for
     every master ``m`` (an int or a ``uint64`` array) broadcast against every
     ``k`` in ``last``; no operand is 0-d, as numpy warns if one wraps.  An
-    int master is reduced modulo 2**64 first, as :func:`derive_seed` does."""
+    int master is reduced modulo 2**64 first, as :func:`derive_seed` does,
+    and mixed with ``parts`` there, so only ``last`` is mixed as a block."""
     if isinstance(master, int):
-        master &= _MASK64
-    h = _mix64_block(np.array(master, ndmin=1).astype(np.uint64) ^ np.uint64(_DERIVE_SALT))
+        h = np.array([derive_seed(master, *parts)], dtype=np.uint64)
+        parts = ()
+    else:
+        h = _mix64_block(np.array(master, ndmin=1).astype(np.uint64)
+                         ^ np.uint64(_DERIVE_SALT))
     for k in (*parts, last):   # each part mixes in as ``last`` does
         h = _mix64_block((np.array(k, dtype=np.uint64, ndmin=1) + np.uint64(1))
                          * np.uint64(_GOLDEN) + h)

@@ -12,7 +12,10 @@ is the same function), which keeps estimator statistics exact while still
 exercising the minibatch plumbing.  They also offer ``losses(xs)``, the loss
 of each row of a ``(K, d)`` block of stacked parameter vectors: an optional
 speed-up that lets the verification checks evaluate many probes in one
-numpy call, not a capability they need.
+numpy call, not a capability they need.  The MLP alone offers
+``probe_batch(params, batch, held)``, which prepares a batch for the
+two-point probe's loss calls; its presence tells the estimators that the
+loss takes held-out layers in factored form.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteLoss, ShapeError
-from .numcore import (GaussianStream, _GOLDEN, _MASK64, _mix64, derive_seed,
+from .numcore import (GaussianStream, _GOLDEN, _mix64_block, derive_seed,
                       gaussian_matrix, qr_orthonormal, stack_params,
                       unstack_params)
 
@@ -41,6 +44,17 @@ class Minibatch:
         return int(self.indices.size)
 
 
+@dataclass(frozen=True, eq=False)
+class ProductBatch(Minibatch):
+    """A minibatch whose MLP first-layer input products are formed: the
+    targets, ``xw = x @ W1`` and ``xu = x @ u`` for the rows ``x`` the
+    indices select, without ``x``; see :meth:`MlpProblem.probe_batch`."""
+
+    targets: np.ndarray
+    xw: np.ndarray
+    xu: np.ndarray
+
+
 def sample_minibatch(problem, seed: int, t: int, b: int) -> Minibatch:
     """Uniform sample of ``b`` distinct example indices for step ``t``.
 
@@ -53,13 +67,15 @@ def sample_minibatch(problem, seed: int, t: int, b: int) -> Minibatch:
         raise ShapeError(f"batch size {b} not in [1, {n}]")
     if b == n:
         return Minibatch(indices=np.arange(n, dtype=np.int64))
+    # swap i hashes key + GOLDEN * (i + 1); uint64 arithmetic wraps
+    # modulo 2**64 as the scalar finalizer's masks do
     key = derive_seed(seed, _TAG_BATCH, t)
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(b):
-        h = _mix64((key + _GOLDEN * (i + 1)) & _MASK64)
-        j = i + h % (n - i)
+    swaps = np.arange(b, dtype=np.uint64)
+    h = _mix64_block((swaps + np.uint64(1)) * np.uint64(_GOLDEN) + np.uint64(key))
+    perm = list(range(n))
+    for i, j in enumerate((swaps + h % (np.uint64(n) - swaps)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
-    return Minibatch(indices=perm[:b].copy())
+    return Minibatch(indices=np.array(perm[:b], dtype=np.int64))
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -283,12 +299,11 @@ class MlpProblem:
     ``loss`` also takes ``low_rank``, a mapping from a weight layer's index
     to factors ``(u, c, v)``: that layer is then evaluated as
     ``W + u c v^T`` without forming the sum, which is how the two-point
-    probe perturbs a large layer without writing it
-    (``loss_takes_low_rank`` declares this to the estimators).
+    probe perturbs a large layer without writing it.  :meth:`probe_batch`
+    declares this to the estimators: its presence is the protocol.
     """
 
     name = "mlp"
-    loss_takes_low_rank = True
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray,
                  params0: list[np.ndarray]):
@@ -333,9 +348,30 @@ class MlpProblem:
         idx = batch.indices
         return self.inputs[idx], self.targets[idx]
 
+    def probe_batch(self, params, batch, held) -> Minibatch:
+        """``batch`` as the probe's two loss calls take it, given the
+        probe's held-out factors ``held`` (``{i: (u, Z, v)}``).  When layer
+        0 is held, its input is the batch itself and its weight is never
+        written during the probe, so both of its input products are formed
+        here once, for both signs: the result is a :class:`ProductBatch`
+        holding ``x @ W1`` and ``x @ u``, and the gathered rows ``x`` are
+        dropped.  Otherwise ``batch`` is returned as it is, and each loss
+        call gathers its rows.  The products are valid while ``W1`` and
+        ``u`` are unchanged, that is, within one probe."""
+        if 0 not in held:
+            return batch
+        idx = batch.indices
+        x = self.inputs[idx]
+        return ProductBatch(indices=idx, targets=self.targets[idx],
+                            xw=x @ params[0], xu=x @ held[0][0])
+
     def loss(self, params, batch, low_rank=None) -> float:
-        x, y = self._batch_data(batch)
-        out = _forward(params, x, low_rank)[-1]
+        if isinstance(batch, ProductBatch):
+            out = _forward(params, None, low_rank, (batch.xw, batch.xu))[-1]
+            y = batch.targets
+        else:
+            x, y = self._batch_data(batch)
+            out = _forward(params, x, low_rank)[-1]
         return _check_finite(float(np.mean((out - y) ** 2)), "mlp loss")
 
     def exact_gradient(self, params, batch) -> list[np.ndarray]:
@@ -354,13 +390,18 @@ class MlpProblem:
         return grads
 
 
-def _forward(params: list[np.ndarray], x: np.ndarray,
-             low_rank=None) -> list[np.ndarray]:
+def _forward(params: list[np.ndarray], x: np.ndarray | None,
+             low_rank=None, first=None) -> list[np.ndarray]:
     """Activations per layer; hidden layers tanh, final layer linear.
 
     A weight layer ``k`` in ``low_rank``, with factors ``(u, c, v)``,
     computes ``h @ W + ((h @ u) @ c) @ v.T``: the ``(r, r)`` core stays
-    factored, so the perturbed layer is never formed.
+    factored, so the perturbed layer is never formed.  ``first``, layer
+    0's input products ``(x @ W1, x @ u)`` formed once by
+    :meth:`MlpProblem.probe_batch`, stands in for ``x`` (then ``None``):
+    layer 0 is formed as ``((x u) c) v^T``, and ``x @ W1`` is added into
+    that fresh term, the same sum bit for bit, since IEEE addition is
+    commutative.
     """
     if len(params) < 2 or len(params) % 2 != 0:
         raise ShapeError("mlp parameters must alternate weight and bias")
@@ -369,11 +410,23 @@ def _forward(params: list[np.ndarray], x: np.ndarray,
     n_layers = len(params) // 2
     for i in range(n_layers):
         w, b = params[2 * i], params[2 * i + 1]
-        h_in, h = h, h @ w
-        if low_rank is not None and 2 * i in low_rank:
-            u, c, v = low_rank[2 * i]
-            h += ((h_in @ u) @ c) @ v.T
-        h += b
+        factors = None if low_rank is None else low_rank.get(2 * i)
+        if i == 0 and first is not None:
+            if factors is None:
+                raise ShapeError("layer 0's input products need its factors")
+            (xw, xu), (_, c, v) = first, factors
+            h = (xu @ c) @ v.T
+            h += xw
+            # row by row: a broadcast ``h += b`` takes a buffer of up to
+            # 64 kB, held beside the shared ``x @ W1``
+            for row in h:
+                row += b
+        else:
+            h_in, h = h, h @ w
+            if factors is not None:
+                u, c, v = factors
+                h += ((h_in @ u) @ c) @ v.T
+            h += b
         if i < n_layers - 1:
             np.tanh(h, out=h)
         acts.append(h)

@@ -247,10 +247,16 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
 
 def _central_difference(problem, params, xs, delta, epsilon: float) -> np.ndarray:
     """Each row's ``(L(xs + epsilon delta) - L(xs - epsilon delta)) / (2
-    epsilon)``, about one point or one row of ``xs`` per row, out of place."""
-    step = epsilon * delta
-    return (_row_losses(problem, params, xs + step)
-            - _row_losses(problem, params, xs - step)) / (2.0 * epsilon)
+    epsilon)``, about one point or one row of ``xs`` per row, out of place.
+    Both sides are formed in one buffer shaped like ``delta``, in the
+    same roundings as ``xs + step`` and ``xs - step`` with ``step =
+    epsilon * delta``."""
+    buf = np.multiply(delta, epsilon)
+    buf += xs
+    plus = _row_losses(problem, params, buf)
+    np.multiply(delta, epsilon, out=buf)
+    np.subtract(xs, buf, out=buf)
+    return (plus - _row_losses(problem, params, buf)) / (2.0 * epsilon)
 
 
 def _row_losses(problem, params, xs: np.ndarray) -> np.ndarray:

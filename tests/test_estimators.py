@@ -2,6 +2,7 @@
 full-space SPSA as its all-fallback case, and the dense-subspace probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from subzero.estimators import (DENSE_ENTRY_CAP, LossDifference,
                                 dense_subspace_probe, subzero_estimate,
                                 two_sided_loss_diff)
 from subzero.numcore import GaussianStream, stack_params
-from subzero.perturbation import (_DOT_MAX_ENTRIES, Direction, build_pairs,
-                                  draw_direction, iter_perturbation_layers)
-from subzero.problems import MlpProblem, QuadraticProblem, full_batch
+from subzero.perturbation import (_DOT_MAX_ENTRIES, Direction, axpy_perturbation,
+                                  build_pairs, draw_direction, held_out_factors,
+                                  iter_perturbation_layers)
+from subzero.problems import (MlpProblem, QuadraticProblem, full_batch,
+                              sample_minibatch)
 from subzero.verification import estimator_diagnostics
 
 
@@ -302,17 +305,21 @@ def held_out_setup(seed=4):
 
 
 class _LowRankSpy:
-    """Declares the factored loss and records every call: the held-out
-    layer's bytes, a copy of the other layers and the ``low_rank`` keys.
-    Returns inf on the ``fail_at``-th call."""
-
-    loss_takes_low_rank = True
+    """Forwards the ``probe_batch`` hook, which declares the factored loss,
+    and counts its calls; records every loss call: the held-out layer's
+    bytes, a copy of the other layers and the ``low_rank`` keys.  Returns
+    inf on the ``fail_at``-th loss call."""
 
     def __init__(self, inner, fail_at=None):
         self.inner = inner
         self.fail_at = fail_at
         self.dataset_size = inner.dataset_size
         self.calls = []
+        self.probe_batches = 0
+
+    def probe_batch(self, params, batch, held):
+        self.probe_batches += 1
+        return self.inner.probe_batch(params, batch, held)
 
     def loss(self, params, batch, low_rank=None):
         params = [np.asarray(w) for w in params]
@@ -338,6 +345,66 @@ class TestHeldOutLayers:
                                            1e-3, direction)
             assert factored.rho == pytest.approx(in_place.rho, rel=1e-9)
             assert factored.loss_plus == pytest.approx(in_place.loss_plus, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_products_equal_direct_loss_calls_bit_for_bit(self, seed):
+        # the same in-place passes, with each loss call gathering the batch
+        # and forming x @ W1 itself
+        prob, params, pairs, batch = held_out_setup()
+        direction = draw_direction(params, pairs, seed, aligned=True)
+        direct = [w.copy() for w in params]
+        held = held_out_factors(direct, pairs, direction)
+        u, z, v = held[0]
+        eps = 1e-3
+        axpy_perturbation(direct, pairs, direction, eps, held)
+        plus = prob.loss(direct, batch, low_rank={0: (u, eps * z, v)})
+        axpy_perturbation(direct, pairs, direction, -2.0 * eps, held)
+        minus = prob.loss(direct, batch, low_rank={0: (u, -eps * z, v)})
+        ld = two_sided_loss_diff(prob, params, pairs, batch, eps, direction)
+        assert ld.loss_plus.hex() == plus.hex()
+        assert ld.loss_minus.hex() == minus.hex()
+
+    def test_hook_is_called_once_per_probe(self):
+        prob, params, pairs, batch = held_out_setup()
+        spy = _LowRankSpy(prob)
+        two_sided_loss_diff(spy, params, pairs, batch, 1e-3, seed=3)
+        assert spy.probe_batches == 1 and len(spy.calls) == 2
+        subzero_estimate(spy, params, pairs, batch, 1e-3, seed=4)
+        assert spy.probe_batches == 2 and len(spy.calls) == 4
+
+    def test_shared_products_lower_the_probe_peak(self):
+        # n_features = h, as in the wide benchmark, so the gathered rows the
+        # probe no longer holds are one b x h activation; the probe keeps
+        # x @ u (b x r) across both calls instead, and a few Python objects
+        b, h, r = 32, 128, 16
+        prob = MlpProblem.generate(4, n_features=h, hidden=(h,), n_outputs=8,
+                                   dataset_size=64)
+
+        class SeparateProducts:
+            """The earlier loss path: each call gathers its rows and forms
+            x @ W1 itself."""
+
+            dataset_size = prob.dataset_size
+            loss = prob.loss
+
+            def probe_batch(self, params, batch, held):
+                return batch
+
+        params = prob.initial_params()
+        pairs = build_pairs(GaussianStream(104), params, r)
+        batch = sample_minibatch(prob, 1, 0, b)
+        direction = draw_direction(params, pairs, 3)
+        peaks = []
+        for problem in (prob, SeparateProducts()):
+            two_sided_loss_diff(problem, params, pairs, batch, 1e-3, direction)
+            tracemalloc.start()
+            try:
+                two_sided_loss_diff(problem, params, pairs, batch, 1e-3, direction)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        shared, separate = peaks
+        assert separate - shared >= 8 * (b * h - b * r) - 1024
 
     def test_held_out_layer_is_never_written(self):
         prob, params, pairs, batch = held_out_setup()

@@ -7,10 +7,11 @@ import pytest
 
 from subzero.errors import NonFiniteLoss, ShapeError
 from oracles import fd_gradient
-from subzero.numcore import GaussianStream, unstack_params
-from subzero.problems import (LogisticProblem, Minibatch, MlpProblem,
-                              QuadraticProblem, QuarticProblem, full_batch,
-                              sample_minibatch)
+from subzero.numcore import (_GOLDEN, GaussianStream, _mix64, derive_seed,
+                             unstack_params)
+from subzero.problems import (_TAG_BATCH, LogisticProblem, Minibatch, MlpProblem,
+                              ProductBatch, QuadraticProblem, QuarticProblem,
+                              _forward, full_batch, sample_minibatch)
 
 
 def flatten_colmajor(params):
@@ -250,7 +251,10 @@ class TestMlp:
 
     @pytest.mark.parametrize("layer", [2, 4], ids=["hidden", "output"])
     def test_low_rank_factors_equal_the_layer_formed_whole(self, layer):
-        assert MlpProblem.loss_takes_low_rank
+        # the probe_batch hook declares the factored loss; only the MLP has it
+        assert callable(MlpProblem.probe_batch)
+        assert not any(hasattr(cls, "probe_batch") for cls in
+                       (QuadraticProblem, QuarticProblem, LogisticProblem))
         params = self.prob.initial_params()
         m, n = params[layer].shape
         stream = GaussianStream(11)
@@ -265,6 +269,49 @@ class TestMlp:
         assert got == pytest.approx(self.prob.loss(whole, batch), rel=1e-12)
         assert got != pytest.approx(self.prob.loss(params, batch), rel=1e-6)
         assert [w.tobytes() for w in params] == before
+
+
+    def first_layer_factors(self, params, r=2):
+        m, n = params[0].shape
+        stream = GaussianStream(12)
+        return (stream.normals(m * r).reshape(m, r), stream.normals(r * r).reshape(r, r),
+                stream.normals(n * r).reshape(n, r))
+
+    @pytest.mark.parametrize("coeff", [1e-3, -1e-3])
+    def test_product_batch_forward_equals_the_gathered_one_bit_for_bit(self, coeff):
+        # wide enough that a reordered product changes some bits
+        prob = MlpProblem.generate(9, n_features=16, hidden=(24, 4), n_outputs=3,
+                                   dataset_size=64)
+        params = prob.initial_params()
+        params[1] = GaussianStream(13).normals(params[1].size)
+        u, z, v = self.first_layer_factors(params, r=8)
+        batch = sample_minibatch(prob, 3, 1, 16)
+        products = prob.probe_batch(params, batch, {0: (u, z, v)})
+        assert isinstance(products, ProductBatch)
+        assert np.array_equal(products.indices, batch.indices)
+        low_rank = {0: (u, coeff * z, v)}
+        gathered = _forward(params, prob.inputs[batch.indices], low_rank)
+        shared = _forward(params, None, low_rank, (products.xw, products.xu))
+        for a, b in zip(gathered[1:], shared[1:]):
+            assert a.tobytes() == b.tobytes()
+        got = prob.loss(params, products, low_rank=low_rank)
+        assert got.hex() == prob.loss(params, batch, low_rank=low_rank).hex()
+
+    def test_probe_batch_without_layer_zero_is_the_batch(self):
+        params = self.prob.initial_params()
+        batch = sample_minibatch(self.prob, 3, 1, 16)
+        assert self.prob.probe_batch(params, batch, {}) is batch
+        m, n = params[2].shape
+        held = {2: (np.ones((m, 1)), np.ones((1, 1)), np.ones((n, 1)))}
+        assert self.prob.probe_batch(params, batch, held) is batch
+
+    def test_product_batch_needs_the_first_layer_factors(self):
+        params = self.prob.initial_params()
+        factors = self.first_layer_factors(params)
+        products = self.prob.probe_batch(params, full_batch(self.prob), {0: factors})
+        with pytest.raises(ShapeError):
+            self.prob.loss(params, products)
+        assert math.isfinite(self.prob.loss(params, products, low_rank={0: factors}))
 
 
 class TestMinibatch:
@@ -306,6 +353,41 @@ class TestMinibatch:
             sample_minibatch(self.prob, 0, 0, 0)
         with pytest.raises(ShapeError):
             sample_minibatch(self.prob, 0, 0, 65)
+
+    # indices of the per-swap hashed loop this sampler replaced, computed
+    # with it: (seed, t, b, n) -> indices
+    GOLDEN = {
+        (5, 3, 8, 64): [15, 11, 59, 45, 55, 0, 29, 53],
+        (0, 0, 1, 2): [0],
+        (2 ** 64 - 1, 7, 16, 17): [13, 7, 2, 14, 9, 5, 0, 1, 12, 3, 11, 8, 10, 15,
+                                   16, 4],
+        (1, 599, 32, 256): [31, 233, 62, 160, 172, 164, 159, 38, 219, 109, 64, 209,
+                            152, 220, 255, 51, 190, 9, 66, 1, 121, 60, 239, 112,
+                            119, 166, 181, 42, 129, 127, 153, 195],
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN), ids=str)
+    def test_indices_are_pinned(self, case):
+        seed, t, b, n = case
+        prob = QuadraticProblem(np.eye(1), [(1,)], dataset_size=n)
+        batch = sample_minibatch(prob, seed, t, b)
+        assert batch.indices.dtype == np.int64
+        assert batch.indices.tolist() == self.GOLDEN[case]
+
+    def test_indices_match_the_scalar_shuffle(self):
+        # the partial Fisher-Yates shuffle with one scalar hash per swap
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            b = int(rng.integers(1, n))
+            seed, t = int(rng.integers(0, 2 ** 63)), int(rng.integers(0, 10 ** 6))
+            key = derive_seed(seed, _TAG_BATCH, t)
+            perm = list(range(n))
+            for i in range(b):
+                j = i + _mix64(key + _GOLDEN * (i + 1)) % (n - i)
+                perm[i], perm[j] = perm[j], perm[i]
+            prob = QuadraticProblem(np.eye(1), [(1,)], dataset_size=n)
+            assert sample_minibatch(prob, seed, t, b).indices.tolist() == perm[:b]
 
     def test_full_batch_helper(self):
         batch = full_batch(self.prob)

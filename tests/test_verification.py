@@ -57,6 +57,7 @@ from subzero.errors import (
     ShapeError,
     SubzeroError,
 )
+from subzero.numcore import derive_seeds
 from subzero.perturbation import generate_proj_pair
 from subzero.verification import (
     BATTERY_SHAPES,
@@ -812,6 +813,47 @@ class TestLoopAgainstBlock:
         vectorized = self.run(name, "quadratic")
         monkeypatch.delattr(QuadraticProblem, "losses")
         assert_same_numbers(self.run(name, "quadratic"), vectorized)
+
+
+class TestCentralDifference:
+    """Both sides of the block central difference are formed in one buffer,
+    bit for bit as ``xs + epsilon * delta`` and ``xs - epsilon * delta``."""
+
+    def cell(self):
+        problem, params, pairs = battery_cell(((3, 2), (3, 2)), 1, 11)
+        seeds = derive_seeds(7, 0x61, last=np.arange(2000))
+        return problem, params, verification._delta_rows(params, pairs, seeds)
+
+    def formula(self, problem, params, xs, delta, eps):
+        step = eps * delta
+        return (verification._row_losses(problem, params, xs + step)
+                - verification._row_losses(problem, params, xs - step)) / (2.0 * eps)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["one_point", "one_per_row"])
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["losses", "loss"])
+    def test_matches_the_formula_bit_for_bit(self, monkeypatch, rows, vectorized):
+        problem, params, delta = self.cell()
+        delta = delta[:300]
+        xs = stack_params(params)
+        if rows:
+            xs = xs + 1e-2 * np.sin(np.arange(delta.size)).reshape(delta.shape)
+        if not vectorized:
+            monkeypatch.delattr(QuadraticProblem, "losses")
+        got = verification._central_difference(problem, params, xs, delta, 1e-3)
+        want = self.formula(problem, params, xs, delta, 1e-3)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_is_two_blocks(self):
+        # the buffer and the quadratic's ``xs @ h``; the formula holds three
+        problem, params, delta = self.cell()
+        xs = stack_params(params)
+        tracemalloc.start()
+        try:
+            verification._central_difference(problem, params, xs, delta, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * delta.nbytes
 
 
 class TestSubspaceStart:
