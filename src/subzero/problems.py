@@ -48,11 +48,13 @@ class Minibatch:
 class ProductBatch(Minibatch):
     """A minibatch whose MLP first-layer input products are formed: the
     targets, ``xw = x @ W1`` and ``xu = x @ u`` for the rows ``x`` the
-    indices select, without ``x``; see :meth:`MlpProblem.probe_batch`."""
+    indices select, without ``x``, and the ``u`` they were formed with; see
+    :meth:`MlpProblem.probe_batch`."""
 
     targets: np.ndarray
     xw: np.ndarray
     xu: np.ndarray
+    u: np.ndarray
 
 
 def sample_minibatch(problem, seed: int, t: int, b: int) -> Minibatch:
@@ -72,10 +74,14 @@ def sample_minibatch(problem, seed: int, t: int, b: int) -> Minibatch:
     key = derive_seed(seed, _TAG_BATCH, t)
     swaps = np.arange(b, dtype=np.uint64)
     h = _mix64_block((swaps + np.uint64(1)) * np.uint64(_GOLDEN) + np.uint64(key))
-    perm = list(range(n))
+    # the shuffle kept sparse: ``moved`` holds only the positions a swap
+    # touched (any other position p holds p), so time and memory are O(b)
+    # whatever the dataset size
+    moved: dict[int, int] = {}
     for i, j in enumerate((swaps + h % (np.uint64(n) - swaps)).tolist()):
-        perm[i], perm[j] = perm[j], perm[i]
-    return Minibatch(indices=np.array(perm[:b], dtype=np.int64))
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return Minibatch(indices=np.array([moved.get(i, i) for i in range(b)],
+                                      dtype=np.int64))
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -360,14 +366,15 @@ class MlpProblem:
         ``u`` are unchanged, that is, within one probe."""
         if 0 not in held:
             return batch
-        idx = batch.indices
+        idx, u = batch.indices, held[0][0]
         x = self.inputs[idx]
         return ProductBatch(indices=idx, targets=self.targets[idx],
-                            xw=x @ params[0], xu=x @ held[0][0])
+                            xw=x @ params[0], xu=x @ u, u=u)
 
     def loss(self, params, batch, low_rank=None) -> float:
         if isinstance(batch, ProductBatch):
-            out = _forward(params, None, low_rank, (batch.xw, batch.xu))[-1]
+            out = _forward(params, None, low_rank,
+                           (batch.xw, batch.xu, batch.u))[-1]
             y = batch.targets
         else:
             x, y = self._batch_data(batch)
@@ -397,11 +404,12 @@ def _forward(params: list[np.ndarray], x: np.ndarray | None,
     A weight layer ``k`` in ``low_rank``, with factors ``(u, c, v)``,
     computes ``h @ W + ((h @ u) @ c) @ v.T``: the ``(r, r)`` core stays
     factored, so the perturbed layer is never formed.  ``first``, layer
-    0's input products ``(x @ W1, x @ u)`` formed once by
-    :meth:`MlpProblem.probe_batch`, stands in for ``x`` (then ``None``):
+    0's input products and their ``u``, ``(x @ W1, x @ u, u)``, formed once
+    by :meth:`MlpProblem.probe_batch`, stands in for ``x`` (then ``None``):
     layer 0 is formed as ``((x u) c) v^T``, and ``x @ W1`` is added into
     that fresh term, the same sum bit for bit, since IEEE addition is
-    commutative.
+    commutative.  Layer 0's factors must then carry that same ``u`` array:
+    products formed with another ``u`` would give a wrong loss silently.
     """
     if len(params) < 2 or len(params) % 2 != 0:
         raise ShapeError("mlp parameters must alternate weight and bias")
@@ -412,9 +420,11 @@ def _forward(params: list[np.ndarray], x: np.ndarray | None,
         w, b = params[2 * i], params[2 * i + 1]
         factors = None if low_rank is None else low_rank.get(2 * i)
         if i == 0 and first is not None:
-            if factors is None:
-                raise ShapeError("layer 0's input products need its factors")
-            (xw, xu), (_, c, v) = first, factors
+            xw, xu, u = first
+            if factors is None or factors[0] is not u:
+                raise ShapeError("layer 0's input products need the factors "
+                                 "they were formed with")
+            _, c, v = factors
             h = (xu @ c) @ v.T
             h += xw
             # row by row: a broadcast ``h += b`` takes a buffer of up to

@@ -1,6 +1,7 @@
 """Problem implementations against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,7 +292,8 @@ class TestMlp:
         assert np.array_equal(products.indices, batch.indices)
         low_rank = {0: (u, coeff * z, v)}
         gathered = _forward(params, prob.inputs[batch.indices], low_rank)
-        shared = _forward(params, None, low_rank, (products.xw, products.xu))
+        assert products.u is u
+        shared = _forward(params, None, low_rank, (products.xw, products.xu, u))
         for a, b in zip(gathered[1:], shared[1:]):
             assert a.tobytes() == b.tobytes()
         got = prob.loss(params, products, low_rank=low_rank)
@@ -312,6 +314,15 @@ class TestMlp:
         with pytest.raises(ShapeError):
             self.prob.loss(params, products)
         assert math.isfinite(self.prob.loss(params, products, low_rank={0: factors}))
+
+    def test_product_batch_refuses_factors_with_another_u(self):
+        # products formed with one u would give a wrong loss with another
+        params = self.prob.initial_params()
+        u, c, v = self.first_layer_factors(params)
+        products = self.prob.probe_batch(params, full_batch(self.prob), {0: (u, c, v)})
+        for other in (u.copy(), 2.0 * u):
+            with pytest.raises(ShapeError):
+                self.prob.loss(params, products, low_rank={0: (other, c, v)})
 
 
 class TestMinibatch:
@@ -364,6 +375,14 @@ class TestMinibatch:
         (1, 599, 32, 256): [31, 233, 62, 160, 172, 164, 159, 38, 219, 109, 64, 209,
                             152, 220, 255, 51, 190, 9, 66, 1, 121, 60, 239, 112,
                             119, 166, 181, 42, 129, 127, 153, 195],
+        (1, 599, 32, 512): [287, 477, 458, 418, 96, 192, 453, 155, 219, 26, 16, 217,
+                            300, 466, 313, 504, 46, 233, 284, 116, 425, 212, 169,
+                            302, 71, 293, 275, 136, 257, 207, 139, 187],
+        (3, 11, 32, 65536): [35357, 51719, 4177, 63559, 55485, 11473, 55636, 19893,
+                             56938, 5137, 42942, 47838, 23464, 59867, 11543, 1107,
+                             26224, 26738, 42082, 61748, 25650, 11849, 56281, 21804,
+                             59838, 27455, 47229, 1469, 28247, 41383, 40370, 61602],
+        (7, 2, 5, 1000003): [708217, 476958, 923999, 500035, 799459],
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN), ids=str)
@@ -388,6 +407,20 @@ class TestMinibatch:
                 perm[i], perm[j] = perm[j], perm[i]
             prob = QuadraticProblem(np.eye(1), [(1,)], dataset_size=n)
             assert sample_minibatch(prob, seed, t, b).indices.tolist() == perm[:b]
+
+    def test_memory_does_not_grow_with_the_dataset(self):
+        # the shuffle touches only the positions it swaps: O(b), not O(n)
+        peaks = []
+        for n in (256, 1 << 20):
+            prob = QuadraticProblem(np.eye(1), [(1,)], dataset_size=n)
+            sample_minibatch(prob, 1, 0, 32)
+            tracemalloc.start()
+            try:
+                sample_minibatch(prob, 1, 5, 32)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 4096, peaks
 
     def test_full_batch_helper(self):
         batch = full_batch(self.prob)
