@@ -355,7 +355,7 @@ def _run_cell(payload: tuple) -> tuple:
     an interrupt or exit fails this cell alone: its traceback goes to stderr
     and its summary row reads ``failed: <type>: <message>``.
     """
-    index, run_id, problem_spec, cell = payload
+    run_id, problem_spec, cell = payload
     try:
         record = train(build_problem(problem_spec), cell)
     except Exception as exc:    # contained to this cell; interrupts propagate
@@ -365,7 +365,7 @@ def _run_cell(payload: tuple) -> tuple:
                    cell.epsilon, cell.learning_rate, cell.batch_size,
                    cell.master_seed, cell.steps, math.nan, math.nan,
                    f"failed: {type(exc).__name__}: {exc}")
-        return index, [], summary
+        return [], summary
     rows = [(run_id, s.step, s.loss_plus, s.loss_minus, s.rho, s.lr, s.wall_ms)
             for s in record.steps]
     probe_means = [0.5 * (s.loss_plus + s.loss_minus) for s in record.steps]
@@ -373,7 +373,7 @@ def _run_cell(payload: tuple) -> tuple:
     summary = (run_id, cell.family, cell.rank, cell.refresh_period, cell.epsilon,
                cell.learning_rate, cell.batch_size, cell.master_seed, cell.steps,
                smoothed[-1], min(smoothed), "ok")
-    return index, rows, summary
+    return rows, summary
 
 
 def cli_bench(config_path: str | None, out: str | None = None,
@@ -388,16 +388,15 @@ def cli_bench(config_path: str | None, out: str | None = None,
         validate_cell(problem, cell)    # all cells vetted before any run
     os.makedirs(out_dir, exist_ok=True)
     tag = config_hash(config)
-    payloads = [(i, f"{tag}_{i:03d}", config.problem, cell)
+    payloads = [(f"{tag}_{i:03d}", config.problem, cell)
                 for i, cell in enumerate(cells)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, payloads))
     else:
         results = [_run_cell(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
     summaries = []
-    for index, rows, summary in results:
+    for index, (rows, summary) in enumerate(results):   # in cell order
         if rows:
             write_csv(os.path.join(out_dir, f"run_{tag}_{index:03d}.csv"),
                       RUN_COLUMNS, rows)

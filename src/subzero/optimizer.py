@@ -37,9 +37,8 @@ import numpy as np
 from .errors import (ConfigError, ShapeError, StepFailure, SubzeroError,
                      check_counts)
 from .numcore import GaussianStream, derive_seed
-from .perturbation import (RESHAPE_POLICIES, Direction, LayerPlan, ProjectionPair,
-                           axpy_perturbation, draw_direction, pairs_from_plan,
-                           plan_layers)
+from .perturbation import (RESHAPE_POLICIES, Direction, ProjectionPair,
+                           axpy_perturbation, build_pairs, draw_direction)
 from .estimators import _dense_direction, two_sided_loss_diff
 from .problems import full_batch, sample_minibatch
 
@@ -96,13 +95,14 @@ class OptimizerConfig:
 @dataclass
 class TrainerState:
     """Mutable state of a run: the parameters, the current projection
-    pairs, and the step counter.  ``pinned_pairs`` marks externally supplied
-    pairs that refreshes must not replace (fixed-subspace analysis mode)."""
+    pairs, and the step counter.  Each refresh plans the pairs afresh from
+    the parameters' shapes, which never change during a run, so no plan is
+    stored.  ``pinned_pairs`` marks externally supplied pairs that
+    refreshes must not replace (fixed-subspace analysis mode)."""
 
     params: list[np.ndarray]
     step: int = 0
     pairs: Optional[list[Optional[ProjectionPair]]] = None
-    plans: Optional[list[LayerPlan]] = None
     pinned_pairs: bool = False
 
 
@@ -143,8 +143,8 @@ def theoretical_step_size(q: int, smoothness: float) -> float:
 def init_state(problem, config: OptimizerConfig,
                params: Optional[Sequence[np.ndarray]] = None,
                pairs: Optional[list[Optional[ProjectionPair]]] = None) -> TrainerState:
-    """Set up a run: copy the starting point, plan the layer routing, and
-    pin the given pairs, if any (``subzero`` only; other families refuse them)."""
+    """Set up a run: copy the starting point and pin the given pairs, if
+    any (``subzero`` only; other families refuse them)."""
     if pairs is not None and config.family != "subzero":
         raise ConfigError(f"only subzero takes pinned pairs, not {config.family!r}")
     if params is None:
@@ -155,26 +155,22 @@ def init_state(problem, config: OptimizerConfig,
         if w.ndim not in (1, 2):
             raise ShapeError(f"parameters must be 1-D or 2-D, got ndim={w.ndim}")
     state = TrainerState(params=work)
-    if config.family == "subzero":
-        state.plans = plan_layers(work, config.rank, config.reshape)
-        if pairs is not None:
-            if len(pairs) != len(work):
-                raise ShapeError("pinned pairs must align with the parameters")
-            state.pairs = list(pairs)
-            state.pinned_pairs = True
-    else:
+    if pairs is not None:
+        if len(pairs) != len(work):
+            raise ShapeError("pinned pairs must align with the parameters")
+        state.pairs = list(pairs)
+        state.pinned_pairs = True
+    elif config.family != "subzero":
         state.pairs = [None] * len(work)
     return state
 
 
 def _refresh_pairs(state: TrainerState, config: OptimizerConfig) -> None:
-    due = state.step % config.refresh_period == 0
-    if state.pairs is None:
-        due = True
-    if state.pinned_pairs or not due:
+    if state.pinned_pairs or (state.pairs is not None
+                              and state.step % config.refresh_period):
         return
     stream = GaussianStream(derive_seed(config.master_seed, _TAG_PAIRS, state.step))
-    state.pairs = pairs_from_plan(stream, state.plans)
+    state.pairs = build_pairs(stream, state.params, config.rank, config.reshape)
 
 
 def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:

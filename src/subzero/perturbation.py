@@ -121,21 +121,18 @@ def reshape_near_square(m: int, n: int) -> LayerShape:
     """Most nearly square factorization of ``m * n``.
 
     Returns the divisor pair ``(a, b)`` of ``m * n`` with ``a >= b`` and
-    minimal aspect ratio ``a / b``; equivalently, ``a`` is the smallest
-    divisor at or above ``sqrt(m * n)``.  A prime product degenerates to
-    ``(m * n, 1)``, which callers may reject but this function reports
-    faithfully.
+    minimal aspect ratio ``a / b``; equivalently, ``b`` is the largest
+    divisor at or below ``sqrt(m * n)``, found in ``O(sqrt(m * n))``.  A
+    prime product degenerates to ``(m * n, 1)``, which callers may reject
+    but this function reports faithfully.
     """
     if m <= 0 or n <= 0:
         raise ShapeError(f"dimensions must be positive, got {(m, n)}")
     total = m * n
-    start = math.isqrt(total)
-    if start * start < total:
-        start += 1
-    for a in range(start, total + 1):
-        if total % a == 0:
-            return LayerShape(a, total // a)
-    return LayerShape(total, 1)
+    b = math.isqrt(total)
+    while total % b:
+        b -= 1
+    return LayerShape(total // b, b)
 
 
 def reshaped_view(w: np.ndarray, shape: LayerShape) -> np.ndarray:
@@ -375,7 +372,9 @@ def iter_perturbation_layers(
             index += n
             if w.size <= _DOT_MAX_ENTRIES:
                 delta = u.dot(z.dot(v.T))
-            elif factored and _yields_factors(w, pair):
+            elif factored and (w.flags.c_contiguous
+                               or w.shape == (u.shape[0], v.shape[0])):
+                # the rows of the pair's geometry are views of w
                 yield u, z, v
                 continue
             else:
@@ -383,14 +382,6 @@ def iter_perturbation_layers(
             if delta.shape != w.shape:
                 delta = delta.reshape(w.shape)
         yield delta
-
-
-def _yields_factors(w: np.ndarray, pair: ProjectionPair) -> bool:
-    """Whether a factored pass yields matrix layer ``w`` as factors: it is
-    above ``_DOT_MAX_ENTRIES`` and the rows of its pair's geometry are views
-    of it (C-contiguous, or in that geometry)."""
-    return w.size > _DOT_MAX_ENTRIES and (
-        w.flags.c_contiguous or w.shape == (pair.u.shape[0], pair.v.shape[0]))
 
 
 def held_out_factors(
@@ -410,7 +401,7 @@ def held_out_factors(
         if pair is None:
             continue
         r = pair.rank
-        if _yields_factors(w, pair) and w.shape == (pair.u.shape[0], pair.v.shape[0]):
+        if w.size > _DOT_MAX_ENTRIES and w.shape == (pair.u.shape[0], pair.v.shape[0]):
             factors[i] = (pair.u, direction.cores[at:at + r * r].reshape(r, r), pair.v)
         at += r * r
     return factors

@@ -1,11 +1,14 @@
 """Desk-scale test problems with exact gradients.
 
-Every problem exposes the same surface: ``dataset_size``, ``initial_params()``
-returning a fresh list of float64 arrays, ``loss(params, batch)`` returning a
-scalar mean loss over the batch, and ``exact_gradient(params, batch)``
-returning arrays shaped like the parameters.  Losses are pure functions of
-their arguments; they never mutate parameters and raise
-:class:`NonFiniteLoss` instead of returning NaN or infinity.
+Every problem exposes the same surface.  One private base holds its shared
+part: ``layer_shapes``, ``dimension``, ``dataset_size`` and
+``initial_params()``, which returns a fresh copy of the start layers.  Each
+problem adds ``loss(params, batch)``, a scalar mean loss over the batch,
+and ``exact_gradient(params, batch)``, arrays shaped like the parameters.
+The quadratic, quartic and logistic problems take their start point as one
+stacked ``x0``, whose length is checked when the problem is built.  Losses
+are pure functions of their arguments; they never mutate parameters and
+raise :class:`NonFiniteLoss` instead of returning NaN or infinity.
 
 The quadratic and quartic families ignore the batch contents (every example
 is the same function), which keeps estimator statistics exact while still
@@ -26,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteLoss, ShapeError
-from .numcore import (GaussianStream, _GOLDEN, _mix64_block, derive_seed,
-                      gaussian_matrix, qr_orthonormal, stack_params,
-                      unstack_params)
+from .numcore import (GaussianStream, derive_seeds, gaussian_matrix,
+                      qr_orthonormal, stack_params, unstack_params)
 
 _TAG_BATCH = 0x53
 
@@ -69,11 +71,9 @@ def sample_minibatch(problem, seed: int, t: int, b: int) -> Minibatch:
         raise ShapeError(f"batch size {b} not in [1, {n}]")
     if b == n:
         return Minibatch(indices=np.arange(n, dtype=np.int64))
-    # swap i hashes key + GOLDEN * (i + 1); uint64 arithmetic wraps
-    # modulo 2**64 as the scalar finalizer's masks do
-    key = derive_seed(seed, _TAG_BATCH, t)
+    # swap i hashes derive_seed(seed, _TAG_BATCH, t, i)
     swaps = np.arange(b, dtype=np.uint64)
-    h = _mix64_block((swaps + np.uint64(1)) * np.uint64(_GOLDEN) + np.uint64(key))
+    h = derive_seeds(seed, _TAG_BATCH, t, last=swaps)
     # the shuffle kept sparse: ``moved`` holds only the positions a swap
     # touched (any other position p holds p), so time and memory are O(b)
     # whatever the dataset size
@@ -98,11 +98,33 @@ def _check_finite_rows(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _copy_params(params) -> list[np.ndarray]:
-    return [np.array(w, dtype=np.float64) for w in params]
+class _Problem:
+    """The surface every problem shares: ``layer_shapes``, ``dimension``,
+    ``dataset_size`` and a stored start point that ``initial_params()``
+    copies."""
+
+    def __init__(self, params0, dataset_size: int):
+        self._params0 = [np.array(w, dtype=np.float64) for w in params0]
+        self.layer_shapes = [w.shape for w in self._params0]
+        self.dimension = sum(w.size for w in self._params0)
+        self.dataset_size = int(dataset_size)
+
+    def initial_params(self) -> list[np.ndarray]:
+        return [w.copy() for w in self._params0]
 
 
-class QuadraticProblem:
+def _start_layers(x0: np.ndarray | None,
+                  layer_shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """A stacked start point (zeros for ``None``) split into layers, after
+    checking that it has one entry per parameter."""
+    d = sum(int(np.prod(s)) for s in layer_shapes)
+    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64)
+    if x0.shape != (d,):
+        raise ShapeError(f"x0 must have shape {(d,)}, got {x0.shape}")
+    return unstack_params(x0, layer_shapes)
+
+
+class QuadraticProblem(_Problem):
     """``f(x) = x^T H x + b^T x`` over a layered parameter vector.
 
     ``H`` is symmetric positive definite, so the loss is strongly convex
@@ -112,25 +134,17 @@ class QuadraticProblem:
     package's column-major flattening.
     """
 
-    name = "quadratic"
-
     def __init__(self, h: np.ndarray, layer_shapes: list[tuple[int, ...]],
                  b: np.ndarray | None = None,
                  x0: np.ndarray | None = None, dataset_size: int = 512):
-        h = np.asarray(h, dtype=np.float64)
-        d = sum(int(np.prod(s)) for s in layer_shapes)
-        if h.shape != (d, d):
-            raise ShapeError(f"H must be {(d, d)} for these layers, got {h.shape}")
-        self.h = h
+        super().__init__(_start_layers(x0, layer_shapes), dataset_size)
+        d = self.dimension
+        self.h = np.asarray(h, dtype=np.float64)
+        if self.h.shape != (d, d):
+            raise ShapeError(f"H must be {(d, d)} for these layers, got {self.h.shape}")
         self.b = np.zeros(d) if b is None else np.asarray(b, dtype=np.float64)
         if self.b.shape != (d,):
             raise ShapeError(f"b must have shape {(d,)}, got {self.b.shape}")
-        self.layer_shapes = [tuple(s) for s in layer_shapes]
-        self.dimension = d
-        self.dataset_size = int(dataset_size)
-        self._x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64)
-        if self._x0.shape != (d,):
-            raise ShapeError(f"x0 must have shape {(d,)}, got {self._x0.shape}")
 
     @classmethod
     def generate(cls, seed: int, layer_shapes: list[tuple[int, ...]],
@@ -148,9 +162,6 @@ class QuadraticProblem:
         x0 /= np.linalg.norm(x0)
         return cls(h=h, layer_shapes=layer_shapes, x0=x0,
                    dataset_size=dataset_size)
-
-    def initial_params(self) -> list[np.ndarray]:
-        return unstack_params(self._x0, self.layer_shapes)
 
     def loss(self, params, batch) -> float:
         x = stack_params(params)
@@ -173,7 +184,7 @@ class QuadraticProblem:
         return 2.0 * float(np.linalg.eigvalsh(self.h)[-1])
 
 
-class QuarticProblem:
+class QuarticProblem(_Problem):
     """``f(x) = sum(x_i^4)``; a smooth convex loss with nonvanishing third
     derivatives, used to probe the curvature term of the estimator bias.
 
@@ -181,17 +192,9 @@ class QuarticProblem:
     of radius ``rho`` around ``x`` is bounded by ``24 (max|x_i| + rho)``.
     """
 
-    name = "quartic"
-
     def __init__(self, layer_shapes: list[tuple[int, ...]],
                  x0: np.ndarray | None = None, dataset_size: int = 512):
-        d = sum(int(np.prod(s)) for s in layer_shapes)
-        self.layer_shapes = [tuple(s) for s in layer_shapes]
-        self.dimension = d
-        self.dataset_size = int(dataset_size)
-        self._x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=np.float64)
-        if self._x0.shape != (d,):
-            raise ShapeError(f"x0 must have shape {(d,)}, got {self._x0.shape}")
+        super().__init__(_start_layers(x0, layer_shapes), dataset_size)
 
     @classmethod
     def generate(cls, seed: int, layer_shapes: list[tuple[int, ...]],
@@ -199,9 +202,6 @@ class QuarticProblem:
         d = sum(int(np.prod(s)) for s in layer_shapes)
         x0 = GaussianStream(seed).normals(d)
         return cls(layer_shapes=layer_shapes, x0=x0, dataset_size=dataset_size)
-
-    def initial_params(self) -> list[np.ndarray]:
-        return unstack_params(self._x0, self.layer_shapes)
 
     def loss(self, params, batch) -> float:
         x = stack_params(params)
@@ -223,7 +223,7 @@ class QuarticProblem:
         return 24.0 * (float(np.max(np.abs(x))) + radius)
 
 
-class LogisticProblem:
+class LogisticProblem(_Problem):
     """Binary logistic regression with the weight kept as one matrix layer.
 
     Scores are linear in the flattened weight, labels come from a planted
@@ -231,25 +231,18 @@ class LogisticProblem:
     strongly convex.
     """
 
-    name = "logistic"
-
     def __init__(self, features: np.ndarray, labels: np.ndarray,
                  layer_shape: tuple[int, int], l2: float = 0.0,
                  x0: np.ndarray | None = None):
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.float64)
-        p = int(np.prod(layer_shape))
-        if features.ndim != 2 or features.shape[1] != p:
-            raise ShapeError(f"features must be (n, {p}), got {features.shape}")
-        if labels.shape != (features.shape[0],):
+        self.features = np.asarray(features, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.float64)
+        super().__init__(_start_layers(x0, [layer_shape]), self.labels.size)
+        p = self.dimension
+        if self.features.ndim != 2 or self.features.shape[1] != p:
+            raise ShapeError(f"features must be (n, {p}), got {self.features.shape}")
+        if self.labels.shape != (self.features.shape[0],):
             raise ShapeError("labels must align with features")
-        self.features = features
-        self.labels = labels
-        self.layer_shapes = [tuple(layer_shape)]
         self.l2 = float(l2)
-        self.dimension = p
-        self.dataset_size = features.shape[0]
-        self._x0 = np.zeros(p) if x0 is None else np.asarray(x0, dtype=np.float64)
 
     @classmethod
     def generate(cls, seed: int, layer_shape: tuple[int, int],
@@ -272,9 +265,6 @@ class LogisticProblem:
         return cls(features=features, labels=labels, layer_shape=layer_shape,
                    l2=l2, x0=x0)
 
-    def initial_params(self) -> list[np.ndarray]:
-        return unstack_params(self._x0, self.layer_shapes)
-
     def loss(self, params, batch) -> float:
         x = stack_params(params)
         rows = self.features[batch.indices]
@@ -294,7 +284,7 @@ class LogisticProblem:
         return unstack_params(g, self.layer_shapes)
 
 
-class MlpProblem:
+class MlpProblem(_Problem):
     """Small tanh network trained by mean squared error against a frozen
     teacher network of the same architecture.
 
@@ -309,8 +299,6 @@ class MlpProblem:
     declares this to the estimators: its presence is the protocol.
     """
 
-    name = "mlp"
-
     def __init__(self, inputs: np.ndarray, targets: np.ndarray,
                  params0: list[np.ndarray]):
         self.inputs = np.asarray(inputs, dtype=np.float64)
@@ -319,10 +307,7 @@ class MlpProblem:
             raise ShapeError("inputs and targets must be 2-D")
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ShapeError("inputs and targets must align")
-        self._params0 = _copy_params(params0)
-        self.layer_shapes = [w.shape for w in self._params0]
-        self.dimension = sum(w.size for w in self._params0)
-        self.dataset_size = self.inputs.shape[0]
+        super().__init__(params0, self.inputs.shape[0])
 
     @staticmethod
     def _draw_params(stream: GaussianStream, widths: list[int]) -> list[np.ndarray]:
@@ -346,9 +331,6 @@ class MlpProblem:
             targets = targets + noise * gaussian_matrix(stream, *targets.shape)
         params0 = cls._draw_params(stream, widths)
         return cls(inputs=inputs, targets=targets, params0=params0)
-
-    def initial_params(self) -> list[np.ndarray]:
-        return _copy_params(self._params0)
 
     def _batch_data(self, batch):
         idx = batch.indices

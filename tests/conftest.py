@@ -1,23 +1,45 @@
-"""Name the build the stream pins ran on, in every log of this suite: the
-stream's values depend on numpy's float64 ``log`` and ``cos`` loops and on
-the C library behind them."""
+"""Name the build the stream and digest pins ran on, in every log of this
+suite: the stream's values depend on numpy's float64 ``log`` and ``cos``
+loops and on the C library behind them, and the digest's also on the BLAS
+library, the kernels it picks for the CPU and the threads it splits over."""
 
+import os
 import platform
 
 import numpy as np
 
 
-def _build() -> str:
+def build_stamp() -> str:
+    """One line naming everything the digest pins are known to depend on:
+    numpy, its BLAS, the C library, the machine, whether the CPU has
+    AVX-512, and what sets the BLAS thread count (the CPUs this process may
+    run on, and any thread variable in the environment)."""
     libc, version = platform.libc_ver()
-    return (f"numpy {np.__version__}, libc {libc or 'unknown'} {version}, "
-            f"machine {platform.machine()}")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            avx512f = "yes" if "avx512f" in fh.read().split() else "no"
+    except OSError:
+        avx512f = "unknown"
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    threads = "".join(f", {var}={os.environ[var]}" for var in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        if var in os.environ)
+    return (f"numpy {np.__version__}, blas {blas}, libc {libc or 'unknown'} "
+            f"{version}, machine {platform.machine()}, avx512f {avx512f}, "
+            f"cpus {cpus}{threads}")
 
 
 def pytest_report_header(config):
-    return _build()
+    return build_stamp()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # -q drops the header, so a quiet log names the build at its end
     if config.get_verbosity() < 0:
-        terminalreporter.write_line(_build())
+        terminalreporter.write_line(build_stamp())

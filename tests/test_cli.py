@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +309,21 @@ class TestVerifyCommand:
         passes = [r[4] for r in rows[1:]]
         assert set(passes) <= {"true", "false"}
         assert rc == (0 if all(p == "true" for p in passes) else 1)
+
+    @pytest.mark.parametrize("passed", [(True, True), (True, False), (False, False)])
+    def test_failed_checks_are_named_and_set_the_exit_code(self, tmp_path, capsys,
+                                                           monkeypatch, passed):
+        reports = [SimpleNamespace(check=f"check_{i}", target=1.0, estimate=1.0,
+                                   stderr=0.1, passed=ok)
+                   for i, ok in enumerate(passed)]
+        monkeypatch.setattr(cli.verification, "run_default_battery",
+                            lambda **kwargs: reports)
+        path = write_config(tmp_path / "cfg.json", {})
+        rc = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        failed = [f"check_{i}" for i, ok in enumerate(passed) if not ok]
+        assert rc == (1 if failed else 0)
+        assert err.splitlines() == [f"verify: FAILED {name}" for name in failed]
 
     def test_nested_out_dir_created(self, tmp_path):
         raw = {"verify": {"n_mc": 120, "n_mc_bias": 120}}

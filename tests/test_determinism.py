@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import build_stamp
 from subzero import (GaussianStream, OptimizerConfig, QuadraticProblem,
                      stack_params, train)
 
@@ -147,9 +148,40 @@ def test_blas_thread_count_moves_no_trajectory():
                                                      rel=1e-12, abs=0.0)
 
 
+# tools/digest.py's output, keyed by the build stamp it was measured under
+# (conftest.build_stamp).  Its hashes depend on the numpy, libm and BLAS
+# build and on the BLAS thread count: under OPENBLAS_NUM_THREADS=1 the
+# monte_carlo and diagnostics sections move.  A change that moves a section
+# on purpose updates its pin here and says why.
+DIGEST_PINS = {
+    "numpy 2.4.6, blas scipy-openblas 0.3.31.188.0, libc glibc 2.36, "
+    "machine x86_64, avx512f yes, cpus 2": {
+        "train_mlp_wide": "51c5ced5ab0be771e7387d8ed261254ffc4d6a727630fb7f950f580e19a1443e",
+        "train_mlp_fullspace":
+            "9587fe1e18c260c16fc69387e45fbc32411e07b5999c89b60a70a84063dfcca4",
+        "quadratic": "3aa83482800392f0dc1a39efe40e322efa19d1d777c3357804d30ddd713c2ca9",
+        "monte_carlo": "71c805cf38b873ee9c4d65cb92411a0fc1b2b419487df2f210c1a93ad2c7f057",
+        "diagnostics": "6b92f20f8ff19a930b3d72d23070d0e0e13a99d53a589ef5f9189c5c8f51afcd",
+        "exact_sgd": "441ce35e67a53852ab4974668fe84f4c6b8472f19f31189147c8c408f48fc32f",
+        "combined": "03af70761a3c0a03a31f45410e137275e753653ab9bcf9727c71a6e61add07af",
+    },
+    "numpy 2.4.6, blas scipy-openblas 0.3.31.188.0, libc glibc 2.36, "
+    "machine x86_64, avx512f yes, cpus 2, OPENBLAS_NUM_THREADS=1": {
+        "train_mlp_wide": "51c5ced5ab0be771e7387d8ed261254ffc4d6a727630fb7f950f580e19a1443e",
+        "train_mlp_fullspace":
+            "9587fe1e18c260c16fc69387e45fbc32411e07b5999c89b60a70a84063dfcca4",
+        "quadratic": "3aa83482800392f0dc1a39efe40e322efa19d1d777c3357804d30ddd713c2ca9",
+        "monte_carlo": "a521759ae678243354d3903ba5e56d271990cd79d5fe285c1ce5e6388a595e01",
+        "diagnostics": "a6082a44117626da326865f84760305e61566a88e9dac5242c296d93b9ef275c",
+        "exact_sgd": "441ce35e67a53852ab4974668fe84f4c6b8472f19f31189147c8c408f48fc32f",
+        "combined": "ed3312a9983c0a594ce8774ba6f4bfa525ae3290027cdd7ed0c069f7844cd0ef",
+    },
+}
+
+
 def test_digest_tool_prints_six_sections_and_a_combined_hash():
-    # tools/digest.py is what every bit-identity claim cites; its hashes
-    # depend on the numpy, libm and BLAS build, so none is pinned here
+    # tools/digest.py is what every bit-identity claim cites; its output is
+    # compared with the pin of this build, if one is recorded
     digest = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
     proc = subprocess.run([sys.executable, str(digest)], capture_output=True,
                           text=True, timeout=600)
@@ -160,3 +192,8 @@ def test_digest_tool_prints_six_sections_and_a_combined_hash():
         "diagnostics", "exact_sgd"]
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[1]) for line in sections)
     assert re.fullmatch("[0-9a-f]{64}", combined)
+    stamp = build_stamp()
+    if stamp not in DIGEST_PINS:
+        pytest.skip(f"no digest pin for the build {stamp!r}")
+    assert {**dict(line.split() for line in sections),
+            "combined": combined} == DIGEST_PINS[stamp]

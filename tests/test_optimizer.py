@@ -14,7 +14,7 @@ from subzero.estimators import (dense_subspace_probe, subzero_estimate,
 from subzero.numcore import GaussianStream, derive_seed, stack_params
 from subzero.optimizer import (OptimizerConfig, TrainerState, init_state, step,
                                theoretical_step_size, train, _TAG_STEP)
-from subzero.perturbation import (build_pairs, draw_direction,
+from subzero.perturbation import (LayerShape, build_pairs, draw_direction,
                                   iter_perturbation_layers)
 from subzero.problems import (Minibatch, MlpProblem, QuadraticProblem,
                               QuarticProblem, full_batch, sample_minibatch)
@@ -169,6 +169,27 @@ class TestRefreshCadence:
         for _ in range(10):
             step(prob, state, cfg)
         assert state.pairs[0] is pairs[0]
+
+    @pytest.mark.parametrize("reshape", ["auto", "never"])
+    def test_a_refresh_draws_the_pairs_of_the_params_shapes(self, reshape):
+        # no plan is stored: each refresh plans from the params, including
+        # the relayout of a layer too narrow for the rank
+        prob = QuadraticProblem.generate(3, [(16, 2), (3,), (4, 4)], dataset_size=16)
+        cfg = OptimizerConfig(family="subzero", steps=6, batch_size=4, rank=3,
+                              refresh_period=3, master_seed=8, reshape=reshape)
+        state = init_state(prob, cfg)
+        for t in range(6):
+            step(prob, state, cfg)
+            if t == 3:
+                seed = derive_seed(cfg.master_seed, optimizer._TAG_PAIRS, 3)
+                want = build_pairs(GaussianStream(seed), state.params, 3, reshape)
+                for got, pair in zip(state.pairs, want):
+                    assert (got is None) == (pair is None)
+                    if pair is not None:
+                        np.testing.assert_array_equal(got.u, pair.u)
+                        np.testing.assert_array_equal(got.v, pair.v)
+        assert state.pairs[0].shape == (LayerShape(8, 4) if reshape == "auto"
+                                        else LayerShape(16, 2))
 
 
 class TestStepGeometry:
@@ -583,6 +604,14 @@ class TestTrainBookkeeping:
                               master_seed=2)
         rec = train(prob, cfg)
         assert rec.validation[-1][1] < 0.25 * rec.validation[0][1]
+
+    @pytest.mark.parametrize("family", ["subzero", "exact_sgd"])
+    @pytest.mark.parametrize("shape", [(2, 2, 3), ()])
+    def test_init_state_rejects_params_neither_vector_nor_matrix(self, family, shape):
+        prob = make_problem()
+        cfg = OptimizerConfig(family=family, steps=1, batch_size=8, rank=1)
+        with pytest.raises(ShapeError, match="1-D or 2-D"):
+            init_state(prob, cfg, params=[np.zeros(shape), np.zeros(5)])
 
     @pytest.mark.parametrize("family", ["subzero", "spsa_full",
                                         "spsa_dense_subspace", "exact_sgd"])

@@ -80,6 +80,17 @@ class TestProjectionPair:
         with pytest.raises(ShapeError):
             ProjectionPair(u=np.zeros((4, 2)), v=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: LayerShape(0, 3), "must be positive"),
+        (lambda: LayerShape(4, -1), "must be positive"),
+        (lambda: ProjectionPair(u=np.zeros(4), v=np.zeros((3, 1))), "must be matrices"),
+        (lambda: ProjectionPair(u=np.zeros((4, 1)), v=np.zeros((1, 3, 1))),
+         "must be matrices"),
+    ])
+    def test_misshaped_geometry_rejected(self, build, match):
+        with pytest.raises(ShapeError, match=match):
+            build()
+
 
 class TestLowRankPerturbation:
     """A matrix layer's perturbation is ``U Z V^T`` with the seed's core."""
@@ -138,6 +149,23 @@ class TestReshapeNearSquare:
     def test_rejects_nonpositive(self):
         with pytest.raises(ShapeError):
             reshape_near_square(0, 5)
+
+    @staticmethod
+    def upward_search(total):
+        """The earlier search: the smallest divisor at or above sqrt(total),
+        tried upward one by one, so O(total) on a prime."""
+        start = math.isqrt(total)
+        if start * start < total:
+            start += 1
+        for a in range(start, total + 1):
+            if total % a == 0:
+                return a, total // a
+
+    @pytest.mark.parametrize("totals", [range(1, 3001), [1_000_003, 999_983 * 2]])
+    def test_matches_the_upward_search(self, totals):
+        for total in totals:
+            geom = reshape_near_square(total, 1)
+            assert (geom.rows, geom.cols) == self.upward_search(total), total
 
 
 class TestReshapedView:

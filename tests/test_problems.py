@@ -325,6 +325,43 @@ class TestMlp:
                 self.prob.loss(params, products, low_rank={0: (other, c, v)})
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: QuadraticProblem(h=np.eye(4), layer_shapes=[(2, 2)], b=np.zeros(3)),
+     "b must have shape"),
+    (lambda: QuadraticProblem(h=np.eye(4), layer_shapes=[(2, 2)], x0=np.zeros(3)),
+     "x0 must have shape"),
+    (lambda: QuarticProblem([(2, 2), (3,)], x0=np.zeros((7, 1))),
+     "x0 must have shape"),
+    (lambda: LogisticProblem(np.zeros((5, 3)), np.zeros(5), (2, 2)),
+     "features must be"),
+    (lambda: LogisticProblem(np.zeros(4), np.zeros(1), (2, 2)),
+     "features must be"),
+    (lambda: LogisticProblem(np.zeros((5, 4)), np.zeros(4), (2, 2)),
+     "labels must align"),
+    # checked when the problem is built, not first in initial_params
+    (lambda: LogisticProblem(np.zeros((5, 4)), np.zeros(5), (2, 2), x0=np.zeros(5)),
+     "x0 must have shape"),
+    (lambda: MlpProblem(np.zeros(5), np.zeros((5, 2)), [np.zeros((1, 2)), np.zeros(2)]),
+     "must be 2-D"),
+    (lambda: MlpProblem(np.zeros((5, 1)), np.zeros((4, 2)),
+                        [np.zeros((1, 2)), np.zeros(2)]),
+     "must align"),
+])
+def test_constructors_reject_misshaped_inputs(build, match):
+    with pytest.raises(ShapeError, match=match):
+        build()
+
+
+def test_start_point_is_copied_at_construction():
+    x0 = np.arange(6.0)
+    prob = LogisticProblem(np.zeros((5, 6)), np.zeros(5), (2, 3), x0=x0)
+    x0[:] = -1.0
+    first = prob.initial_params()
+    first[0][:] = 7.0
+    np.testing.assert_array_equal(prob.initial_params()[0],
+                                  np.arange(6.0).reshape(2, 3, order="F"))
+
+
 class TestMinibatch:
     def setup_method(self):
         self.prob = QuadraticProblem.generate(1, [(8, 8)], dataset_size=64)
