@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -80,14 +80,30 @@ class GradEstimate:
         return stack_params(self.layers)
 
 
-def _loss(problem, params, batch, held: dict, coeff: float, sign: str) -> float:
+def _held_out(problem, params, pairs, direction: Direction) -> dict:
+    """The layers a probe holds out of its passes, as
+    :func:`~subzero.perturbation.held_out_factors` gives them, when the
+    problem has a ``probe_batch`` hook; otherwise none."""
+    if hasattr(problem, "probe_batch"):
+        return held_out_factors(params, pairs, direction)
+    return {}
+
+
+def _loss(problem, params, batch, held: dict, coeff: float, sign: str,
+          pending: Optional[Mapping[int, np.ndarray]]) -> float:
     """One probe loss, with the held-out layers ``{i: (u, Z, v)}``, if any,
-    passed as ``low_rank={i: (u, coeff * Z, v)}``; a non-finite value raises."""
+    passed as ``low_rank={i: (u, coeff * Z, v)}``, or ``(u, A + coeff * Z,
+    v)`` for a layer with a pending core ``A``; a non-finite value raises."""
     if not held:
         value = problem.loss(params, batch)
     else:
-        value = problem.loss(params, batch, low_rank={
-            i: (u, coeff * z, v) for i, (u, z, v) in held.items()})
+        low_rank = {}
+        for i, (u, z, v) in held.items():
+            core = coeff * z
+            if pending and i in pending:
+                core += pending[i]
+            low_rank[i] = (u, core, v)
+        value = problem.loss(params, batch, low_rank=low_rank)
     if not math.isfinite(value):
         raise NonFiniteLoss(f"probe loss at {sign}epsilon evaluated to {value!r}")
     return float(value)
@@ -100,6 +116,7 @@ def two_sided_loss_diff(
     batch,
     epsilon: float,
     seed: int | Direction,
+    pending: Optional[Mapping[int, np.ndarray]] = None,
 ) -> LossDifference:
     """Probe the loss at ``+epsilon`` and ``-epsilon`` along one
     perturbation, restoring the parameters before returning.
@@ -124,22 +141,31 @@ def two_sided_loss_diff(
     as each call formed them before.  If a loss or a pass raises, the net
     coefficient applied so far is taken back (a failed pass first undoes
     itself) before the error propagates.
+
+    ``pending`` maps a held layer's index to an ``(r, r)`` core ``A`` of
+    updates not yet merged into it (the trainer's; see
+    :class:`~subzero.optimizer.TrainerState`): the layer's value is then
+    ``W + U A V^T``, and its loss calls get ``(u, A + coeff * Z, v)``.  A
+    layer with no pending core gets ``(u, coeff * Z, v)`` bit for bit.  A
+    pending core for a layer the probe does not hold raises
+    ``ValueError`` before the first pass.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     direction = draw_direction(params, pairs, seed)
-    held = {}
+    held = _held_out(problem, params, pairs, direction)
+    if pending and not pending.keys() <= held.keys():
+        raise ValueError("a pending core needs its layer held out of the probe")
     if hasattr(problem, "probe_batch"):
-        held = held_out_factors(params, pairs, direction)
         batch = problem.probe_batch(params, batch, held)
     applied = 0.0
     try:
         axpy_perturbation(params, pairs, direction, epsilon, held)
         applied = epsilon
-        loss_plus = _loss(problem, params, batch, held, applied, "+")
+        loss_plus = _loss(problem, params, batch, held, applied, "+", pending)
         axpy_perturbation(params, pairs, direction, -2.0 * epsilon, held)
         applied = -epsilon
-        loss_minus = _loss(problem, params, batch, held, applied, "-")
+        loss_minus = _loss(problem, params, batch, held, applied, "-", pending)
         axpy_perturbation(params, pairs, direction, epsilon, held)
         applied = 0.0
     except BaseException:

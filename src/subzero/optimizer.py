@@ -5,18 +5,28 @@ draws its direction once from the step seed (the q matrix-layer core
 values, each multiplied under ``scale_z`` by the norm-alignment scale
 ``sqrt(m * n) / r`` read from its pair, and the vector layers' values when
 they fit the largest matrix layer; for ``spsa_dense_subspace`` the stored
-``P z``) and probes the loss twice along it in three passes.  The probe's
-passes skip the layers the problem's loss takes in factored form (large
-native MLP layers; see :func:`~subzero.estimators.two_sided_loss_diff`),
-so the update is the only pass that writes them.  Exact SGD, the
-backpropagation reference, stores its minibatch gradient as the direction
-instead and does not probe.  Every family then ends its step with one
-``axpy_perturbation`` pass along its direction, with coefficient
-``-lr * rho``, or ``-lr`` for exact SGD.  Peak transient memory of a
+``P z``) and probes the loss twice along it in three passes.  Exact SGD,
+the backpropagation reference, stores its minibatch gradient as the
+direction instead and does not probe.  Every family then ends its step
+with one ``axpy_perturbation`` pass along its direction, with coefficient
+``-lr * rho``, or ``-lr`` for exact SGD.
+
+The layers the problem's loss takes in factored form (large native MLP
+layers, *held* layers; see
+:func:`~subzero.estimators.two_sided_loss_diff`) are skipped by every pass
+of a step.  Their pairs are fixed for a refresh period, so the period's
+updates to such a layer sum to ``U A V^T`` with ``A = sum_t -lr_t rho_t
+Z_t`` of shape ``(r, r)``: the update adds ``-lr * rho * Z`` to ``A``, and
+the probe passes ``A`` to the loss with its own perturbation.  The merge
+``W += U A V^T``, one pass of row blocks, is the only write to a held
+layer; it runs when the pairs refresh, under the outgoing pairs, and
+whenever :attr:`TrainerState.params` is read.  Peak transient memory of a
 layer-wise step is therefore the drawn direction plus one buffer of at
 most a small layer or a 256 kB row block of a large one, or the loss
 evaluation's activations if they are larger, however many layers the model
-has, and a failed step leaves the parameters where it found them.
+has; on ``train_mlp_wide`` the probe's loss evaluations set it, and a
+merge step adds one row block.  A failed step leaves the parameters and
+the pending cores where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``
 through tagged hashes, with the step index mixed in.  Per-step perturbation
@@ -38,8 +48,9 @@ from .errors import (ConfigError, ShapeError, StepFailure, SubzeroError,
                      check_counts)
 from .numcore import GaussianStream, derive_seed
 from .perturbation import (RESHAPE_POLICIES, Direction, ProjectionPair,
-                           axpy_perturbation, build_pairs, draw_direction)
-from .estimators import _dense_direction, two_sided_loss_diff
+                           _add_rows, axpy_perturbation, build_pairs,
+                           draw_direction)
+from .estimators import _dense_direction, _held_out, two_sided_loss_diff
 from .problems import full_batch, sample_minibatch
 
 _TAG_STEP = 0x51
@@ -92,18 +103,48 @@ class OptimizerConfig:
         return max(0.0, self.learning_rate * (1.0 - t / max(self.steps, 1)))
 
 
-@dataclass
 class TrainerState:
     """Mutable state of a run: the parameters, the current projection
-    pairs, and the step counter.  Each refresh plans the pairs afresh from
-    the parameters' shapes, which never change during a run, so no plan is
-    stored.  ``pinned_pairs`` marks externally supplied pairs that
-    refreshes must not replace (fixed-subspace analysis mode)."""
+    pairs, the step counter, and the pending cores of the held layers.
+    Each refresh plans the pairs afresh from the parameters' shapes, which
+    never change during a run, so no plan is stored.  ``pinned_pairs``
+    marks externally supplied pairs that refreshes must not replace
+    (fixed-subspace analysis mode).
 
-    params: list[np.ndarray]
-    step: int = 0
-    pairs: Optional[list[Optional[ProjectionPair]]] = None
-    pinned_pairs: bool = False
+    ``layers`` are the stored parameters and ``pending`` maps a held
+    layer's index to the ``(r, r)`` sum ``A`` of its updates since it was
+    last merged, so that layer's value is ``layers[i] + U A V^T`` under its
+    current pair.  Reading :attr:`params` merges every pending core into
+    its layer first, so readers see merged values; a read mid-period
+    merges early, which moves the later values by rounding only.  A core
+    costs ``8 r**2`` bytes for as long as it is pending (2 kB at rank 16).
+    Assigning :attr:`params` replaces the layers and drops any pending
+    core."""
+
+    def __init__(self, params: list[np.ndarray], step: int = 0,
+                 pairs: Optional[list[Optional[ProjectionPair]]] = None,
+                 pinned_pairs: bool = False):
+        self.layers = params
+        self.step = step
+        self.pairs = pairs
+        self.pinned_pairs = pinned_pairs
+        self.pending: dict[int, np.ndarray] = {}
+
+    @property
+    def params(self) -> list[np.ndarray]:
+        """The parameters, with every pending core merged in (``W += U A
+        V^T``, one row-block pass per core that undoes itself if it
+        raises; a core is dropped once its layer holds it)."""
+        for i, core in list(self.pending.items()):
+            pair = self.pairs[i]
+            _add_rows(self.layers[i], pair.u, core, pair.v, 1.0)
+            del self.pending[i]
+        return self.layers
+
+    @params.setter
+    def params(self, layers: list[np.ndarray]) -> None:
+        self.layers = layers
+        self.pending = {}
 
 
 @dataclass(frozen=True)
@@ -170,11 +211,13 @@ def _refresh_pairs(state: TrainerState, config: OptimizerConfig) -> None:
                               and state.step % config.refresh_period):
         return
     stream = GaussianStream(derive_seed(config.master_seed, _TAG_PAIRS, state.step))
+    # reading params merges the pending cores under the outgoing pairs
     state.pairs = build_pairs(stream, state.params, config.rank, config.reshape)
 
 
 def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
-    """Advance the run by one step, updating parameters in place."""
+    """Advance the run by one step, updating the stored layers in place and
+    the held layers' pending cores (see :class:`TrainerState`)."""
     t = state.step
     begin = time.perf_counter()
     lr = config.learning_rate_at(t)
@@ -182,8 +225,9 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
     seed_t = derive_seed(config.master_seed, _TAG_STEP, t)
     try:
         if config.family == "exact_sgd":
-            loss_plus = loss_minus = problem.loss(state.params, batch)
-            grads = problem.exact_gradient(state.params, batch)
+            params, held = state.params, {}
+            loss_plus = loss_minus = problem.loss(params, batch)
+            grads = problem.exact_gradient(params, batch)
             direction = Direction(seed_t, np.empty(0),
                                   np.concatenate([g.ravel() for g in grads]))
             rho = math.nan
@@ -191,18 +235,25 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
         else:
             if config.family == "subzero":
                 _refresh_pairs(state, config)
+            params = state.layers
             if config.family == "spsa_dense_subspace":
-                direction = _dense_direction(state.params, config.dense_q, seed_t)
+                direction = _dense_direction(params, config.dense_q, seed_t)
             else:
-                direction = draw_direction(state.params, state.pairs, seed_t,
+                direction = draw_direction(params, state.pairs, seed_t,
                                            config.alignment == "scale_z")
-            ld = two_sided_loss_diff(problem, state.params, state.pairs, batch,
-                                     config.epsilon, direction)
+            ld = two_sided_loss_diff(problem, params, state.pairs, batch,
+                                     config.epsilon, direction, state.pending)
             loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
             coeff = -(lr * rho)
-        axpy_perturbation(state.params, state.pairs, direction, coeff)
+            held = _held_out(problem, params, state.pairs, direction)
+        axpy_perturbation(params, state.pairs, direction, coeff, held)
     except SubzeroError as exc:
         raise StepFailure(t, str(exc)) from exc
+    for i, (_, z, _) in held.items():
+        if i in state.pending:
+            state.pending[i] += coeff * z
+        else:
+            state.pending[i] = coeff * z
     state.step = t + 1
     wall_ms = (time.perf_counter() - begin) * 1e3
     return StepRecord(step=t, loss_plus=loss_plus, loss_minus=loss_minus,

@@ -156,25 +156,25 @@ def test_blas_thread_count_moves_no_trajectory():
 DIGEST_PINS = {
     "numpy 2.4.6, blas scipy-openblas 0.3.31.188.0, libc glibc 2.36, "
     "machine x86_64, avx512f yes, cpus 2": {
-        "train_mlp_wide": "51c5ced5ab0be771e7387d8ed261254ffc4d6a727630fb7f950f580e19a1443e",
+        "train_mlp_wide": "3a79cc6128d5cbdbca41a334822626580c1b693682b4a50aa3b2e075baa0ffc4",
         "train_mlp_fullspace":
             "9587fe1e18c260c16fc69387e45fbc32411e07b5999c89b60a70a84063dfcca4",
         "quadratic": "3aa83482800392f0dc1a39efe40e322efa19d1d777c3357804d30ddd713c2ca9",
         "monte_carlo": "71c805cf38b873ee9c4d65cb92411a0fc1b2b419487df2f210c1a93ad2c7f057",
         "diagnostics": "6b92f20f8ff19a930b3d72d23070d0e0e13a99d53a589ef5f9189c5c8f51afcd",
         "exact_sgd": "441ce35e67a53852ab4974668fe84f4c6b8472f19f31189147c8c408f48fc32f",
-        "combined": "03af70761a3c0a03a31f45410e137275e753653ab9bcf9727c71a6e61add07af",
+        "combined": "3deefe449704349329190dd009a64a15f17edcd6ef352f1986aec0cae3ed4169",
     },
     "numpy 2.4.6, blas scipy-openblas 0.3.31.188.0, libc glibc 2.36, "
     "machine x86_64, avx512f yes, cpus 2, OPENBLAS_NUM_THREADS=1": {
-        "train_mlp_wide": "51c5ced5ab0be771e7387d8ed261254ffc4d6a727630fb7f950f580e19a1443e",
+        "train_mlp_wide": "3a79cc6128d5cbdbca41a334822626580c1b693682b4a50aa3b2e075baa0ffc4",
         "train_mlp_fullspace":
             "9587fe1e18c260c16fc69387e45fbc32411e07b5999c89b60a70a84063dfcca4",
         "quadratic": "3aa83482800392f0dc1a39efe40e322efa19d1d777c3357804d30ddd713c2ca9",
         "monte_carlo": "a521759ae678243354d3903ba5e56d271990cd79d5fe285c1ce5e6388a595e01",
         "diagnostics": "a6082a44117626da326865f84760305e61566a88e9dac5242c296d93b9ef275c",
         "exact_sgd": "441ce35e67a53852ab4974668fe84f4c6b8472f19f31189147c8c408f48fc32f",
-        "combined": "ed3312a9983c0a594ce8774ba6f4bfa525ae3290027cdd7ed0c069f7844cd0ef",
+        "combined": "ab403767821cc8c4262ee693036000667eb3a78f46e4b3d7b0d32dcb8a615886",
     },
 }
 

@@ -364,6 +364,26 @@ class TestHeldOutLayers:
         assert ld.loss_plus.hex() == plus.hex()
         assert ld.loss_minus.hex() == minus.hex()
 
+    def test_a_pending_core_is_part_of_its_layer(self):
+        # the trainer's pending core A: the probe sees W + U A V^T
+        prob, params, pairs, batch = held_out_setup()
+        core = draw_direction(params, pairs, 9).cores[:256].reshape(16, 16) * 1e-2
+        merged = [w.copy() for w in params]
+        merged[0] += pairs[0].u @ core @ pairs[0].v.T
+        lazy = two_sided_loss_diff(prob, params, pairs, batch, 1e-3, 3, {0: core})
+        eager = two_sided_loss_diff(prob, merged, pairs, batch, 1e-3, 3)
+        assert lazy.rho == pytest.approx(eager.rho, rel=1e-9)
+        assert lazy.loss_plus == pytest.approx(eager.loss_plus, rel=1e-12)
+
+    def test_a_pending_core_needs_its_layer_held(self):
+        prob, params, pairs, batch = held_out_setup()
+        before = [w.copy() for w in params]
+        for problem, pending in ((_Counting(prob), {0: np.zeros((16, 16))}),
+                                 (prob, {2: np.zeros((16, 16))})):
+            with pytest.raises(ValueError, match="held"):
+                two_sided_loss_diff(problem, params, pairs, batch, 1e-3, 3, pending)
+        assert all(np.array_equal(w, b) for w, b in zip(params, before))
+
     def test_hook_is_called_once_per_probe(self):
         prob, params, pairs, batch = held_out_setup()
         spy = _LowRankSpy(prob)

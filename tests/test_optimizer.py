@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from subzero import optimizer, perturbation
-from subzero.errors import ConfigError, ShapeError, StepFailure
+from subzero.errors import ConfigError, NonFiniteLoss, ShapeError, StepFailure
 from subzero.estimators import (dense_subspace_probe, subzero_estimate,
                                  two_sided_loss_diff)
 from subzero.numcore import GaussianStream, derive_seed, stack_params
@@ -22,6 +22,13 @@ from subzero.problems import (Minibatch, MlpProblem, QuadraticProblem,
 
 def make_problem(seed=2, shapes=((4, 3), (5,))):
     return QuadraticProblem.generate(seed, list(shapes), dataset_size=64)
+
+
+def _held_mlp():
+    """A 64-96-8 MLP: at rank 16 the probe holds W1 (64x96, native, above
+    the dot cut-over) out of its passes, and W2 (96x8) is relaid to 32x24."""
+    return MlpProblem.generate(4, n_features=64, hidden=(96,), n_outputs=8,
+                               dataset_size=64)
 
 
 class TestConfigValidation:
@@ -289,6 +296,9 @@ _INJECT_EXCEPTIONS = (ShapeError, MemoryError, KeyboardInterrupt)
 _INJECT_LARGE_LAYERS = ((300, 200), (8192, 8), (7,))
 _INJECT_LARGE_ADDS = (("native", 0), ("native", 1), ("relayout", 0),
                       ("relayout", 1), ("bias", 0))
+# a 64-96-8 MLP at rank 16 with W1's core pending: W1 (64x96) is held, so
+# each pass of a step adds b1, W2 (relaid to 32x24, formed whole) and b2
+_INJECT_HELD_LAYERS = 3
 
 
 def _injection_cases():
@@ -317,6 +327,18 @@ def _injection_cases():
                 yield pytest.param(
                     target + "_large", k, exc,
                     id=f"{target}-large-pass{k // n}-{kind}-block{block}-{exc.__name__}")
+    # a held-layer step: each add of its three probe passes and its update,
+    # each probe loss made non-finite, and the merge of W1's pending core
+    # when the pairs refresh
+    n = _INJECT_HELD_LAYERS
+    for k in range(_INJECT_PASSES["step"] * n):
+        for exc in _INJECT_EXCEPTIONS:
+            yield pytest.param("held", k, exc,
+                               id=f"held-pass{k // n}-layer{k % n + 1}-{exc.__name__}")
+    for k in range(2):
+        yield pytest.param("held_loss", k, NonFiniteLoss, id=f"held-loss{k}")
+    for exc in _INJECT_EXCEPTIONS:
+        yield pytest.param("held_merge", 0, exc, id=f"held-merge-{exc.__name__}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,7 +351,9 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
                                                        monkeypatch):
     large = target.endswith("_large")
     target = target.removesuffix("_large")
-    if large:
+    if target.startswith("held"):
+        prob = _held_mlp()
+    elif large:
         prob, rank = _large_problem(), 16
     else:
         prob = QuadraticProblem.generate(6, list(_INJECT_LAYERS), dataset_size=32)
@@ -353,7 +377,16 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
 
     in_draw = target.endswith("_draw")
     target = target.removesuffix("_draw")
-    if target in ("probe", "step"):
+    if target.startswith("held"):
+        # steps 0 and 1 leave W1's core pending; step 2 updates it, and step
+        # 3 merges it before its refresh replaces the pairs
+        cfg = OptimizerConfig(family="subzero", batch_size=8, rank=16,
+                              refresh_period=3, master_seed=2)
+        state = init_state(prob, cfg)
+        for _ in range(3 if target == "held_merge" else 2):
+            step(prob, state, cfg)
+        assert list(state.pending) == [0]
+    elif target in ("probe", "step"):
         cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=rank,
                               alignment="scale_z", master_seed=2)
         pairs = build_pairs(GaussianStream(1), prob.initial_params(), rank)
@@ -371,9 +404,20 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
             return normals(self, n)
 
         monkeypatch.setattr(GaussianStream, "normals", failing_normals)
+    elif target == "held_loss":
+        loss = prob.loss
+        calls = iter(range(2))
+
+        def nonfinite_loss(params, batch, **kwargs):
+            value = loss(params, batch, **kwargs)
+            return math.inf if next(calls) == fail_at else value
+
+        monkeypatch.setattr(prob, "loss", nonfinite_loss)
     else:
-        state.params = [w.view(FailingAdd) for w in state.params]
-    before = [np.array(w) for w in state.params]
+        state.layers = [w.view(FailingAdd) for w in state.layers]
+    t0, pairs0 = state.step, list(state.pairs)
+    before = [np.array(w) for w in state.layers]
+    cores = {i: a.copy() for i, a in state.pending.items()}
     batch = sample_minibatch(prob, 2, 0, 8)
     with pytest.raises((exc, StepFailure)):
         if target == "probe":
@@ -385,22 +429,35 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
                                  cfg.dense_q, seed=5)
         else:
             step(prob, state, cfg)
-    assert state.step == 0
-    for w, b in zip(state.params, before):
-        if in_draw:     # the draw precedes every write
+    assert state.step == t0
+    for w, b in zip(state.layers, before):
+        # the draw precedes every write, and the merge fails at its first block
+        if in_draw or target == "held_merge":
             assert np.array_equal(w, b)
         assert np.max(np.abs(w - b)) <= 1e-12
+    assert state.pending.keys() == cores.keys()
+    for i, a in cores.items():
+        assert np.array_equal(state.pending[i], a)
+    assert all(p is q for p, q in zip(state.pairs, pairs0))
 
 
-@pytest.mark.parametrize("family", ["subzero", "spsa_full", "spsa_dense_subspace",
-                                    "exact_sgd"])
-def test_a_step_is_one_probe_then_one_update_pass(family, monkeypatch):
+@pytest.mark.parametrize("family, held", [
+    ("subzero", []), ("spsa_full", []), ("spsa_dense_subspace", []),
+    ("exact_sgd", []), ("subzero", [0])],
+    ids=["subzero", "spsa_full", "spsa_dense_subspace", "exact_sgd", "subzero-held"])
+def test_a_step_is_one_probe_then_one_update_pass(family, held, monkeypatch):
     # every zeroth-order family probes in three passes, then updates in one
     # pass with coefficient -lr * rho; exact SGD skips the probe and updates
-    # along its stored gradient with coefficient -lr
-    prob = make_problem()
-    cfg = OptimizerConfig(family=family, steps=1, batch_size=8, rank=2, dense_q=4)
+    # along its stored gradient with coefficient -lr.  The update pass skips
+    # a held layer (W1 of a 64-96-8 MLP at rank 16), whose update goes into
+    # its pending core instead
+    if held:
+        prob, rank = _held_mlp(), 16
+    else:
+        prob, rank = make_problem(), 2
+    cfg = OptimizerConfig(family=family, steps=1, batch_size=8, rank=rank, dense_q=4)
     state = init_state(prob, cfg)
+    w0 = state.layers[0].copy()
     if family == "exact_sgd":
         assert state.pairs == [None] * len(state.params)
     events = []
@@ -414,9 +471,9 @@ def test_a_step_is_one_probe_then_one_update_pass(family, monkeypatch):
         events.append("probed")
         return ld
 
-    def recording_axpy(params, pairs, direction, coeff):
-        events.append(("update", coeff))
-        axpy(params, pairs, direction, coeff)
+    def recording_axpy(params, pairs, direction, coeff, skip):
+        events.append(("update", coeff, sorted(skip)))
+        axpy(params, pairs, direction, coeff, skip)
 
     def recording_layers(*args):
         events.append("pass")
@@ -427,10 +484,12 @@ def test_a_step_is_one_probe_then_one_update_pass(family, monkeypatch):
     monkeypatch.setattr(perturbation, "iter_perturbation_layers", recording_layers)
     rec = step(prob, state, cfg)
     if family == "exact_sgd":
-        assert events == [("update", -rec.lr), "pass"]
+        assert events == [("update", -rec.lr, []), "pass"]
     else:
         assert events == ["probe", "pass", "pass", "pass", "probed",
-                          ("update", -(rec.lr * rec.rho)), "pass"]
+                          ("update", -(rec.lr * rec.rho), held), "pass"]
+    assert list(state.pending) == held
+    assert np.array_equal(state.layers[0], w0) == bool(held)
 
 
 def _values_drawn(layers, call, monkeypatch):
@@ -531,6 +590,88 @@ def test_a_step_makes_four_passes_and_two_loss_calls(hidden, held_out, monkeypat
     step(prob, state, cfg)
     assert passes == [True] * 4
     assert loss_calls == [held_out, held_out]
+
+
+class _NoHook:
+    """A problem's loss without its ``probe_batch`` hook: no layer is held,
+    so every step writes every layer in place."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dataset_size = inner.dataset_size
+        self.initial_params = inner.initial_params
+
+    def loss(self, params, batch):
+        return self.inner.loss(params, batch)
+
+
+class TestHeldLayerUpdates:
+    """A held layer's updates wait in an r x r core until its pairs refresh
+    or ``state.params`` is read, and agree with per-step writes to
+    rounding."""
+
+    def run(self, prob, cfg, steps, read=False, pairs=None):
+        state = init_state(prob, cfg, pairs=pairs)
+        rhos = []
+        for _ in range(steps):
+            rhos.append(step(prob, state, cfg).rho)
+            if read:
+                state.params
+                assert not state.pending
+        return rhos, state
+
+    def config(self, refresh_period=50):
+        return OptimizerConfig(family="subzero", batch_size=16, rank=16,
+                               learning_rate=5e-3, refresh_period=refresh_period,
+                               master_seed=3)
+
+    def test_a_read_after_every_step_moves_the_run_by_rounding_only(self):
+        prob, cfg = _held_mlp(), self.config()
+        _, never = self.run(prob, cfg, 120)
+        _, every = self.run(prob, cfg, 120, read=True)
+        _, again = self.run(prob, cfg, 120, read=True)
+        assert never.pending      # steps 100 to 119 are still pending
+        for a, b, c in zip(never.params, every.params, again.params):
+            assert np.max(np.abs(a - b)) <= 1e-12
+            assert np.array_equal(b, c)
+        # assigning params replaces the layers a pending core was summed for
+        step(prob, never, cfg)
+        never.params = prob.initial_params()
+        assert not never.pending
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["refreshed", "pinned"])
+    def test_lazy_updates_match_per_step_writes(self, pinned):
+        prob, cfg = _held_mlp(), self.config()
+        pairs = (build_pairs(GaussianStream(7), prob.initial_params(), 16)
+                 if pinned else None)
+        rhos, lazy = self.run(prob, cfg, 120, pairs=pairs)
+        ref_rhos, ref = self.run(_NoHook(prob), cfg, 120, pairs=pairs)
+        assert list(lazy.pending) == [0] and not ref.pending
+        if pinned:      # nothing is merged until the read
+            assert np.array_equal(lazy.layers[0], prob.initial_params()[0])
+        assert rhos == pytest.approx(ref_rhos, rel=1e-9)
+        for a, b in zip(lazy.params, ref.params):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_each_refresh_merges_under_the_outgoing_pairs(self):
+        prob, cfg = _held_mlp(), self.config(refresh_period=5)
+        state = init_state(prob, cfg)
+        step(prob, state, cfg)      # step 0 draws the first pairs
+        for refresh in (5, 10):
+            w0 = state.layers[0].copy()
+            while state.step < refresh:
+                step(prob, state, cfg)
+                assert np.array_equal(state.layers[0], w0)
+            old, core = state.pairs[0], state.pending[0].copy()
+            step(prob, state, cfg)
+            new = state.pairs[0]
+            assert not np.array_equal(new.u, old.u)
+            merged = state.layers[0]
+            assert np.max(np.abs(merged - (w0 + old.u @ core @ old.v.T))) <= 1e-15
+            assert np.max(np.abs(merged - (w0 + new.u @ core @ new.v.T))) > 1e-6
+            # the refresh step's own update waits under the new pairs
+            assert list(state.pending) == [0]
+            assert not np.array_equal(state.pending[0], core)
 
 
 class TestAlignmentModes:

@@ -20,6 +20,11 @@ diagnostics begin.
 Run from the root of a checkout:
 
     python3 tools/digest.py
+
+The hashes depend on the build (numpy, BLAS, C library, CPU) and on the
+BLAS thread count, so the script first writes one line naming them, the
+line tier-1's pins are keyed by, to standard error; standard output holds
+only the hashes.
 """
 import dataclasses
 import hashlib
@@ -27,14 +32,16 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
 import subzero as sz  # noqa: E402
 from subzero import cli, verification  # noqa: E402
 import workloads  # noqa: E402
+from conftest import build_stamp  # noqa: E402
 
+print(build_stamp(), file=sys.stderr)
 combined = hashlib.sha256()
 sections = {}
 
