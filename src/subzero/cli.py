@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError, check_count, check_counts
-from .numcore import GaussianStream, derive_seed
+from .numcore import GaussianStream, derive_seed, stream_check
 from .perturbation import build_pairs, plan_layers
 from .estimators import DENSE_ENTRY_CAP
 from .optimizer import OptimizerConfig, train
@@ -457,15 +457,19 @@ def main(argv=None) -> int:
             p.add_argument("--workers", type=int, default=1,
                            help="worker processes for sweep cells")
     args = parser.parse_args(argv)
+    stream = stream_check()     # this build against the pinned stream values
     try:
         if args.command == "verify":
-            return cli_verify(args.config, args.out, args.seed_offset)
-        if args.command == "bench":
-            return cli_bench(args.config, args.out, args.workers, args.seed_offset)
-        return cli_estimate(args.config, args.out, args.seed_offset)
+            rc = cli_verify(args.config, args.out, args.seed_offset)
+        elif args.command == "bench":
+            rc = cli_bench(args.config, args.out, args.workers, args.seed_offset)
+        else:
+            rc = cli_estimate(args.config, args.out, args.seed_offset)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    print(f"stream_check: {stream}")
+    return rc
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ own shape, is never written during the probe, and each loss call adds its
     rho = (loss_plus - loss_minus) / (2 * epsilon)
 
 multiplies the direction to form the gradient estimate.  The layer-wise
-estimator keeps its q core values and regenerates the rest from the seed.
+estimator keeps its q core values, its small layers formed once (within
+16 kB) and the vector values that fit, and regenerates the rest from the
+seed.
 Full-space SPSA is the layer-wise estimator with every pair ``None``, so
 every layer takes the full Gaussian fallback.  The dense-subspace baseline
 materializes its d-by-q projection and stores its direction ``P z`` whole,
@@ -123,10 +125,12 @@ def two_sided_loss_diff(
 
     ``seed`` is an int or a :class:`~subzero.perturbation.Direction` (one
     drawn with ``aligned=True``, or the dense baseline's stored one).  The
-    three in-place passes of :func:`axpy_perturbation` share the direction,
-    and each holds one transient buffer: a small layer's delta or a row
-    block of at most 256 kB of a large one.  A non-positive ``epsilon``
-    raises ``ValueError`` before the first pass.
+    three in-place passes of :func:`axpy_perturbation` share the direction
+    and its kept layers, and each holds one transient buffer: a small
+    layer's delta, or its product with the pass's coefficient when the
+    direction keeps it, or a row block of at most 256 kB of a large one.
+    A non-positive ``epsilon`` raises ``ValueError`` before the first
+    pass.
 
     When the problem has a ``probe_batch`` hook, some layers are held
     out of the passes and never written: those of more than
@@ -177,13 +181,15 @@ def two_sided_loss_diff(
 
 def _estimate(problem, params, pairs, batch, epsilon: float, direction: Direction,
               family: str, q: int) -> tuple[LossDifference, GradEstimate]:
-    """Probe along ``direction``, then form each layer of it again times rho."""
+    """Probe along ``direction``, then scale each layer of it by rho: a
+    kept layer into a fresh array, any other formed again and scaled in
+    place."""
     ld = two_sided_loss_diff(problem, params, pairs, batch, epsilon, direction)
     rho = ld.rho
     layers = []
-    for delta in iter_perturbation_layers(params, pairs, direction):
-        delta *= rho
-        layers.append(delta)
+    for d in iter_perturbation_layers(params, pairs, direction):
+        # a kept delta is read-only, and never scaled in place
+        layers.append(np.multiply(d, rho, out=d if d.flags.writeable else None))
     meta = EstimateMeta(family=family, seed=direction.seed, epsilon=epsilon, q=q)
     return ld, GradEstimate(layers=layers, meta=meta)
 
@@ -201,10 +207,10 @@ def subzero_estimate(
     Matrix layers are perturbed along ``U Z V^T`` for their projection pair,
     vector layers (pair ``None``) along a full Gaussian.  The direction is
     drawn once from ``seed`` (an int or a drawn
-    :class:`~subzero.perturbation.Direction`); after the probe the
-    perturbation is formed once more from it and scaled by rho, so the
-    estimate costs two loss evaluations and stores the q core floats plus
-    any vector values the direction keeps.
+    :class:`~subzero.perturbation.Direction`); after the probe each
+    layer of it is scaled by rho once more, so the estimate costs two loss
+    evaluations and stores the q core floats plus the vector values and
+    small layers the direction keeps.
     """
     direction = draw_direction(params, pairs, seed)
     return _estimate(problem, params, pairs, batch, epsilon, direction, "subzero",

@@ -11,21 +11,26 @@ Seeded perturbations are never stored whole (see :class:`Direction` for
 the two stored directions, the dense baseline's and exact SGD's gradient).
 Every write to a model's parameters, probe and update of every family, is
 a pass of :func:`axpy_perturbation` along one direction.  A step draws its
-direction once: :func:`draw_direction` walks the layers in stream order
-and draws the ``r_i**2`` core values of each matrix layer into one flat
-array of ``q = sum r_i**2`` floats, each core multiplied as it is drawn by
-the norm-alignment scale ``sqrt(m * n) / r`` of its pair when the
-direction is drawn aligned.  The ``size`` values each vector layer owns
-are drawn into a second flat array when their total is at most the
-largest matrix layer's size, and skipped otherwise.  Every pass of
-:func:`axpy_perturbation` then reads its values from those arrays and
-replays from the seed only the vector layers that were skipped.  Replaying
-one direction with coefficients ``+eps``, ``-2 eps``, ``+eps`` and then
-``-lr * rho`` implements the probe, the restore and the update; a
-trainer's passes skip the layers its loss takes in factored form, and a
-skipped layer costs a pass nothing.  Across them a step holds
-``8 (q + kept vector values)`` bytes of direction.  A pass adds one
-transient buffer at a time: the whole delta of a layer of at most
+direction once: :func:`draw_direction` sizes it, then walks the layers
+once, in stream order.  It draws each run of adjacent matrix cores with
+one stream call into one flat array of ``q = sum r_i**2`` floats, each
+core multiplied as it is drawn by the norm-alignment scale
+``sqrt(m * n) / r`` of its pair when the direction is drawn aligned.  The
+``size`` values each vector layer owns are drawn into a second flat array
+when their total is at most the largest matrix layer's size, and skipped
+otherwise.  The walk forms each matrix layer of at most
+``_DOT_MAX_ENTRIES`` entries once, while the formed layers total at most
+``_KEPT_BYTES``, and keeps it read-only.  The direction records what each
+pass does with each layer, so a pass hands out a kept layer as it is,
+forms only the other matrix layers and replays from the seed only the
+vector layers that were skipped.  Replaying one direction with
+coefficients ``+eps``, ``-2 eps``, ``+eps`` and then ``-lr * rho``
+implements the probe, the restore and the update; a trainer's passes skip
+the layers its loss takes in factored form, and a skipped layer costs a
+pass nothing.  Across them a step holds ``8 (q + kept vector values)``
+bytes of direction, plus at most ``_KEPT_BYTES`` of formed layers.  A pass
+adds one transient buffer at a time: a kept layer's product with the
+pass's coefficient, the whole delta of another layer of at most
 ``_DOT_MAX_ENTRIES`` entries, or a row block of at most 256 kB of a larger
 matrix layer.
 """
@@ -243,8 +248,18 @@ def build_pairs(stream: GaussianStream, params: Sequence[np.ndarray], rank: int,
 # 64x64, 1.07x at 64x96 (lower in 10 of 20 rounds) and 0.88x at 128x96.  So
 # the factored probe does not pay below this cut-over, and only starts to
 # pay somewhat above it.
+#
+# A direction forms each small matrix layer once, where a step's four
+# passes (and an estimate's fifth) each formed it before, while the formed
+# layers total at most _KEPT_BYTES, taken in layer order.  The budget keeps
+# that storage off the step's peak: train_mlp_wide's 512x8 layer, relaid to
+# 64x64 (4096 entries, 32 kB), kept through a step raised that workload's
+# peak step bytes by 13 %, so it stays formed in each pass.  16 kB is half
+# the whole delta a pass of a small layer may already hold, so only layers
+# below the cut-over are ever kept.
 _DOT_MAX_ENTRIES = 4096
 _BLOCK_ENTRIES = 32768
+_KEPT_BYTES = 16384
 
 
 class Direction:
@@ -255,37 +270,65 @@ class Direction:
     ``vectors`` holds the values of the vector layers in layer order when
     their total is at most the largest matrix layer's size, and is ``None``
     otherwise: then each pass replays them from the seed.  So the kept
-    values never outgrow one matrix layer, and a model of vector layers
-    only holds no parameter-sized draw.  Every function that takes a seed
-    also takes a ``Direction`` in its place, so a step draws once and its
-    passes replay at most the vector layers.
+    vector values never outgrow one matrix layer, and a model of vector
+    layers only holds no parameter-sized draw.
 
-    A stored direction is the exception: empty ``cores`` and all d values
-    in ``vectors``, read row-major per layer with every pair ``None``.
-    There are two: the dense baseline's ``P z``, whose d-sized direction is
-    exactly the cost that baseline exists to show, and exact SGD's
-    minibatch gradient, a copy the backpropagation reference pays for.
+    ``layers`` is the layout :func:`draw_direction` records, one entry per
+    layer, which every pass reads instead of deriving it again:
+
+    * an array in the layer's shape: the layer's values, kept.  A matrix
+      layer of at most ``_DOT_MAX_ENTRIES`` entries is formed once, as
+      ``u.dot(z.dot(v.T))``, while the formed layers total at most
+      ``_KEPT_BYTES`` (16 kB), in layer order; a kept vector layer is a
+      view of ``vectors``.  Kept arrays are read-only, so no pass scales
+      one in place: a pass adds ``coeff * delta``, which rounds as
+      scaling a copy in place and adding it does.
+    * ``(u, Z, v)``, with ``Z`` a view of ``cores``: a matrix layer each
+      pass forms, or adds in row blocks, or the probe holds out.
+    * an int: a vector layer replayed from the stream at that counter.
+
+    ``kept`` is true when every entry is an array, and a pass then hands
+    out ``layers`` as they are.  A drawn direction holds ``8 (q + kept
+    vector values)`` bytes of values plus at most ``_KEPT_BYTES`` of
+    formed layers.  Every function that takes a seed also takes a
+    ``Direction`` in its place, so a step draws once and its passes form
+    only the layers over the budget and replay at most the vector layers.
+    A direction is replayed with the parameters and pairs it was drawn
+    for.
+
+    A stored direction is the exception: empty ``cores``, all d values in
+    ``vectors`` and no ``layers``; each pass reads ``vectors`` row-major
+    per layer, as read-only views, with every pair ``None``.  There are
+    two: the dense baseline's ``P z``, whose d-sized direction is exactly
+    the cost that baseline exists to show, and exact SGD's minibatch
+    gradient, a copy the backpropagation reference pays for.
     """
 
-    __slots__ = ("seed", "cores", "vectors")
+    __slots__ = ("seed", "cores", "vectors", "layers", "kept")
 
     def __init__(self, seed: int, cores: np.ndarray,
                  vectors: Optional[np.ndarray] = None):
         self.seed = seed
         self.cores = cores
         self.vectors = vectors
+        self.layers = None
+        self.kept = False
 
 
 def draw_direction(params: Sequence[np.ndarray],
                    pairs: Sequence[Optional[ProjectionPair]],
                    seed: int | Direction, aligned: bool = False) -> Direction:
-    """Draw the matrix-layer cores of a seeded perturbation, and the vector
-    layers' values when they fit the largest matrix layer, walking the
-    stream in layer order and skipping what is not kept; a ``Direction`` is
-    returned as is.  ``aligned`` (norm alignment, ``"scale_z"``) multiplies
-    each core as it is drawn by ``sqrt(m * n) / r``, read from its pair, so
-    the low-rank perturbation has the Frobenius norm a full Gaussian would
-    in expectation and no pass scales anything.  ``aligned`` with a drawn
+    """Draw a seeded perturbation and record its layout (see
+    :class:`Direction`): after sizing the draw, one walk over the layers in
+    stream order draws, forms and records each; a ``Direction`` is
+    returned as is.  Each run of adjacent matrix cores is one stream call,
+    and so is each vector layer's values when they fit the largest matrix
+    layer; the values skipped are not drawn.  A layer whose pair's
+    geometry does not cover it raises ``ShapeError``.
+    ``aligned`` (norm alignment, ``"scale_z"``) multiplies each core as it
+    is drawn by ``sqrt(m * n) / r``, read from its pair, so the low-rank
+    perturbation has the Frobenius norm a full Gaussian would in
+    expectation and no pass scales anything.  ``aligned`` with a drawn
     ``Direction`` raises ``ValueError``, so nothing is scaled twice."""
     if isinstance(seed, Direction):
         if aligned:
@@ -298,28 +341,56 @@ def draw_direction(params: Sequence[np.ndarray],
     for w, pair in zip(params, pairs):
         if pair is None:
             kept += w.size
+        elif w.size != pair.u.shape[0] * pair.v.shape[0]:
+            raise ShapeError(
+                f"pair geometry {pair.shape} does not cover a layer of shape {w.shape}")
         else:
-            q += pair.rank ** 2
-            if w.size > largest:
-                largest = w.size
+            q += pair.u.shape[1] ** 2
+            largest = max(largest, w.size)
     stream = GaussianStream(seed)
-    cores = np.empty(q)
-    vectors = np.empty(kept) if 0 < kept <= largest else None
-    at = 0
+    direction = Direction(stream.seed, np.empty(q),
+                          np.empty(kept) if 0 < kept <= largest else None)
+    cores, vectors = direction.cores, direction.vectors
+    layers = direction.layers = []
+    # core offset, cores drawn, entries formed, layers kept as arrays
+    at = drawn = formed = arrays = 0
     for w, pair in zip(params, pairs):
-        if pair is not None:
-            n = pair.rank ** 2
-            core = cores[at:at + n]
-            core[:] = stream.normals(n)
-            if aligned:
-                core *= math.sqrt(pair.u.shape[0] * pair.v.shape[0]) / pair.rank
-            at += n
-        elif vectors is None:
-            stream.skip(w.size)
-        else:
+        if pair is None:
+            if vectors is None:
+                layers.append(stream.index)
+                stream.skip(w.size)
+                continue
             start = stream.index - at
-            vectors[start:start + w.size] = stream.normals(w.size)
-    return Direction(stream.seed, cores, vectors)
+            values = vectors[start:start + w.size]
+            values[:] = stream.normals(w.size)
+            values = values.reshape(w.shape)
+        else:
+            if at == drawn:     # the first of a run of adjacent cores: one draw
+                for later in pairs[len(layers):]:
+                    if later is None:
+                        break
+                    drawn += later.u.shape[1] ** 2
+                cores[at:drawn] = stream.normals(drawn - at)
+            u, v = pair.u, pair.v
+            r = u.shape[1]
+            z = cores[at:at + r * r].reshape(r, r)
+            at += r * r
+            if aligned:
+                z *= math.sqrt(u.shape[0] * v.shape[0]) / r
+            if formed + w.size > _KEPT_BYTES // 8:
+                layers.append((u, z, v))
+                continue
+            formed += w.size
+            values = u.dot(z.dot(v.T))
+            if values.shape != w.shape:
+                values = values.reshape(w.shape)
+        values.setflags(write=False)
+        layers.append(values)
+        arrays += 1
+    if vectors is not None:
+        vectors.setflags(write=False)
+    direction.kept = arrays == len(layers)
+    return direction
 
 
 def iter_perturbation_layers(
@@ -328,15 +399,17 @@ def iter_perturbation_layers(
     seed: int | Direction,
     factored: bool = False,
 ) -> Iterator[np.ndarray]:
-    """Yield each layer's unit perturbation for a seed or a drawn
+    """Each layer's unit perturbation for a seed or a drawn
     :class:`Direction`, one at a time.
 
     Layer ``i`` is ``z`` (full Gaussian, layer-shaped) when ``pairs[i]`` is
     ``None`` and ``U Z V^T`` otherwise, always in the layer's native shape.
-    Matrix cores and kept vector values come from the direction (an int
-    seed is drawn first, unaligned; see :func:`draw_direction`), other
-    vector layers from the stream at their counter offset, so a seed and
-    its drawn direction yield the same values bit for bit.  Every pass of
+    An int seed is drawn first, unaligned (see :func:`draw_direction`), so
+    a seed and its drawn direction yield the same values bit for bit.  A
+    layer the direction keeps is yielded as its read-only array, with no
+    product formed; when it keeps every layer, the result is an iterator
+    over its ``layers``.  Every other layer is formed or drawn for this
+    walk alone, and the caller may scale it in place.  Every pass of
     :func:`axpy_perturbation` walks this sequence with ``factored`` set:
     then a matrix layer above ``_DOT_MAX_ENTRIES`` that is C-contiguous or
     in the pair's geometry is yielded as the tuple ``(u, Z, v)`` instead.
@@ -344,43 +417,43 @@ def iter_perturbation_layers(
     if len(params) != len(pairs):
         raise ShapeError("params and pairs must align layer by layer")
     direction = draw_direction(params, pairs, seed)
-    cores = direction.cores
+    if direction.kept and len(direction.layers) == len(params):
+        return iter(direction.layers)
+    return _layers(params, direction, factored)
+
+
+def _layers(params: Sequence[np.ndarray], direction: Direction,
+            factored: bool) -> Iterator[np.ndarray]:
+    if direction.layers is None:    # stored: every layer row-major in vectors
+        at = 0
+        for w in params:
+            values = direction.vectors[at:at + w.size].reshape(w.shape)
+            values.setflags(write=False)
+            yield values
+            at += w.size
+        return
     stream = None
-    index = 0   # stream counter at the current layer
-    at = 0      # offset of the current core in ``cores``
-    for w, pair in zip(params, pairs):
-        if pair is None:
-            if direction.vectors is not None:
-                # the kept values are the stream's with the cores left out
-                delta = direction.vectors[index - at:index - at + w.size].copy()
-            else:
-                if stream is None:
-                    stream = GaussianStream(direction.seed)
-                stream.reset(index)
-                delta = stream.normals(w.size)
-            delta = delta.reshape(w.shape)
-            index += w.size
-        else:
-            u, v = pair.u, pair.v
-            if w.size != u.shape[0] * v.shape[0]:
-                raise ShapeError(
-                    f"pair geometry {pair.shape} does not cover a layer of shape {w.shape}")
-            r = u.shape[1]
-            n = r * r
-            z = cores[at:at + n].reshape(r, r)
-            at += n
-            index += n
+    for w, layer in zip(params, direction.layers):
+        if type(layer) is tuple:
+            u, z, v = layer
             if w.size <= _DOT_MAX_ENTRIES:
                 delta = u.dot(z.dot(v.T))
             elif factored and (w.flags.c_contiguous
                                or w.shape == (u.shape[0], v.shape[0])):
                 # the rows of the pair's geometry are views of w
-                yield u, z, v
+                yield layer
                 continue
             else:
                 delta = u @ (z @ v.T)
             if delta.shape != w.shape:
                 delta = delta.reshape(w.shape)
+        elif type(layer) is int:
+            if stream is None:
+                stream = GaussianStream(direction.seed)
+            stream.reset(layer)
+            delta = stream.normals(w.size).reshape(w.shape)
+        else:
+            delta = layer
         yield delta
 
 
@@ -389,21 +462,18 @@ def held_out_factors(
     pairs: Sequence[Optional[ProjectionPair]],
     direction: Direction,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The layers a loss can take in factored form, as ``{i: (u, Z, v)}``:
-    those a factored pass yields as factors whose pair is in the layer's
-    own shape, so ``h @ W`` gains ``((h @ u) @ Z) @ v.T``.  A pass of
+    """The layers a loss can take in factored form, as ``{i: (u, Z, v)}``,
+    read from the direction's layout: those a factored pass yields as
+    factors whose pair is in the layer's own shape, so ``h @ W`` gains
+    ``((h @ u) @ Z) @ v.T``.  A pass of
     :func:`axpy_perturbation` that skips exactly these indices costs them
     nothing.  A large layer in a relayout geometry is not among them: its
     pass adds it in row blocks.  Empty when no layer qualifies."""
     factors = {}
-    at = 0      # offset of the current core in ``direction.cores``
-    for i, (w, pair) in enumerate(zip(params, pairs)):
-        if pair is None:
-            continue
-        r = pair.rank
-        if w.size > _DOT_MAX_ENTRIES and w.shape == (pair.u.shape[0], pair.v.shape[0]):
-            factors[i] = (pair.u, direction.cores[at:at + r * r].reshape(r, r), pair.v)
-        at += r * r
+    for i, (w, layer) in enumerate(zip(params, direction.layers or ())):
+        if (type(layer) is tuple and w.size > _DOT_MAX_ENTRIES
+                and w.shape == (layer[0].shape[0], layer[2].shape[0])):
+            factors[i] = layer
     return factors
 
 
@@ -456,10 +526,12 @@ def axpy_perturbation(
     :class:`Direction` to params, in place, leaving the layers whose index
     is in ``skip`` untouched.
 
-    Works layer by layer.  A layer of at most ``_DOT_MAX_ENTRIES`` entries
-    is formed whole in one transient buffer and added; a larger matrix
-    layer is added in row blocks of at most 256 kB (:func:`_add_rows`), and
-    a skipped large layer costs nothing.  So peak extra memory is the drawn
+    Works layer by layer.  A layer the direction keeps is added as
+    ``coeff * delta``, a transient product, and never scaled in place;
+    another layer of at most ``_DOT_MAX_ENTRIES`` entries is formed whole
+    in one transient buffer, scaled there and added; a larger matrix layer
+    is added in row blocks of at most 256 kB (:func:`_add_rows`), and a
+    skipped large layer costs nothing.  So peak extra memory is the drawn
     direction plus one such buffer, never the full parameter count.
     Atomic: if anything raises partway, the layers already added are
     replayed with ``-coeff``, skipping the same ones, before the error
@@ -476,9 +548,9 @@ def axpy_perturbation(
                 pass
             elif type(delta) is tuple:
                 _add_rows(w, *delta, coeff)
-            else:
-                delta *= coeff
-                w += delta
+            else:   # a kept delta is read-only, and never scaled in place
+                w += np.multiply(delta, coeff,
+                                 out=delta if delta.flags.writeable else None)
             done += 1
     except BaseException:
         if done:

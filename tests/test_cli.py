@@ -15,10 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from subzero import (LogisticProblem, MlpProblem, OptimizerConfig,
-                     QuadraticProblem, QuarticProblem)
+from subzero import (GaussianStream, LogisticProblem, MlpProblem,
+                     OptimizerConfig, QuadraticProblem, QuarticProblem)
 from subzero.errors import ConfigError
-from subzero import cli
+from subzero import cli, numcore
 from subzero.cli import (DIAG_COLUMNS, EstimateSettings, ExperimentConfig,
                          FamilySpec, ProblemSpec, RUN_COLUMNS,
                          SUMMARY_COLUMNS, VERIFY_COLUMNS, VerifySettings,
@@ -652,3 +652,43 @@ class TestMainEntry:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+
+class TestStreamCheck:
+    """Each command compares this build's stream with the pinned values at
+    start and prints the result after its summary line."""
+
+    SMALL = {"problem": {"layer_shapes": [[4, 4]], "dataset_size": 16},
+             "optimizer": {"steps": 2, "batch_size": 4},
+             "estimate": {"families": [{"family": "subzero", "rank": 2}], "n_mc": 8}}
+
+    def run(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "cfg.json", self.SMALL)
+        rc = main([command, "--config", path, "--out", str(tmp_path / "o")])
+        return rc, capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("command", ["verify", "bench", "estimate"])
+    def test_each_command_reports_the_check(self, tmp_path, capsys, monkeypatch,
+                                            command):
+        monkeypatch.setattr(cli.verification, "run_default_battery",
+                            lambda **kwargs: [])
+        rc, out = self.run(tmp_path, capsys, command)
+        assert rc == 0
+        assert out[-2].startswith(f"{command}: ")
+        assert out[-1] == "stream_check: ok"
+
+    def test_a_value_one_ulp_off_is_reported(self, tmp_path, capsys, monkeypatch):
+        # a build whose libm rounds value 1000 of seed 0 one ulp up, whether
+        # it is drawn in a block or alone
+        draw = numcore._draw
+
+        def nudged(key, base, n):
+            out = draw(key, base, n)
+            if key == GaussianStream(0)._key and base <= 1000 < base + n:
+                out[1000 - base] = np.nextafter(out[1000 - base], np.inf)
+            return out
+
+        monkeypatch.setattr(numcore, "_draw", nudged)
+        rc, out = self.run(tmp_path, capsys, "estimate")
+        assert rc == 0
+        assert out[-1] == "stream_check: mismatch at index 1000 of seed 0"

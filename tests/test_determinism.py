@@ -35,7 +35,7 @@ import pytest
 
 from conftest import build_stamp
 from subzero import (GaussianStream, OptimizerConfig, QuadraticProblem,
-                     stack_params, train)
+                     numcore, stack_params, train)
 
 STREAM_PINS = {
     0: ("-0x1.1cc5092122682p-3", "-0x1.46e5a527ea622p+1", "-0x1.854471a94fb19p-6"),
@@ -73,6 +73,12 @@ def test_stream_values_are_pinned(seed):
     assert tuple(single.normal_at(j).hex() for j in STREAM_INDICES) == expected
     batch = GaussianStream(seed).normals(STREAM_INDICES[-1] + 1)
     assert tuple(float(batch[j]).hex() for j in STREAM_INDICES) == expected
+
+
+def test_the_cli_stream_check_compares_these_pins():
+    assert numcore._PINNED == STREAM_PINS
+    assert numcore._PINNED_AT == STREAM_INDICES
+    assert numcore.stream_check() == "ok"
 
 
 @pytest.mark.parametrize("family", sorted(TRAJECTORY_PINS))

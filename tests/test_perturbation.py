@@ -7,9 +7,10 @@ import pytest
 
 from subzero import estimators, perturbation
 from subzero.errors import ShapeError
-from subzero.numcore import GaussianStream, gaussian_matrix
+from subzero.numcore import GaussianStream, gaussian_matrix, stack_params
 from subzero.errors import ConfigError
 from subzero.optimizer import OptimizerConfig
+from subzero.problems import QuarticProblem, full_batch
 from subzero.perturbation import (RESHAPE_POLICIES, Direction, LayerPlan,
                                   LayerShape, PerturbSpec, ProjectionPair,
                                   axpy_perturbation, build_pairs,
@@ -457,6 +458,179 @@ class TestDrawnDirection:
         assert direction.vectors is None
         full_space = draw_direction(params, [None, None], 17)
         assert full_space.vectors is None and full_space.cores.size == 0
+
+
+class Injected(RuntimeError):
+    pass
+
+
+def failing_views(params, fail_at):
+    """Views of ``params`` whose in-place adds count, together, and raise
+    ``Injected`` at add number ``fail_at`` (from 1) before it writes."""
+    adds = [0]
+
+    class FailingAdd(np.ndarray):
+        def __iadd__(self, other):
+            adds[0] += 1
+            if adds[0] == fail_at:
+                raise Injected("injected")
+            return super().__iadd__(other)
+
+    return [w.view(FailingAdd) for w in params]
+
+
+def restore_cells(n):
+    """Acceptance test_07's cells: one to three layers, each a vector with
+    probability 1/4, ranks 1 to 3, as ``(params, pairs, seed, epsilon)``."""
+    rng = np.random.default_rng(20260823)
+    for _ in range(n):
+        shapes = []
+        for _ in range(int(rng.integers(1, 4))):
+            if rng.random() < 0.25:
+                shapes.append((int(rng.integers(2, 9)),))
+            else:
+                shapes.append((int(rng.integers(2, 8)), int(rng.integers(2, 8))))
+        params = [rng.standard_normal(s) for s in shapes]
+        rank = int(rng.integers(1, 4))
+        pairs = build_pairs(GaussianStream(int(rng.integers(0, 2 ** 62))), params, rank)
+        seed = int(rng.integers(0, 2 ** 62))
+        yield params, pairs, seed, float(10.0 ** rng.uniform(-6.0, -2.0))
+
+
+def layer_kinds(params, pairs, direction):
+    """What a direction keeps of each layer: ``formed`` (a small matrix
+    layer's delta), ``kept`` (vector values), ``replayed`` (a vector layer
+    drawn in each pass) or ``factors`` (a matrix layer formed in each pass)."""
+    kinds = []
+    for w, pair, layer in zip(params, pairs, direction.layers):
+        if type(layer) is np.ndarray:
+            kinds.append("kept" if pair is None else "formed")
+        else:
+            kinds.append("replayed" if pair is None else "factors")
+    return kinds
+
+
+class TestKeptLayers:
+    """A drawn direction forms each small matrix layer once, within
+    ``_KEPT_BYTES``, and every pass reads the kept, read-only values."""
+
+    def test_kept_layers_replay_the_formed_each_pass_path_bit_for_bit(self, monkeypatch):
+        # probe, estimate, update and a pass that fails at its last add and
+        # rolls back, once with the direction's small layers formed at the
+        # draw and once with none kept (each pass forms them, as before)
+        seen = set()
+        budgets = (perturbation._KEPT_BYTES, 0)
+        for params, pairs, seed, epsilon in restore_cells(1000):
+            problem = QuarticProblem(layer_shapes=[w.shape for w in params],
+                                     x0=stack_params(params))
+            runs = []
+            for budget in budgets:
+                monkeypatch.setattr(perturbation, "_KEPT_BYTES", budget)
+                direction = draw_direction(params, pairs, seed)
+                kinds = layer_kinds(params, pairs, direction)
+                assert ("factors" in kinds) == (budget == 0 and any(pairs))
+                seen.update(kinds)
+                seen.update("relaid " + kind for kind, w, pair in zip(kinds, params, pairs)
+                            if pair is not None and pair.shape != LayerShape(*w.shape))
+                work = [w.copy() for w in params]
+                ld, est = estimators.subzero_estimate(problem, work, pairs,
+                                                      full_batch(problem), epsilon,
+                                                      direction)
+                axpy_perturbation(work, pairs, direction, -0.1 * ld.rho)
+                before = [w.copy() for w in work]
+                with pytest.raises(Injected):
+                    axpy_perturbation(failing_views(work, len(work)), pairs,
+                                      direction, 0.3)
+                for w, b in zip(work, before):
+                    assert np.max(np.abs(w - b)) <= 1e-12
+                runs.append((ld.loss_plus, ld.loss_minus,
+                             [d.tobytes() for d in est.layers],
+                             [w.tobytes() for w in work]))
+            assert runs[0] == runs[1]
+        assert seen == {"formed", "kept", "replayed", "factors",
+                        "relaid formed", "relaid factors"}
+
+    def test_kept_storage_cannot_be_corrupted(self):
+        # a native 4x3, a bias, an 8x2 relaid to 4x4, a native 128x64 above
+        # the cut-over and a bias
+        params, pairs = TestDrawnDirection().layers()
+        direction = draw_direction(params, pairs, 17, aligned=True)
+        kinds = layer_kinds(params, pairs, direction)
+        assert kinds == ["formed", "kept", "formed", "factors", "kept"]
+        kept = [layer.tobytes() for layer in direction.layers
+                if type(layer) is np.ndarray]
+
+        def fresh():
+            return draw_direction(params, pairs, 17, aligned=True)
+
+        for delta, kind in zip(iter_perturbation_layers(params, pairs, direction), kinds):
+            # a delta formed for this pass alone is the caller's to scale
+            assert delta.flags.writeable == (kind == "factors")
+            if kind != "factors":
+                with pytest.raises(ValueError):
+                    delta *= 2.0
+                with pytest.raises(ValueError):
+                    delta[...] = 0.0
+        # the next pass, a rolled-back pass and an estimate read the values
+        # as drawn, and scale none of them in place
+        work, expected = [w.copy() for w in params], [w.copy() for w in params]
+        axpy_perturbation(work, pairs, direction, 0.5)
+        axpy_perturbation(expected, pairs, fresh(), 0.5)
+        assert [w.tobytes() for w in work] == [w.tobytes() for w in expected]
+        with pytest.raises(Injected):
+            axpy_perturbation(failing_views(work, 3), pairs, direction, -0.5)
+        for w, b in zip(work, expected):
+            assert np.max(np.abs(w - b)) <= 1e-12
+        problem = QuarticProblem(layer_shapes=[w.shape for w in params],
+                                 x0=stack_params(params))
+        got = estimators.subzero_estimate(problem, [w.copy() for w in params], pairs,
+                                          full_batch(problem), 1e-3, direction)
+        want = estimators.subzero_estimate(problem, [w.copy() for w in params], pairs,
+                                           full_batch(problem), 1e-3, fresh())
+        assert got[0] == want[0]
+        assert [d.tobytes() for d in got[1].layers] == \
+            [d.tobytes() for d in want[1].layers]
+        assert [layer.tobytes() for layer in direction.layers
+                if type(layer) is np.ndarray] == kept
+        assert all(d.flags.writeable for d in got[1].layers)    # the caller's
+
+    def test_small_layers_are_kept_in_layer_order_within_the_budget(self):
+        # 1600 entries fit 2048, 600 more do not and are formed in each
+        # pass, then 6 more fit; the bias is kept by the vector rule
+        params = [np.zeros((40, 40)), np.zeros((30, 20)), np.zeros(9), np.zeros((3, 2))]
+        pairs = build_pairs(GaussianStream(1), params, 2)
+        direction = draw_direction(params, pairs, 5)
+        assert layer_kinds(params, pairs, direction) == [
+            "formed", "factors", "kept", "formed"]
+        formed = [layer for layer, pair in zip(direction.layers, pairs)
+                  if pair is not None and type(layer) is np.ndarray]
+        assert sum(layer.nbytes for layer in formed) <= perturbation._KEPT_BYTES
+        assert not direction.kept
+        assert [d.tobytes() for d in iter_perturbation_layers(params, pairs, 5)] == \
+            [d.tobytes() for d in iter_perturbation_layers(params, pairs, direction)]
+
+    def test_train_mlp_wide_keeps_no_4096_entry_delta(self):
+        # the benchmark's 512-512-8 MLP at rank 16: W2 (512x8) is relaid to
+        # 64x64, 4096 entries, more than the budget; both biases (520
+        # values) stay kept
+        params = [np.zeros(s) for s in ((512, 512), (512,), (512, 8), (8,))]
+        pairs = build_pairs(GaussianStream(1), params, 16)
+        assert pairs[2].shape == LayerShape(64, 64)
+        direction = draw_direction(params, pairs, 5)
+        assert layer_kinds(params, pairs, direction) == [
+            "factors", "kept", "factors", "kept"]
+        assert direction.vectors.size == 520
+
+    def test_spsa_full_forms_nothing_and_replays_every_layer(self):
+        # train_mlp_fullspace's 64-64-16 MLP with every pair None: no core,
+        # no kept value, each layer drawn from the stream in each pass
+        params = [np.zeros(s) for s in ((64, 64), (64,), (64, 16), (16,))]
+        direction = draw_direction(params, [None] * 4, 5)
+        assert direction.cores.size == 0 and direction.vectors is None
+        assert direction.layers == [0, 4096, 4160, 5184]
+        s = GaussianStream(5)
+        got = iter_perturbation_layers(params, [None] * 4, direction)
+        assert [d.tobytes() for d in got] == [s.normals(w.size).tobytes() for w in params]
 
 
 class TestRowBlockPass:
