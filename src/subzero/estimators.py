@@ -19,8 +19,9 @@ seed.
 Full-space SPSA is the layer-wise estimator with every pair ``None``, so
 every layer takes the full Gaussian fallback.  The dense-subspace baseline
 materializes its d-by-q projection and stores its direction ``P z`` whole,
-which is exactly the memory cost the layer-wise estimator avoids, and
-refuses projections beyond an entry budget.
+as a direction that keeps every layer, which is exactly the memory cost
+the layer-wise estimator avoids, and refuses projections beyond an entry
+budget.
 """
 
 from __future__ import annotations
@@ -218,10 +219,11 @@ def subzero_estimate(
 
 
 def _dense_direction(params: Sequence[np.ndarray], q: int, seed: int) -> Direction:
-    """The dense-subspace direction ``P z``, stored whole as the kept vector
-    values of a :class:`~subzero.perturbation.Direction` with no cores; its
-    passes read it row-major per layer, with every pair ``None``.  Draw
-    order is ``z`` first (q values), then ``P`` row-major.
+    """The dense-subspace direction ``P z``, stored whole: a
+    :class:`~subzero.perturbation.Direction` that keeps every layer, each a
+    row-major view of the one d-sized ``P z``.  Its passes run with every
+    pair ``None``.  Draw order is ``z`` first (q values), then ``P``
+    row-major.
     """
     d = sum(w.size for w in params)
     if q < 1:
@@ -232,7 +234,11 @@ def _dense_direction(params: Sequence[np.ndarray], q: int, seed: int) -> Directi
     stream = GaussianStream(seed)
     z = stream.normals(q)
     p = stream.normals(d * q).reshape(d, q)
-    return Direction(stream.seed, np.empty(0), p @ z)
+    values, layers = p @ z, []
+    for w in params:
+        layers.append(values[:w.size].reshape(w.shape))
+        values = values[w.size:]
+    return Direction(stream.seed, layers)
 
 
 def dense_subspace_probe(

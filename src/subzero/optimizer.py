@@ -6,10 +6,10 @@ values, each multiplied under ``scale_z`` by the norm-alignment scale
 ``sqrt(m * n) / r`` read from its pair, and the vector layers' values when
 they fit the largest matrix layer; for ``spsa_dense_subspace`` the stored
 ``P z``) and probes the loss twice along it in three passes.  Exact SGD,
-the backpropagation reference, stores its minibatch gradient as the
-direction instead and does not probe.  Every family then ends its step
-with one ``axpy_perturbation`` pass along its direction, with coefficient
-``-lr * rho``, or ``-lr`` for exact SGD.
+the backpropagation reference, takes its minibatch gradient arrays as the
+direction instead, every layer kept and none copied, and does not probe.
+Every family then ends its step with one ``axpy_perturbation`` pass along
+its direction, with coefficient ``-lr * rho``, or ``-lr`` for exact SGD.
 
 The layers the problem's loss takes in factored form (large native MLP
 layers, *held* layers; see
@@ -109,7 +109,8 @@ class TrainerState:
     Each refresh plans the pairs afresh from the parameters' shapes, which
     never change during a run, so no plan is stored.  ``pinned_pairs``
     marks externally supplied pairs that refreshes must not replace
-    (fixed-subspace analysis mode).
+    (fixed-subspace analysis mode).  The constructor takes the parameters
+    alone; :func:`init_state` sets the pairs and pins them.
 
     ``layers`` are the stored parameters and ``pending`` maps a held
     layer's index to the ``(r, r)`` sum ``A`` of its updates since it was
@@ -121,13 +122,11 @@ class TrainerState:
     Assigning :attr:`params` replaces the layers and drops any pending
     core."""
 
-    def __init__(self, params: list[np.ndarray], step: int = 0,
-                 pairs: Optional[list[Optional[ProjectionPair]]] = None,
-                 pinned_pairs: bool = False):
+    def __init__(self, params: list[np.ndarray]):
         self.layers = params
-        self.step = step
-        self.pairs = pairs
-        self.pinned_pairs = pinned_pairs
+        self.step = 0
+        self.pairs: Optional[list[Optional[ProjectionPair]]] = None
+        self.pinned_pairs = False
         self.pending: dict[int, np.ndarray] = {}
 
     @property
@@ -227,9 +226,7 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
         if config.family == "exact_sgd":
             params, held = state.params, {}
             loss_plus = loss_minus = problem.loss(params, batch)
-            grads = problem.exact_gradient(params, batch)
-            direction = Direction(seed_t, np.empty(0),
-                                  np.concatenate([g.ravel() for g in grads]))
+            direction = Direction(seed_t, problem.exact_gradient(params, batch))
             rho = math.nan
             coeff = -lr
         else:

@@ -263,56 +263,48 @@ _KEPT_BYTES = 16384
 
 
 class Direction:
-    """A seeded perturbation with its stream values already drawn.
-
-    ``cores`` holds the ``r_i**2`` core values of every matrix layer in
-    layer order, as one flat array of q floats, norm-aligned if drawn so.
-    ``vectors`` holds the values of the vector layers in layer order when
-    their total is at most the largest matrix layer's size, and is ``None``
-    otherwise: then each pass replays them from the seed.  So the kept
-    vector values never outgrow one matrix layer, and a model of vector
-    layers only holds no parameter-sized draw.
-
-    ``layers`` is the layout :func:`draw_direction` records, one entry per
-    layer, which every pass reads instead of deriving it again:
+    """A seeded perturbation with its stream values already drawn, as the
+    layout every pass reads: ``layers`` holds one entry per layer.
 
     * an array in the layer's shape: the layer's values, kept.  A matrix
       layer of at most ``_DOT_MAX_ENTRIES`` entries is formed once, as
       ``u.dot(z.dot(v.T))``, while the formed layers total at most
-      ``_KEPT_BYTES`` (16 kB), in layer order; a kept vector layer is a
-      view of ``vectors``.  Kept arrays are read-only, so no pass scales
-      one in place: a pass adds ``coeff * delta``, which rounds as
-      scaling a copy in place and adding it does.
-    * ``(u, Z, v)``, with ``Z`` a view of ``cores``: a matrix layer each
-      pass forms, or adds in row blocks, or the probe holds out.
+      ``_KEPT_BYTES`` (16 kB), in layer order; a vector layer's values are
+      kept when all of them total at most the largest matrix layer's size,
+      so a model of vector layers only holds no parameter-sized draw.
+    * ``(u, Z, v)``, with ``Z`` the layer's ``(r, r)`` core, norm-aligned
+      if drawn so: a matrix layer each pass forms, or adds in row blocks,
+      or the probe holds out.
     * an int: a vector layer replayed from the stream at that counter.
 
-    ``kept`` is true when every entry is an array, and a pass then hands
-    out ``layers`` as they are.  A drawn direction holds ``8 (q + kept
-    vector values)`` bytes of values plus at most ``_KEPT_BYTES`` of
-    formed layers.  Every function that takes a seed also takes a
-    ``Direction`` in its place, so a step draws once and its passes form
-    only the layers over the budget and replay at most the vector layers.
-    A direction is replayed with the parameters and pairs it was drawn
-    for.
+    The constructor marks every kept array read-only, so no pass scales
+    one in place: a pass adds ``coeff * delta``, which rounds as scaling a
+    copy in place and adding it does, and a rolled-back pass replays the
+    values as they were.  ``kept`` is true when every entry is an array,
+    and a pass then hands out ``layers`` as they are.
 
-    A stored direction is the exception: empty ``cores``, all d values in
-    ``vectors`` and no ``layers``; each pass reads ``vectors`` row-major
-    per layer, as read-only views, with every pair ``None``.  There are
-    two: the dense baseline's ``P z``, whose d-sized direction is exactly
-    the cost that baseline exists to show, and exact SGD's minibatch
-    gradient, a copy the backpropagation reference pays for.
+    :func:`draw_direction` makes the seeded ones, which hold ``8 (q + kept
+    vector values)`` bytes of values plus at most ``_KEPT_BYTES`` of formed
+    layers.  Every function that takes a seed also takes a ``Direction`` in
+    its place, so a step draws once and its passes form only the layers
+    over the budget and replay at most the vector layers.  Two directions
+    are stored, every layer kept: the dense baseline's ``P z``, whose
+    d-sized direction is exactly the cost that baseline exists to show, and
+    exact SGD's minibatch gradient, the gradient arrays themselves.  A
+    direction is replayed with the parameters and pairs it was made for.
     """
 
-    __slots__ = ("seed", "cores", "vectors", "layers", "kept")
+    __slots__ = ("seed", "layers", "kept")
 
-    def __init__(self, seed: int, cores: np.ndarray,
-                 vectors: Optional[np.ndarray] = None):
+    def __init__(self, seed: int, layers: list):
         self.seed = seed
-        self.cores = cores
-        self.vectors = vectors
-        self.layers = None
-        self.kept = False
+        self.layers = layers
+        self.kept = True
+        for layer in layers:
+            if isinstance(layer, np.ndarray):
+                layer.setflags(write=False)
+            else:
+                self.kept = False
 
 
 def draw_direction(params: Sequence[np.ndarray],
@@ -348,12 +340,9 @@ def draw_direction(params: Sequence[np.ndarray],
             q += pair.u.shape[1] ** 2
             largest = max(largest, w.size)
     stream = GaussianStream(seed)
-    direction = Direction(stream.seed, np.empty(q),
-                          np.empty(kept) if 0 < kept <= largest else None)
-    cores, vectors = direction.cores, direction.vectors
-    layers = direction.layers = []
-    # core offset, cores drawn, entries formed, layers kept as arrays
-    at = drawn = formed = arrays = 0
+    cores, vectors = np.empty(q), np.empty(kept) if 0 < kept <= largest else None
+    layers = []
+    at = drawn = formed = 0     # core offset, cores drawn, entries formed
     for w, pair in zip(params, pairs):
         if pair is None:
             if vectors is None:
@@ -384,13 +373,8 @@ def draw_direction(params: Sequence[np.ndarray],
             values = u.dot(z.dot(v.T))
             if values.shape != w.shape:
                 values = values.reshape(w.shape)
-        values.setflags(write=False)
         layers.append(values)
-        arrays += 1
-    if vectors is not None:
-        vectors.setflags(write=False)
-    direction.kept = arrays == len(layers)
-    return direction
+    return Direction(stream.seed, layers)
 
 
 def iter_perturbation_layers(
@@ -424,14 +408,6 @@ def iter_perturbation_layers(
 
 def _layers(params: Sequence[np.ndarray], direction: Direction,
             factored: bool) -> Iterator[np.ndarray]:
-    if direction.layers is None:    # stored: every layer row-major in vectors
-        at = 0
-        for w in params:
-            values = direction.vectors[at:at + w.size].reshape(w.shape)
-            values.setflags(write=False)
-            yield values
-            at += w.size
-        return
     stream = None
     for w, layer in zip(params, direction.layers):
         if type(layer) is tuple:
@@ -470,7 +446,7 @@ def held_out_factors(
     nothing.  A large layer in a relayout geometry is not among them: its
     pass adds it in row blocks.  Empty when no layer qualifies."""
     factors = {}
-    for i, (w, layer) in enumerate(zip(params, direction.layers or ())):
+    for i, (w, layer) in enumerate(zip(params, direction.layers)):
         if (type(layer) is tuple and w.size > _DOT_MAX_ENTRIES
                 and w.shape == (layer[0].shape[0], layer[2].shape[0])):
             factors[i] = layer

@@ -1,4 +1,4 @@
-"""Test oracles that the package itself never calls."""
+"""Test oracles and fault injectors that the package itself never calls."""
 
 from dataclasses import replace
 
@@ -108,3 +108,22 @@ def loop_hitting_times(problem, pairs, targets, cfg) -> list:
         if targets[0] in hits:
             break
     return [hits.get(t) for t in targets]
+
+
+class Injected(RuntimeError):
+    pass
+
+
+def failing_views(params, fail_at):
+    """Views of ``params`` whose in-place adds count, together, and raise
+    ``Injected`` at add number ``fail_at`` (from 1) before it writes."""
+    adds = [0]
+
+    class FailingAdd(np.ndarray):
+        def __iadd__(self, other):
+            adds[0] += 1
+            if adds[0] == fail_at:
+                raise Injected("injected")
+            return super().__iadd__(other)
+
+    return [w.view(FailingAdd) for w in params]

@@ -208,8 +208,8 @@ class TestDenseSubspace:
         # a stored direction holding the seed's full-space draws (P = I)
         # gives the seeded full-space estimate bit for bit
         prob, params, _, batch = quadratic_setup()
-        d = sum(w.size for w in params)
-        stored = Direction(4, np.empty(0), GaussianStream(4).normals(d))
+        s = GaussianStream(4)
+        stored = Direction(4, [s.normals(w.size).reshape(w.shape) for w in params])
         ld_s, dense = subzero_estimate(prob, [w.copy() for w in params],
                                        [None, None], batch, 1e-4, stored)
         ld_f, full = subzero_estimate(prob, [w.copy() for w in params],
@@ -367,7 +367,7 @@ class TestHeldOutLayers:
     def test_a_pending_core_is_part_of_its_layer(self):
         # the trainer's pending core A: the probe sees W + U A V^T
         prob, params, pairs, batch = held_out_setup()
-        core = draw_direction(params, pairs, 9).cores[:256].reshape(16, 16) * 1e-2
+        core = draw_direction(params, pairs, 9).layers[0][1] * 1e-2
         merged = [w.copy() for w in params]
         merged[0] += pairs[0].u @ core @ pairs[0].v.T
         lazy = two_sided_loss_diff(prob, params, pairs, batch, 1e-3, 3, {0: core})

@@ -18,6 +18,7 @@ from subzero.perturbation import (LayerShape, build_pairs, draw_direction,
                                   iter_perturbation_layers)
 from subzero.problems import (Minibatch, MlpProblem, QuadraticProblem,
                               QuarticProblem, full_batch, sample_minibatch)
+from oracles import Injected, failing_views
 
 
 def make_problem(seed=2, shapes=((4, 3), (5,))):
@@ -556,6 +557,84 @@ def test_step_on_a_512x512_layer_peaks_below_one_layer_buffer():
     assert peak < 512 * 512 * 8, peak
 
 
+class TestExactSgdDirection:
+    """Exact SGD's direction keeps the minibatch gradient arrays themselves,
+    read-only, so its update pass neither copies nor scales them."""
+
+    @staticmethod
+    def recorded_step(prob, cfg, monkeypatch, fail_at=None):
+        """One exact-SGD step on a fresh state; returns the state, the
+        gradient arrays and the direction of its update pass, which adds
+        through ``failing_views`` when ``fail_at`` is set."""
+        state = init_state(prob, cfg)
+        grads, directions = [], []
+        gradient = prob.exact_gradient
+        axpy = optimizer.axpy_perturbation
+
+        def recording_gradient(params, batch):
+            grads.append(gradient(params, batch))
+            return grads[-1]
+
+        def recording_axpy(params, pairs, direction, coeff, skip):
+            directions.append(direction)
+            if fail_at is not None:
+                params = failing_views(params, fail_at)
+            axpy(params, pairs, direction, coeff, skip)
+
+        monkeypatch.setattr(prob, "exact_gradient", recording_gradient)
+        monkeypatch.setattr(optimizer, "axpy_perturbation", recording_axpy)
+        if fail_at is None:
+            step(prob, state, cfg)
+        else:
+            with pytest.raises(Injected):
+                step(prob, state, cfg)
+        (g,), (direction,) = grads, directions
+        return state, g, direction
+
+    @pytest.mark.parametrize("prob", [make_problem(), _held_mlp()],
+                             ids=["quadratic", "mlp"])
+    def test_the_direction_is_the_gradient_arrays_read_only(self, prob, monkeypatch):
+        cfg = OptimizerConfig(family="exact_sgd", steps=1, batch_size=16,
+                              learning_rate=0.05, master_seed=3)
+        _, grads, direction = self.recorded_step(prob, cfg, monkeypatch)
+        assert direction.kept and len(direction.layers) == len(grads)
+        assert all(layer is g for layer, g in zip(direction.layers, grads))
+        assert not any(g.flags.writeable for g in grads)
+
+    @pytest.mark.parametrize("fail_at", [2, 3, 4])
+    def test_a_failed_update_rolls_back(self, fail_at, monkeypatch):
+        # the 64-96-8 MLP's four layers: the update fails at the add of
+        # b1, W2 or b2 and takes back the layers it added; a gradient scaled
+        # in place would be replayed scaled, off by far more than rounding
+        prob = _held_mlp()
+        cfg = OptimizerConfig(family="exact_sgd", steps=1, batch_size=16,
+                              learning_rate=0.5, master_seed=3)
+        before = [w.copy() for w in init_state(prob, cfg).params]
+        state, _, _ = self.recorded_step(prob, cfg, monkeypatch, fail_at)
+        assert state.step == 0
+        for w, b in zip(state.params, before):
+            assert np.max(np.abs(w - b)) <= 1e-12
+
+    def test_a_step_on_the_512_512_8_mlp_copies_no_gradient(self):
+        # d = 266 760; the gradient arrays (8 d bytes) are the direction, so
+        # a step holds no second d-sized copy of them
+        prob = MlpProblem.generate(4, n_features=512, hidden=(512,), n_outputs=8,
+                                   dataset_size=64)
+        cfg = OptimizerConfig(family="exact_sgd", steps=2, batch_size=32,
+                              master_seed=1)
+        state = init_state(prob, cfg)
+        d = sum(w.size for w in state.params)
+        assert d == 266_760
+        step(prob, state, cfg)      # warms caches and imports
+        tracemalloc.start()
+        try:
+            step(prob, state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * d, peak / (8 * d)
+
+
 @pytest.mark.parametrize("hidden, held_out", [((96,), [0]), ((16,), [])],
                          ids=["held-out", "in-place"])
 def test_a_step_makes_four_passes_and_two_loss_calls(hidden, held_out, monkeypatch):
@@ -701,14 +780,16 @@ class TestAlignmentModes:
             return drawn[-1]
 
         monkeypatch.setattr(optimizer, "draw_direction", recording)
+        # no layer formed, so the 6x6 layer's core is the Z of its (u, Z, v)
+        monkeypatch.setattr(perturbation, "_KEPT_BYTES", 0)
         for pinned, rank, scale in (([pair, None], 1, 6.0), (None, 3, 2.0)):
             state = init_state(prob, cfg, pairs=pinned)
             step(prob, state, cfg)
             aligned = drawn.pop()
             plain = draw(state.params, state.pairs, aligned.seed)
             assert state.pairs[0].rank == rank
-            assert aligned.cores.tobytes() == (scale * plain.cores).tobytes()
-            assert aligned.vectors.tobytes() == plain.vectors.tobytes()
+            assert aligned.layers[0][1].tobytes() == (scale * plain.layers[0][1]).tobytes()
+            assert aligned.layers[1].tobytes() == plain.layers[1].tobytes()
 
 
 class TestTrainBookkeeping:

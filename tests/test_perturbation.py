@@ -11,6 +11,7 @@ from subzero.numcore import GaussianStream, gaussian_matrix, stack_params
 from subzero.errors import ConfigError
 from subzero.optimizer import OptimizerConfig
 from subzero.problems import QuarticProblem, full_batch
+from oracles import Injected, failing_views
 from subzero.perturbation import (RESHAPE_POLICIES, Direction, LayerPlan,
                                   LayerShape, PerturbSpec, ProjectionPair,
                                   axpy_perturbation, build_pairs,
@@ -31,23 +32,30 @@ def alignment_scale(pair):
     return math.sqrt(pair.u.shape[0] * pair.v.shape[0]) / pair.rank
 
 
-def assert_cores_scaled(params, pairs, scales, seed=17):
+def layout_bytes(direction):
+    """A direction's values, layer by layer: a kept array's bytes, the
+    ``Z`` bytes of a ``(u, Z, v)`` or a replayed layer's stream counter."""
+    return [layer[1].tobytes() if type(layer) is tuple
+            else layer.tobytes() if type(layer) is np.ndarray else layer
+            for layer in direction.layers]
+
+
+def assert_cores_scaled(monkeypatch, params, pairs, scales, seed=17):
     """An aligned draw's cores are ``scales[i]`` times the plain draw's, bit
-    for bit, one per matrix layer; the vector values are the plain ones."""
+    for bit, one per matrix layer; the vector layers are the plain ones.
+    With no layer formed, each core is the ``Z`` of its ``(u, Z, v)``."""
+    monkeypatch.setattr(perturbation, "_KEPT_BYTES", 0)
     plain = draw_direction(params, pairs, seed)
     aligned = draw_direction(params, pairs, seed, aligned=True)
-    at = 0
-    for pair, scale in zip((p for p in pairs if p is not None), scales):
-        n = pair.rank ** 2
-        expected = float(scale) * plain.cores[at:at + n]
-        assert aligned.cores[at:at + n].tobytes() == expected.tobytes()
-        at += n
-    assert at == aligned.cores.size == plain.cores.size
     assert aligned.seed == plain.seed
-    if plain.vectors is None:
-        assert aligned.vectors is None
-    else:
-        assert aligned.vectors.tobytes() == plain.vectors.tobytes()
+    cores = [(a[1], p[1]) for a, p, pair in zip(aligned.layers, plain.layers, pairs)
+             if pair is not None]
+    assert len(cores) == len(scales)
+    for (a, p), scale in zip(cores, scales):
+        assert a.shape == p.shape and a.tobytes() == (float(scale) * p).tobytes()
+    for a, p, pair in zip(layout_bytes(aligned), layout_bytes(plain), pairs):
+        if pair is None:    # the same kept values, or the same stream counter
+            assert a == p
 
 
 class TestProjectionPair:
@@ -379,7 +387,7 @@ class TestDrawnDirection:
     def test_drawn_direction_replays_the_seed_bit_for_bit(self, aligned):
         params, pairs = self.layers()
         direction = draw_direction(params, pairs, 17, aligned)
-        assert direction.seed == 17 and direction.cores.size == 3 * 9
+        assert direction.seed == 17 and len(direction.layers) == len(params)
         expected = self.walk_the_stream(params, pairs, 17, aligned)
         # an int seed is drawn plain, so only the aligned direction replays
         for seed in (direction,) if aligned else (17, direction):
@@ -405,13 +413,13 @@ class TestDrawnDirection:
         with pytest.raises(ShapeError):
             draw_direction(params, pairs[:-1], 3)
 
-    def test_z_scales_multiply_each_matrix_core_as_drawn(self):
+    def test_z_scales_multiply_each_matrix_core_as_drawn(self, monkeypatch):
         params, pairs = self.layers()
         # the native 4x3 and the 8x2 relaid to 4x4 are scaled, not just 1.0
         assert pairs[2].shape == LayerShape(4, 4) and params[2].shape == (8, 2)
         scales = [alignment_scale(pair) for pair in pairs if pair is not None]
         assert scales[0] != 1.0 and scales[1] != 1.0
-        assert_cores_scaled(params, pairs, scales)
+        assert_cores_scaled(monkeypatch, params, pairs, scales)
 
     @pytest.mark.parametrize("shapes, pinned_rank, scale", [
         (((4, 3), (5,)), None, math.sqrt(12) / 3),
@@ -419,8 +427,8 @@ class TestDrawnDirection:
         (((6, 6), (5,)), 1, 6.0),
         (((6, 6), (5,)), None, 2.0),
     ], ids=["native", "relayout", "pinned_rank1", "plan_rank3"])
-    def test_aligned_cores_carry_sqrt_mn_over_r_of_their_pair(self, shapes,
-                                                                pinned_rank, scale):
+    def test_aligned_cores_carry_sqrt_mn_over_r_of_their_pair(self, shapes, pinned_rank,
+                                                                scale, monkeypatch):
         # under a rank-3 plan, and for a rank-1 pair pinned on a 6x6 layer,
         # whose scale comes from the pair and not from the plan
         s = GaussianStream(8)
@@ -431,16 +439,16 @@ class TestDrawnDirection:
             pairs = [generate_proj_pair(GaussianStream(1), 6, 6, pinned_rank), None]
         relaid = pairs[0].shape != LayerShape(*params[0].shape)
         assert relaid == (shapes[0] == (8, 2))
-        assert_cores_scaled(params, pairs, [scale])
+        assert_cores_scaled(monkeypatch, params, pairs, [scale])
 
     @pytest.mark.parametrize("call", [draw_direction], ids=["draw_direction"])
     def test_a_drawn_direction_is_not_scaled_again(self, call):
         params, pairs = self.layers()
         direction = draw_direction(params, pairs, 17, aligned=True)
-        cores = direction.cores.copy()
+        values = layout_bytes(direction)
         with pytest.raises(ValueError):
             call(params, pairs, direction, True)
-        assert direction.cores.tobytes() == cores.tobytes()
+        assert layout_bytes(direction) == values
 
     def test_vectors_are_kept_when_they_fit_the_largest_matrix_layer(self):
         params, pairs = self.layers()
@@ -449,34 +457,17 @@ class TestDrawnDirection:
         s = GaussianStream(17)
         expected = [s.normal_at(j) for j in range(9, 16)]
         expected += [s.normal_at(j) for j in range(34, 39)]
-        assert direction.vectors.tobytes() == np.array(expected).tobytes()
+        kept = [layer for layer, pair in zip(direction.layers, pairs) if pair is None]
+        assert [type(layer) for layer in kept] == [np.ndarray, np.ndarray]
+        assert b"".join(layer.tobytes() for layer in kept) == np.array(expected).tobytes()
 
     def test_vectors_beyond_the_largest_matrix_layer_are_not_drawn(self):
         params = [np.zeros((3, 2)), np.zeros(7)]
         pairs = build_pairs(GaussianStream(1), params, 1)
         direction = draw_direction(params, pairs, 17)
-        assert direction.vectors is None
+        assert layer_kinds(params, pairs, direction) == ["formed", "replayed"]
         full_space = draw_direction(params, [None, None], 17)
-        assert full_space.vectors is None and full_space.cores.size == 0
-
-
-class Injected(RuntimeError):
-    pass
-
-
-def failing_views(params, fail_at):
-    """Views of ``params`` whose in-place adds count, together, and raise
-    ``Injected`` at add number ``fail_at`` (from 1) before it writes."""
-    adds = [0]
-
-    class FailingAdd(np.ndarray):
-        def __iadd__(self, other):
-            adds[0] += 1
-            if adds[0] == fail_at:
-                raise Injected("injected")
-            return super().__iadd__(other)
-
-    return [w.view(FailingAdd) for w in params]
+        assert full_space.layers == [0, 6]
 
 
 def restore_cells(n):
@@ -619,14 +610,13 @@ class TestKeptLayers:
         direction = draw_direction(params, pairs, 5)
         assert layer_kinds(params, pairs, direction) == [
             "factors", "kept", "factors", "kept"]
-        assert direction.vectors.size == 520
+        assert direction.layers[1].size + direction.layers[3].size == 520
 
     def test_spsa_full_forms_nothing_and_replays_every_layer(self):
         # train_mlp_fullspace's 64-64-16 MLP with every pair None: no core,
         # no kept value, each layer drawn from the stream in each pass
         params = [np.zeros(s) for s in ((64, 64), (64,), (64, 16), (16,))]
         direction = draw_direction(params, [None] * 4, 5)
-        assert direction.cores.size == 0 and direction.vectors is None
         assert direction.layers == [0, 4096, 4160, 5184]
         s = GaussianStream(5)
         got = iter_perturbation_layers(params, [None] * 4, direction)
@@ -794,21 +784,21 @@ class TestPerturbRestore:
 
 
 class TestAlignment:
-    def test_factor_formula(self):
+    def test_factor_formula(self, monkeypatch):
         # sqrt(m * n) / r, with the rank the plan clamped to min(m, n)
         params = [np.zeros((8, 2)), np.zeros((6, 6))]
-        assert_cores_scaled(params, pairs_from_plan(
+        assert_cores_scaled(monkeypatch, params, pairs_from_plan(
             GaussianStream(1), plan_layers(params, 2, "never")), [2.0, 3.0])
         params = [np.zeros((4, 3))]
-        assert_cores_scaled(params, pairs_from_plan(
+        assert_cores_scaled(monkeypatch, params, pairs_from_plan(
             GaussianStream(1), plan_layers(params, 5, "never")), [math.sqrt(12) / 3])
 
-    def test_scale_z_matches_factor_per_layer(self):
+    def test_scale_z_matches_factor_per_layer(self, monkeypatch):
         # the vector layer is a full Gaussian already and keeps its values
         params = two_layer_params()
         pairs = build_pairs(GaussianStream(1), params, 2)
         assert pairs[1] is None
-        assert_cores_scaled(params, pairs, [math.sqrt(12) / 2])
+        assert_cores_scaled(monkeypatch, params, pairs, [math.sqrt(12) / 2])
 
     def test_aligned_norm_matches_full_gaussian_in_expectation(self):
         # E||mu * U Z V^T||_F^2 = mu^2 r^2 = m n = E||full draw||_F^2

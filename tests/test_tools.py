@@ -1,0 +1,26 @@
+"""The line counter in ``tools/``."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_line_counter_counts_code_and_sums_its_modules(tmp_path):
+    # the package's modules, then a sample of 4 code lines among a module
+    # docstring, a function docstring, comments, blanks and a string that
+    # is not a docstring
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""Module\ndocstring."""\n\n# a comment\n'
+                      'def f(x):  # counted\n    """Doc."""\n\n'
+                      '    s = """two\nlines"""\n    return s\n')
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "loc.py"),
+                           str(ROOT / "src" / "subzero"), str(sample)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *modules, total = proc.stdout.splitlines()
+    counts = {line.split()[1]: int(line.split()[0]) for line in modules}
+    assert len(counts) == len(list((ROOT / "src" / "subzero").glob("*.py"))) + 1
+    assert counts[str(sample)] == 4
+    assert total == f"total {sum(counts.values())}"

@@ -58,7 +58,7 @@ from subzero.errors import (
     SubzeroError,
 )
 from subzero.numcore import derive_seeds
-from subzero.perturbation import generate_proj_pair
+from subzero.perturbation import Direction, generate_proj_pair
 from subzero.verification import (
     BATTERY_SHAPES,
     BIAS_EPSILONS,
@@ -694,12 +694,18 @@ class TestBlockGuard:
                 return dense(params, q, s)
             if corruption == "seed_off_by_one":
                 return dense(params, q, derive_seed(0, 0x61, 6))
+            # the stored P z, corrupted, split row-major into read-only layers
             out = dense(params, q, s)
+            values = np.concatenate([layer.ravel() for layer in out.layers])
             if corruption == "flipped_sign":
-                out.vectors = -out.vectors
+                values = -values
             else:
-                out.vectors = np.roll(out.vectors, params[0].size)
-            return out
+                values = np.roll(values, params[0].size)
+            layers = []
+            for w in params:
+                layers.append(values[:w.size].reshape(w.shape))
+                values = values[w.size:]
+            return Direction(out.seed, layers)
 
         row_losses = verification._row_losses
         evaluated = []
