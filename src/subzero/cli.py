@@ -38,6 +38,7 @@ from .problems import (LogisticProblem, MlpProblem, QuadraticProblem,
 from . import verification
 
 SMOOTH_WINDOW = 50
+_TAG_PAIRS = 0x1F   # derive_seed tag of the pairs an estimate's subzero rows use
 
 RUN_COLUMNS = ("run_id", "step", "loss_plus", "loss_minus", "rho", "lr", "wall_ms")
 SUMMARY_COLUMNS = ("run_id", "family", "rank", "refresh_period", "epsilon",
@@ -250,19 +251,16 @@ def build_problem(spec: ProblemSpec):
 # sweep expansion and validation
 
 def expand_cells(config: ExperimentConfig, seed_offset: int = 0) -> list[OptimizerConfig]:
-    """All sweep cells in deterministic order, seed offset applied."""
-    axes = list(config.sweep)
+    """All sweep cells in deterministic order, seed offset applied; a sweep
+    over no axis is the one base cell."""
+    keys = [k for k, _ in config.sweep]
     cells = []
-    if axes:
-        keys = [k for k, _ in axes]
-        for combo in itertools.product(*(values for _, values in axes)):
-            try:
-                cell = replace(config.optimizer, **dict(zip(keys, combo)))
-            except (TypeError, ValueError, ConfigError) as exc:
-                raise ConfigError(f"invalid sweep cell {dict(zip(keys, combo))}: {exc}")
-            cells.append(cell)
-    else:
-        cells.append(config.optimizer)
+    for combo in itertools.product(*(values for _, values in config.sweep)):
+        try:
+            cell = replace(config.optimizer, **dict(zip(keys, combo)))
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise ConfigError(f"invalid sweep cell {dict(zip(keys, combo))}: {exc}")
+        cells.append(cell)
     if seed_offset:
         cells = [replace(c, master_seed=c.master_seed + seed_offset) for c in cells]
     return cells
@@ -361,19 +359,16 @@ def _run_cell(payload: tuple) -> tuple:
     except Exception as exc:    # contained to this cell; interrupts propagate
         print(f"bench: cell {run_id} failed", file=sys.stderr)
         traceback.print_exc()
-        summary = (run_id, cell.family, cell.rank, cell.refresh_period,
-                   cell.epsilon, cell.learning_rate, cell.batch_size,
-                   cell.master_seed, cell.steps, math.nan, math.nan,
-                   f"failed: {type(exc).__name__}: {exc}")
-        return [], summary
-    rows = [(run_id, s.step, s.loss_plus, s.loss_minus, s.rho, s.lr, s.wall_ms)
-            for s in record.steps]
-    probe_means = [0.5 * (s.loss_plus + s.loss_minus) for s in record.steps]
-    smoothed = _smoothed(probe_means) if probe_means else [math.nan]
-    summary = (run_id, cell.family, cell.rank, cell.refresh_period, cell.epsilon,
-               cell.learning_rate, cell.batch_size, cell.master_seed, cell.steps,
-               smoothed[-1], min(smoothed), "ok")
-    return rows, summary
+        rows, outcome = [], (math.nan, math.nan, f"failed: {type(exc).__name__}: {exc}")
+    else:
+        rows = [(run_id, s.step, s.loss_plus, s.loss_minus, s.rho, s.lr, s.wall_ms)
+                for s in record.steps]
+        probe_means = [0.5 * (s.loss_plus + s.loss_minus) for s in record.steps]
+        smoothed = _smoothed(probe_means) if probe_means else [math.nan]
+        outcome = (smoothed[-1], min(smoothed), "ok")
+    return rows, (run_id, cell.family, cell.rank, cell.refresh_period, cell.epsilon,
+                  cell.learning_rate, cell.batch_size, cell.master_seed, cell.steps,
+                  *outcome)
 
 
 def cli_bench(config_path: str | None, out: str | None = None,
@@ -423,7 +418,8 @@ def cli_estimate(config_path: str | None, out: str | None = None,
     seed = settings.seed + seed_offset
     rows = []
     for fam in settings.families:
-        pairs = (build_pairs(GaussianStream(derive_seed(seed, 0x1F, 0)), params, fam.rank)
+        pairs = (build_pairs(GaussianStream(derive_seed(seed, _TAG_PAIRS, 0)),
+                             params, fam.rank)
                  if fam.family == "subzero" else None)
         row = verification.estimator_diagnostics(
             problem, params, fam.family, settings.n_mc, pairs=pairs,

@@ -12,27 +12,27 @@ the two stored directions, the dense baseline's and exact SGD's gradient).
 Every write to a model's parameters, probe and update of every family, is
 a pass of :func:`axpy_perturbation` along one direction.  A step draws its
 direction once: :func:`draw_direction` sizes it, then walks the layers
-once, in stream order.  It draws each run of adjacent matrix cores with
-one stream call into one flat array of ``q = sum r_i**2`` floats, each
-core multiplied as it is drawn by the norm-alignment scale
-``sqrt(m * n) / r`` of its pair when the direction is drawn aligned.  The
-``size`` values each vector layer owns are drawn into a second flat array
-when their total is at most the largest matrix layer's size, and skipped
-otherwise.  The walk forms each matrix layer of at most
-``_DOT_MAX_ENTRIES`` entries once, while the formed layers total at most
-``_KEPT_BYTES``, and keeps it read-only.  The direction records what each
-pass does with each layer, so a pass hands out a kept layer as it is,
-forms only the other matrix layers and replays from the seed only the
-vector layers that were skipped.  Replaying one direction with
-coefficients ``+eps``, ``-2 eps``, ``+eps`` and then ``-lr * rho``
-implements the probe, the restore and the update; a trainer's passes skip
-the layers its loss takes in factored form, and a skipped layer costs a
-pass nothing.  Across them a step holds ``8 (q + kept vector values)``
-bytes of direction, plus at most ``_KEPT_BYTES`` of formed layers.  A pass
-adds one transient buffer at a time: a kept layer's product with the
-pass's coefficient, the whole delta of another layer of at most
-``_DOT_MAX_ENTRIES`` entries, or a row block of at most 256 kB of a larger
-matrix layer.
+once, in stream order.  A matrix layer draws the ``r**2`` values of its
+core; a vector layer draws its ``size`` values when the vector layers
+total at most the largest matrix layer's size, and otherwise skips them.
+Each run of adjacent drawn layers is one stream call, and each layer's
+core or vector values are a view of that call's array, each core
+multiplied as it is drawn by the norm-alignment scale ``sqrt(m * n) / r``
+of its pair when the direction is drawn aligned.  The walk forms each
+matrix layer of at most ``_DOT_MAX_ENTRIES`` entries once, while the
+formed layers total at most ``_KEPT_BYTES``, and keeps it read-only.  The
+direction records what each pass does with each layer, so a pass hands
+out a kept layer as it is, forms only the other matrix layers and replays
+from the seed only the vector layers that were skipped.  Replaying one
+direction with coefficients ``+eps``, ``-2 eps``, ``+eps`` and then
+``-lr * rho`` implements the probe, the restore and the update; a
+trainer's passes skip the layers its loss takes in factored form, and a
+skipped layer costs a pass nothing.  Across them a step holds
+``8 (q + kept vector values)`` bytes of direction, plus at most
+``_KEPT_BYTES`` of formed layers.  A pass adds one transient buffer at a
+time: a kept layer's product with the pass's coefficient, the whole delta
+of another layer of at most ``_DOT_MAX_ENTRIES`` entries, or a row block
+of at most 256 kB of a larger matrix layer.
 """
 
 from __future__ import annotations
@@ -272,9 +272,11 @@ class Direction:
       ``_KEPT_BYTES`` (16 kB), in layer order; a vector layer's values are
       kept when all of them total at most the largest matrix layer's size,
       so a model of vector layers only holds no parameter-sized draw.
+      Kept vector values are a view of the stream call that drew them.
     * ``(u, Z, v)``, with ``Z`` the layer's ``(r, r)`` core, norm-aligned
-      if drawn so: a matrix layer each pass forms, or adds in row blocks,
-      or the probe holds out.
+      if drawn so and a view of the stream call that drew it: a matrix
+      layer each pass forms, or adds in row blocks, or the probe holds
+      out.
     * an int: a vector layer replayed from the stream at that counter.
 
     The constructor marks every kept array read-only, so no pass scales
@@ -291,7 +293,9 @@ class Direction:
     are stored, every layer kept: the dense baseline's ``P z``, whose
     d-sized direction is exactly the cost that baseline exists to show, and
     exact SGD's minibatch gradient, the gradient arrays themselves.  A
-    direction is replayed with the parameters and pairs it was made for.
+    direction is replayed with the parameters and pairs it was made for: a
+    pass raises ``ShapeError`` when the direction's layers are not one per
+    parameter, or when a kept array's shape is not its layer's.
     """
 
     __slots__ = ("seed", "layers", "kept")
@@ -312,58 +316,56 @@ def draw_direction(params: Sequence[np.ndarray],
                    seed: int | Direction, aligned: bool = False) -> Direction:
     """Draw a seeded perturbation and record its layout (see
     :class:`Direction`): after sizing the draw, one walk over the layers in
-    stream order draws, forms and records each; a ``Direction`` is
-    returned as is.  Each run of adjacent matrix cores is one stream call,
-    and so is each vector layer's values when they fit the largest matrix
-    layer; the values skipped are not drawn.  A layer whose pair's
-    geometry does not cover it raises ``ShapeError``.
+    stream order draws, forms and records each.  Each run of adjacent
+    drawn layers is one stream call, whose array holds each matrix layer's
+    ``Z`` and each kept vector layer's values as views; a replayed vector
+    layer draws nothing, skips its values and ends the run.  A layer whose
+    pair's geometry does not cover it raises ``ShapeError``.
     ``aligned`` (norm alignment, ``"scale_z"``) multiplies each core as it
     is drawn by ``sqrt(m * n) / r``, read from its pair, so the low-rank
     perturbation has the Frobenius norm a full Gaussian would in
-    expectation and no pass scales anything.  ``aligned`` with a drawn
-    ``Direction`` raises ``ValueError``, so nothing is scaled twice."""
+    expectation and no pass scales anything.  A ``Direction`` is returned
+    as is when it has one layer per parameter, and raises ``ShapeError``
+    otherwise; ``aligned`` with one raises ``ValueError``, so nothing is
+    scaled twice."""
+    if len(params) != len(pairs):
+        raise ShapeError("params and pairs must align layer by layer")
     if isinstance(seed, Direction):
         if aligned:
             raise ValueError("aligned applies when a direction is drawn, "
                              "not to a drawn one")
+        if len(seed.layers) != len(params):
+            raise ShapeError("a direction has one layer per parameter")
         return seed
-    if len(params) != len(pairs):
-        raise ShapeError("params and pairs must align layer by layer")
-    q = kept = largest = 0
+    sizes, vectors, largest = [], 0, 0
     for w, pair in zip(params, pairs):
         if pair is None:
-            kept += w.size
-        elif w.size != pair.u.shape[0] * pair.v.shape[0]:
-            raise ShapeError(
-                f"pair geometry {pair.shape} does not cover a layer of shape {w.shape}")
+            sizes.append(w.size)
+            vectors += w.size
         else:
-            q += pair.u.shape[1] ** 2
+            sizes.append(pair.u.shape[1] ** 2)
             largest = max(largest, w.size)
+    replayed = not 0 < vectors <= largest   # then no vector layer is drawn
     stream = GaussianStream(seed)
-    cores, vectors = np.empty(q), np.empty(kept) if 0 < kept <= largest else None
-    layers = []
-    at = drawn = formed = 0     # core offset, cores drawn, entries formed
-    for w, pair in zip(params, pairs):
-        if pair is None:
-            if vectors is None:
-                layers.append(stream.index)
-                stream.skip(w.size)
-                continue
-            start = stream.index - at
-            values = vectors[start:start + w.size]
-            values[:] = stream.normals(w.size)
-            values = values.reshape(w.shape)
-        else:
-            if at == drawn:     # the first of a run of adjacent cores: one draw
-                for later in pairs[len(layers):]:
-                    if later is None:
-                        break
-                    drawn += later.u.shape[1] ** 2
-                cores[at:drawn] = stream.normals(drawn - at)
+    layers, run, at, formed = [], (), 0, 0  # formed: entries of formed layers
+    for w, pair, size in zip(params, pairs, sizes):
+        if pair is None and replayed:
+            layers.append(stream.index)
+            stream.skip(size)
+            continue
+        if at == len(run):  # the first of a run of drawn layers: one draw
+            start = end = len(layers)
+            while end < len(pairs) and not (replayed and pairs[end] is None):
+                end += 1
+            run, at = stream.normals(sum(sizes[start:end])), 0
+        values = run[at:at + size]
+        at += size
+        if pair is not None:
             u, v = pair.u, pair.v
+            if w.size != u.shape[0] * v.shape[0]:
+                raise ShapeError(f"pair geometry {pair.shape} does not cover {w.shape}")
             r = u.shape[1]
-            z = cores[at:at + r * r].reshape(r, r)
-            at += r * r
+            z = values.reshape(r, r)
             if aligned:
                 z *= math.sqrt(u.shape[0] * v.shape[0]) / r
             if formed + w.size > _KEPT_BYTES // 8:
@@ -371,8 +373,8 @@ def draw_direction(params: Sequence[np.ndarray],
                 continue
             formed += w.size
             values = u.dot(z.dot(v.T))
-            if values.shape != w.shape:
-                values = values.reshape(w.shape)
+        if values.shape != w.shape:
+            values = values.reshape(w.shape)
         layers.append(values)
     return Direction(stream.seed, layers)
 
@@ -398,10 +400,8 @@ def iter_perturbation_layers(
     then a matrix layer above ``_DOT_MAX_ENTRIES`` that is C-contiguous or
     in the pair's geometry is yielded as the tuple ``(u, Z, v)`` instead.
     """
-    if len(params) != len(pairs):
-        raise ShapeError("params and pairs must align layer by layer")
     direction = draw_direction(params, pairs, seed)
-    if direction.kept and len(direction.layers) == len(params):
+    if direction.kept:
         return iter(direction.layers)
     return _layers(params, direction, factored)
 
@@ -524,13 +524,16 @@ def axpy_perturbation(
                 pass
             elif type(delta) is tuple:
                 _add_rows(w, *delta, coeff)
+            elif delta.shape != w.shape:
+                raise ShapeError(f"kept layer {delta.shape} does not fit {w.shape}")
             else:   # a kept delta is read-only, and never scaled in place
                 w += np.multiply(delta, coeff,
                                  out=delta if delta.flags.writeable else None)
             done += 1
     except BaseException:
         if done:
-            axpy_perturbation(params[:done], pairs[:done], direction, -coeff, skip)
+            prefix = Direction(direction.seed, direction.layers[:done])
+            axpy_perturbation(params[:done], pairs[:done], prefix, -coeff, skip)
         raise
 
 

@@ -9,6 +9,7 @@ from subzero import (OptimizerConfig, derive_seed, full_batch, init_state,
                      subspace_dimension, subzero_estimate,
                      theoretical_step_size)
 from subzero.estimators import _dense_direction, dense_subspace_probe
+from subzero.numcore import GaussianStream
 from subzero.problems import Minibatch
 from subzero.verification import subspace_start
 
@@ -127,3 +128,22 @@ def failing_views(params, fail_at):
             return super().__iadd__(other)
 
     return [w.view(FailingAdd) for w in params]
+
+
+def stream_calls(fn, *args, **kwargs):
+    """The stream calls ``fn(*args, **kwargs)`` makes, in order, as
+    ``(counter, values)`` pairs: where each ``GaussianStream.normals`` call
+    starts and how many values it draws."""
+    calls = []
+    normals = GaussianStream.normals
+
+    def counted(self, n):
+        calls.append((self.index, n))
+        return normals(self, n)
+
+    GaussianStream.normals = counted
+    try:
+        fn(*args, **kwargs)
+    finally:
+        GaussianStream.normals = normals
+    return calls

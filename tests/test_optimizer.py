@@ -18,7 +18,7 @@ from subzero.perturbation import (LayerShape, build_pairs, draw_direction,
                                   iter_perturbation_layers)
 from subzero.problems import (Minibatch, MlpProblem, QuadraticProblem,
                               QuarticProblem, full_batch, sample_minibatch)
-from oracles import Injected, failing_views
+from oracles import Injected, failing_views, stream_calls
 
 
 def make_problem(seed=2, shapes=((4, 3), (5,))):
@@ -285,7 +285,6 @@ class TestFailureHandling:
 
 # native 4x3, relayout of 8x2 to 4x4 at rank 3, and a vector layer
 _INJECT_LAYERS = ((4, 3), (8, 2), (5,))
-_INJECT_MATRIX_LAYERS = 2
 # passes per target: subzero's seeded probe and step, then the writes of a
 # stored direction (the dense-subspace probe and step, the exact-SGD update)
 _INJECT_PASSES = {"probe": 3, "step": 4, "dense_probe": 3, "dense_step": 4,
@@ -312,13 +311,16 @@ def _injection_cases():
                 yield pytest.param(
                     target, k, exc,
                     id=f"{target}-pass{k // n}-layer{k % n}-{exc.__name__}")
-    # the seeded targets draw their cores once, one normals() call per
-    # matrix layer, before any pass
+    # the seeded targets draw their direction once, before any pass, in as
+    # many normals() calls as the draw makes
+    params = [np.zeros(shape) for shape in _INJECT_LAYERS]
+    calls = stream_calls(draw_direction, params,
+                         build_pairs(GaussianStream(1), params, 3), 5, True)
     for target in ("probe", "step"):
-        for k in range(_INJECT_MATRIX_LAYERS):
+        for k in range(len(calls)):
             for exc in _INJECT_EXCEPTIONS:
                 yield pytest.param(target + "_draw", k, exc,
-                                   id=f"{target}-draw-layer{k}-{exc.__name__}")
+                                   id=f"{target}-draw-call{k}-{exc.__name__}")
     # the k-th row-block add of each probe and step pass on large layers
     n = len(_INJECT_LARGE_ADDS)
     for target in ("probe", "step"):

@@ -11,7 +11,7 @@ from subzero.numcore import GaussianStream, gaussian_matrix, stack_params
 from subzero.errors import ConfigError
 from subzero.optimizer import OptimizerConfig
 from subzero.problems import QuarticProblem, full_batch
-from oracles import Injected, failing_views
+from oracles import Injected, failing_views, stream_calls
 from subzero.perturbation import (RESHAPE_POLICIES, Direction, LayerPlan,
                                   LayerShape, PerturbSpec, ProjectionPair,
                                   axpy_perturbation, build_pairs,
@@ -462,12 +462,74 @@ class TestDrawnDirection:
         assert b"".join(layer.tobytes() for layer in kept) == np.array(expected).tobytes()
 
     def test_vectors_beyond_the_largest_matrix_layer_are_not_drawn(self):
-        params = [np.zeros((3, 2)), np.zeros(7)]
-        pairs = build_pairs(GaussianStream(1), params, 1)
-        direction = draw_direction(params, pairs, 17)
-        assert layer_kinds(params, pairs, direction) == ["formed", "replayed"]
+        # 7 values beyond a 3x2 layer are replayed; 6, its size, are kept
+        for size, kind in ((7, "replayed"), (6, "kept")):
+            params = [np.zeros((3, 2)), np.zeros(size)]
+            pairs = build_pairs(GaussianStream(1), params, 1)
+            direction = draw_direction(params, pairs, 17)
+            assert layer_kinds(params, pairs, direction) == ["formed", kind]
         full_space = draw_direction(params, [None, None], 17)
         assert full_space.layers == [0, 6]
+
+    @pytest.mark.parametrize("shapes, rank, calls", [
+        (((512, 512), (512,), (512, 8), (8,)), 16, [(0, 512 + 520)]),
+        (((3, 2), (3, 2)), 1, [(0, 2)]),
+        (((64, 64), (64,), (64, 16), (16,)), None, []),
+    ], ids=["train_mlp_wide", "mc_identity", "train_mlp_fullspace"])
+    def test_one_stream_call_per_run_of_drawn_layers(self, shapes, rank, calls):
+        # the benchmark's models: the wide MLP's cores (q = 512) and its
+        # bias values (520) are one run, and so are the identity cell's two
+        # 1x1 cores; the full-space MLP replays every layer and draws none
+        params = [np.zeros(shape) for shape in shapes]
+        pairs = (build_pairs(GaussianStream(1), params, rank) if rank
+                 else [None] * len(params))
+        assert stream_calls(draw_direction, params, pairs, 5) == calls
+
+    def test_a_replayed_vector_layer_ends_a_run(self, monkeypatch):
+        # 40 bias values exceed the largest matrix layer (20 entries), so
+        # they are replayed: the two cores before them are one call, their
+        # range is skipped, and the core after them is a second call; each
+        # value is the one a draw per layer gives
+        s = GaussianStream(8)
+        shapes = ((4, 3), (5, 4), (40,), (3, 3))
+        params = [s.normals(math.prod(shape)).reshape(shape) for shape in shapes]
+        pairs = build_pairs(GaussianStream(1), params, 3)
+        assert stream_calls(draw_direction, params, pairs, 17) == [(0, 18), (58, 9)]
+        for aligned in (False, True):
+            direction = draw_direction(params, pairs, 17, aligned)
+            assert direction.layers[2] == 18
+            got = iter_perturbation_layers(params, pairs, direction)
+            expected = self.walk_the_stream(params, pairs, 17, aligned)
+            assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
+        monkeypatch.setattr(perturbation, "_KEPT_BYTES", 0)
+        layers = draw_direction(params, pairs, 17).layers
+        s = GaussianStream(17)
+        for start, layer in zip((0, 9, 58), layers[:2] + layers[3:]):
+            s.reset(start)
+            assert layer[1].tobytes() == s.normals(9).reshape(3, 3).tobytes()
+
+    def test_a_direction_for_fewer_layers_raises(self):
+        # a direction drawn for the first two layers writes none of three
+        params, pairs = self.layers()
+        direction = draw_direction(params[:2], pairs[:2], 17)
+        work = [w.copy() for w in params]
+        with pytest.raises(ShapeError):
+            axpy_perturbation(work, pairs, direction, 0.5)
+        assert [w.tobytes() for w in work] == [w.tobytes() for w in params]
+
+    def test_a_kept_layer_of_another_shape_raises(self):
+        # a kept (4,) bias applied to a (2, 4) layer is not broadcast into
+        # it, and the add of the 4x3 layer before it is taken back
+        s = GaussianStream(8)
+        params = [s.normals(12).reshape(4, 3), s.normals(4)]
+        pairs = build_pairs(GaussianStream(1), params, 2)
+        direction = draw_direction(params, pairs, 17)
+        assert layer_kinds(params, pairs, direction) == ["formed", "kept"]
+        work = [params[0].copy(), np.zeros((2, 4))]
+        with pytest.raises(ShapeError):
+            axpy_perturbation(work, pairs, direction, 0.5)
+        assert np.max(np.abs(work[0] - params[0])) <= 1e-12
+        assert not work[1].any()
 
 
 def restore_cells(n):

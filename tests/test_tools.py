@@ -1,5 +1,6 @@
-"""The line counter in ``tools/``."""
+"""The line counter and the mutation list in ``tools/``."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,19 @@ def test_line_counter_counts_code_and_sums_its_modules(tmp_path):
     assert len(counts) == len(list((ROOT / "src" / "subzero").glob("*.py"))) + 1
     assert counts[str(sample)] == 4
     assert total == f"total {sum(counts.values())}"
+
+
+def test_each_mutant_still_applies_and_names_tests_that_exist():
+    # tools/mutants.py cannot rot silently: each entry's old text occurs
+    # once in its file, and each test it must fail is defined (the
+    # mutants themselves are run by the tool, not here)
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 10
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new and m.kills, m.name
+        for test in m.kills:
+            path, *names = test.split("::")
+            assert f"def {names[-1].split('[')[0]}(" in (ROOT / path).read_text(), test
