@@ -133,7 +133,10 @@ class TrainerState:
     def params(self) -> list[np.ndarray]:
         """The parameters, with every pending core merged in (``W += U A
         V^T``, one row-block pass per core that undoes itself if it
-        raises; a core is dropped once its layer holds it)."""
+        raises; a core is dropped once its layer holds it).  Outside
+        readers see merged values; :func:`train`'s mid-run validation
+        reads ``layers`` with the pending cores instead, and merges
+        nothing."""
         for i, core in list(self.pending.items()):
             pair = self.pairs[i]
             _add_rows(self.layers[i], pair.u, core, pair.v, 1.0)
@@ -257,20 +260,32 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
                       rho=rho, lr=lr, wall_ms=wall_ms)
 
 
+def _validation_loss(problem, state: TrainerState, batch) -> float:
+    """The loss of the run's current parameters, a held layer's pending
+    core passed to the loss as ``low_rank={i: (u, A, v)}``, unmerged."""
+    if not state.pending:
+        return problem.loss(state.layers, batch)
+    return problem.loss(state.layers, batch, low_rank={
+        i: (state.pairs[i].u, core, state.pairs[i].v) for i, core in state.pending.items()})
+
+
 def train(problem, config: OptimizerConfig,
           params: Optional[Sequence[np.ndarray]] = None,
           pairs: Optional[list[Optional[ProjectionPair]]] = None) -> RunRecord:
     """Run the configured number of steps and collect the full record.
 
     Validation (full-dataset loss in canonical order) is evaluated before
-    step 0, every ``eval_interval`` steps, and after the final step.
+    step 0, every ``eval_interval`` steps, and after the final step.  A
+    mid-run evaluation merges no pending core, so the interval moves no
+    parameter: the run's values are the same bit for bit at every
+    ``eval_interval``.
     """
     state = init_state(problem, config, params=params, pairs=pairs)
     record = RunRecord()
     val_batch = full_batch(problem)
     for t in range(config.steps):
         if t % config.eval_interval == 0:
-            record.validation.append((t, problem.loss(state.params, val_batch)))
+            record.validation.append((t, _validation_loss(problem, state, val_batch)))
         record.steps.append(step(problem, state, config))
     record.validation.append((config.steps, problem.loss(state.params, val_batch)))
     record.final_params = state.params

@@ -22,7 +22,8 @@ rows of vector layers and of the dense family are bit for bit the
 estimator's; matrix-layer rows and rho agree with it to rounding.  The
 first 64 samples of every Monte Carlo sampler call also run through the
 family's own estimator, and :class:`~subzero.errors.BlockMismatch` is
-raised if one disagrees with its block row.
+raised if one disagrees with its block row.  Each block's guarded rows are
+compared in one pass, in two arrays of at most the block's own size.
 
 Also here: the curvature-bias measurement (via a control variate that
 cancels the zero-bias part of each sample, so the tiny ``epsilon**2`` bias
@@ -209,7 +210,8 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
     each on a fresh copy of the parameters; :class:`BlockMismatch` is raised
     if its estimate differs from the block row by more than
     ``_GUARD_DELTA_RTOL`` of its largest entry, or its rho by more than
-    ``_GUARD_RHO_UNITS`` of the probe's rounding floor.
+    ``_GUARD_RHO_UNITS`` of the probe's rounding floor.  A block's guarded
+    rows, at most its own rows, are compared in one pass by :func:`_guard`.
     """
     batch = full_batch(problem)
     x0 = stack_params(params)
@@ -225,7 +227,6 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
                 params, nones, _dense_direction(params, dense_q, s))))
                 for s in seeds.tolist()])
         rho = _central_difference(problem, params, x0, delta, epsilon)
-        # all estimator calls first: interleaved with the comparisons, 3 % dearer
         guarded = []
         for s in seeds[:max(0, first + _GUARD_SAMPLES - start)].tolist():
             work = [w.copy() for w in params]
@@ -233,16 +234,40 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
                 guarded.append(subzero_estimate(problem, work, pairs, batch, epsilon, s))
             else:
                 guarded.append(dense_subspace_probe(problem, work, batch, epsilon, dense_q, s))
-        for i, (ld, est) in enumerate(guarded):
-            want = est.stacked()
-            delta_gap = float(np.max(np.abs(want - ld.rho * delta[i])))
-            floor = _UNIT_ROUNDOFF * (abs(ld.loss_plus) + abs(ld.loss_minus)) / epsilon
-            if (delta_gap > _GUARD_DELTA_RTOL * float(np.max(np.abs(want)))
-                    or abs(rho[i] - ld.rho) > _GUARD_RHO_UNITS * floor):
-                raise BlockMismatch(
-                    f"seed {int(seeds[i])}: block rho {rho[i]!r} against {ld.rho!r} "
-                    f"(floor {floor:.3g}), perturbation gap {delta_gap:.3g}")
+        if guarded:
+            _guard(guarded, seeds, rho, delta, epsilon)
         yield rho, delta
+
+
+def _guard(guarded, seeds: np.ndarray, rho: np.ndarray, delta: np.ndarray,
+           epsilon: float) -> None:
+    """Compare a block's first ``k`` rows with the estimator's ``(ld, est)``
+    pairs ``guarded`` for the same seeds, all ``k`` rows in one pass, and
+    raise :class:`BlockMismatch` for the first row, in sample order, that
+    disagrees.  Each entry goes through the arithmetic of comparing one
+    row at a time, in the same order, so the same rows fail.  The
+    estimates are gathered, one layer of all ``k`` rows at a time, into one
+    ``(k, d)`` array, flattened as :func:`stack_params` does, and the gaps
+    take one ``(k, d)`` scratch; ``k`` is at most the block's rows."""
+    k, col = len(guarded), 0
+    want = np.empty((k, delta.shape[1]))
+    for j, layer in enumerate(guarded[0][1].layers):
+        # column-major per 2-D layer: row i of the view is est.layers[j].T
+        want[:, col:col + layer.size].reshape(k, *layer.shape[::-1])[...] = np.array(
+            [est.layers[j] for _, est in guarded]).swapaxes(1, -1)
+        col += layer.size
+    plus, minus, est_rho = np.array(
+        [(ld.loss_plus, ld.loss_minus, ld.rho) for ld, _ in guarded]).T
+    gap = np.multiply(delta[:k], est_rho[:, None])
+    gap = np.abs(np.subtract(want, gap, out=gap), out=gap).max(axis=1)
+    floor = _UNIT_ROUNDOFF * (np.abs(plus) + np.abs(minus)) / epsilon
+    failed = ((gap > _GUARD_DELTA_RTOL * np.abs(want, out=want).max(axis=1))
+              | (np.abs(rho[:k] - est_rho) > _GUARD_RHO_UNITS * floor))
+    if failed.any():
+        i = int(failed.argmax())
+        raise BlockMismatch(
+            f"seed {int(seeds[i])}: block rho {rho[i]!r} against {guarded[i][0].rho!r} "
+            f"(floor {float(floor[i]):.3g}), perturbation gap {float(gap[i]):.3g}")
 
 
 def _central_difference(problem, params, xs, delta, epsilon: float) -> np.ndarray:

@@ -720,6 +720,22 @@ class TestHeldLayerUpdates:
         never.params = prob.initial_params()
         assert not never.pending
 
+    def test_mid_run_validation_merges_nothing(self):
+        # train_mlp_wide's model and optimizer: validation every 7 steps
+        # reads the held W1's pending core unmerged, so the run's values are
+        # those of a run validated only at its ends
+        prob = MlpProblem.generate(1, n_features=512, hidden=(512,), n_outputs=8,
+                                   dataset_size=256)
+        often, rarely = (train(prob, OptimizerConfig(
+            family="subzero", steps=120, batch_size=32, rank=16, learning_rate=5e-3,
+            refresh_period=50, epsilon=1e-3, eval_interval=interval))
+            for interval in (7, 500))
+        assert len(often.validation) == 19 and len(rarely.validation) == 2
+        for a, b in zip(often.final_params, rarely.final_params):
+            assert np.array_equal(a, b)
+        assert often.validation[-1] == rarely.validation[-1]
+        assert [s.rho for s in often.steps] == [s.rho for s in rarely.steps]
+
     @pytest.mark.parametrize("pinned", [False, True], ids=["refreshed", "pinned"])
     def test_lazy_updates_match_per_step_writes(self, pinned):
         prob, cfg = _held_mlp(), self.config()

@@ -745,6 +745,78 @@ class TestBlockGuard:
         monkeypatch.setattr(verification, "_delta_rows", flipped_late)
         check_second_moment(problem, pairs, params, 200, seed=0)
 
+    @pytest.mark.parametrize("scales, cap, fired", [
+        ({5: -2.0, 9: -2.0}, None, 5),
+        ({63: -2.0}, None, 63),
+        ({41: -2.0}, 24, 41),
+        ({3: 0.9e-12, 20: 1.2e-12}, None, 20),
+        ({7: 1.05e-12, 30: 0.95e-12, 50: 4e-12}, None, 7),
+        ({10: 0.5e-12, 63: 0.99e-12, 64: 1e-6}, None, None),
+    ], ids=["rows-5-and-9-flipped", "last-guarded-row-flipped", "flipped-in-a-later-block",
+            "below-then-above", "just-above-first", "below-or-unguarded"])
+    def test_the_guard_fails_the_rows_the_per_row_loop_fails(
+            self, monkeypatch, scales, cap, fired):
+        # block row k of a 100-sample check is scaled by 1 + scales[k]: -2
+        # flips it, and c near 1e-12 leaves a perturbation gap of about c of
+        # the estimate's largest entry, against the guard's allowance of
+        # 1e-12.  Under a 24-float cap the 12-float samples make blocks of
+        # two rows, so the guard's 64 samples span 32 blocks.
+        if cap is not None:
+            monkeypatch.setattr(verification, "_BLOCK_FLOATS", cap)
+        problem, params, pairs = battery_cell(((3, 2), (3, 2)), 1, 11)
+        sample = {derive_seed(0, 0x61, k): k for k in range(100)}
+        rows = verification._delta_rows
+        central = verification._central_difference
+        blocks = []
+
+        def scaled_rows(params, pairs, seeds):
+            out = rows(params, pairs, seeds)
+            for row, s in zip(out, seeds.tolist()):
+                row *= 1.0 + scales.get(sample[s], 0.0)
+            return out
+
+        def recording(problem, params, xs, delta, epsilon):
+            blocks.append((central(problem, params, xs, delta, epsilon), delta))
+            return blocks[-1][0]
+
+        monkeypatch.setattr(verification, "_delta_rows", scaled_rows)
+        monkeypatch.setattr(verification, "_central_difference", recording)
+        try:
+            check_second_moment(problem, pairs, params, 100, seed=0)
+            message = None
+        except BlockMismatch as exc:
+            message = str(exc)
+        assert message == per_row_guard(problem, params, pairs,
+                                        np.concatenate([b[0] for b in blocks]),
+                                        np.concatenate([b[1] for b in blocks]))
+        if fired is None:
+            assert message is None
+        else:
+            assert message.startswith(
+                f"seed {derive_seed(0, 0x61, fired)}: block rho np.float64(")
+        if cap is not None:
+            assert len(blocks) == fired // 2 + 1
+
+
+def per_row_guard(problem, params, pairs, rho, delta, epsilon=1e-3, seed=0):
+    """The guard as it compared one row at a time, the reference for its
+    comparison of a block's rows at once: the message for the first of the
+    first 64 rows (``rho[i]``, ``delta[i]``) that disagrees with the
+    estimator, or ``None``."""
+    batch = full_batch(problem)
+    for i in range(min(64, len(rho))):
+        s = derive_seed(seed, 0x61, i)
+        ld, est = subzero_estimate(problem, [w.copy() for w in params], pairs, batch,
+                                   epsilon, s)
+        want = est.stacked()
+        delta_gap = float(np.max(np.abs(want - ld.rho * delta[i])))
+        floor = 2.0 ** -53 * (abs(ld.loss_plus) + abs(ld.loss_minus)) / epsilon
+        if (delta_gap > 1e-12 * float(np.max(np.abs(want)))
+                or abs(rho[i] - ld.rho) > 16.0 * floor):
+            return (f"seed {s}: block rho {rho[i]!r} against {ld.rho!r} "
+                    f"(floor {floor:.3g}), perturbation gap {delta_gap:.3g}")
+    return None
+
 
 ENTRY_POINTS = {
     "expectation_identity": lambda problem, pairs, params:

@@ -47,6 +47,8 @@ _KEPT = "tests/test_perturbation.py::TestKeptLayers::"
 _INJECT = "tests/test_optimizer.py::test_failed_pass_leaves_params_where_it_found_them"
 _DIGEST = ("tests/test_determinism.py::"
            "test_digest_tool_prints_six_sections_and_a_combined_hash")
+_V = "src/subzero/verification.py"
+_GUARD = "tests/test_verification.py::TestBlockGuard::"
 
 MUTANTS = (
     # draw_direction's walk
@@ -116,12 +118,22 @@ MUTANTS = (
     Mutant("layers-stacked-row-major", "src/subzero/numcore.py",
            'parts.append(w.ravel(order="F"))', "parts.append(w.ravel())",
            ("tests/test_numcore.py::TestStacking::test_column_major_per_layer",)),
-    Mutant("block-guard-off", "src/subzero/verification.py",
-           "if (delta_gap > _GUARD_DELTA_RTOL",
-           "if False and (delta_gap > _GUARD_DELTA_RTOL",
-           ("tests/test_verification.py::TestBlockGuard::test_one_corrupt_row_fires"
-            "[flipped_sign]",)),
-    Mutant("battery-step-seed-shifted", "src/subzero/verification.py",
+    Mutant("block-guard-off", _V, "if failed.any():", "if False:",
+           (_GUARD + "test_one_corrupt_row_fires[flipped_sign]",
+            _GUARD + "test_the_guard_fails_the_rows_the_per_row_loop_fails"
+            "[rows-5-and-9-flipped]")),
+    Mutant("guard-compares-the-next-rows", _V,
+           "np.multiply(delta[:k], est_rho[:, None])",
+           "np.multiply(delta[1:k + 1], est_rho[:, None])",
+           (_GUARD + "test_guard_covers_only_the_first_64_samples",
+            _GUARD + "test_the_guard_fails_the_rows_the_per_row_loop_fails"
+            "[below-or-unguarded]")),
+    Mutant("guard-gathers-row-major", _V, ".swapaxes(1, -1)", "",
+           (_GUARD + "test_guard_covers_only_the_first_64_samples",)),
+    Mutant("guard-rho-allowance-dropped", _V,
+           "> _GUARD_RHO_UNITS * floor", "> 0.0 * floor",
+           (_GUARD + "test_guard_covers_only_the_first_64_samples",)),
+    Mutant("battery-step-seed-shifted", _V,
            "derive_seeds(masters, _TAG_STEP, last=t)",
            "derive_seeds(masters, _TAG_STEP, last=t + 1)",
            ("tests/test_verification.py::TestConvergence::"
