@@ -224,6 +224,8 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def build_problem(spec: ProblemSpec):
     shapes = [tuple(s) for s in spec.layer_shapes]
+    if not shapes and spec.family in ("quadratic", "quartic"):
+        raise ConfigError(f"{spec.family} problems need at least one layer shape")
     if spec.family == "quadratic":
         return QuadraticProblem.generate(spec.seed, shapes, kappa=spec.kappa,
                                          lam_max=spec.lam_max,

@@ -83,12 +83,12 @@ class GradEstimate:
         return stack_params(self.layers)
 
 
-def _held_out(problem, params, pairs, direction: Direction) -> dict:
+def _held_out(problem, params, direction: Direction) -> dict:
     """The layers a probe holds out of its passes, as
     :func:`~subzero.perturbation.held_out_factors` gives them, when the
     problem has a ``probe_batch`` hook; otherwise none."""
     if hasattr(problem, "probe_batch"):
-        return held_out_factors(params, pairs, direction)
+        return held_out_factors(params, direction)
     return {}
 
 
@@ -158,7 +158,7 @@ def two_sided_loss_diff(
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     direction = draw_direction(params, pairs, seed)
-    held = _held_out(problem, params, pairs, direction)
+    held = _held_out(problem, params, direction)
     if pending and not pending.keys() <= held.keys():
         raise ValueError("a pending core needs its layer held out of the probe")
     if hasattr(problem, "probe_batch"):

@@ -20,6 +20,8 @@ layer contributes its entries column by column (``order="F"``), a 1-D layer
 contributes its entries as is, and layers are concatenated in parameter
 order.  Under this convention a low-rank update ``U Z V^T`` flattens to
 ``(V kron U) vec(Z)``, which the verification module relies on.
+:func:`stack_params` flattens one parameter list; :func:`stack_rows` is its
+block form, which flattens many as the rows of one array.
 """
 
 from __future__ import annotations
@@ -293,6 +295,23 @@ def stack_params(params: list[np.ndarray]) -> np.ndarray:
         else:
             raise ShapeError(f"parameters must be 1-D or 2-D, got ndim={w.ndim}")
     return np.concatenate(parts)
+
+
+def stack_rows(blocks: list[np.ndarray]) -> np.ndarray:
+    """The block form of :func:`stack_params`: ``blocks[j]`` holds layer
+    ``j`` of all ``k`` rows, shaped ``(k, *shape_j)``, and row ``i`` of the
+    ``(k, d)`` result is ``stack_params([b[i] for b in blocks])`` bit for
+    bit.  Each layer is written once, through a view of the result; there
+    is at least one block."""
+    k = len(blocks[0])
+    out = np.empty((k, sum(math.prod(b.shape[1:]) for b in blocks)))
+    col = 0
+    for b in blocks:
+        n = math.prod(b.shape[1:])
+        # column-major per 2-D layer: row i of the view is b[i].T
+        out[:, col:col + n].reshape(k, *b.shape[:0:-1])[...] = b.swapaxes(1, -1)
+        col += n
+    return out
 
 
 def unstack_params(x: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

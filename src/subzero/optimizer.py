@@ -245,7 +245,7 @@ def step(problem, state: TrainerState, config: OptimizerConfig) -> StepRecord:
                                      config.epsilon, direction, state.pending)
             loss_plus, loss_minus, rho = ld.loss_plus, ld.loss_minus, ld.rho
             coeff = -(lr * rho)
-            held = _held_out(problem, params, state.pairs, direction)
+            held = _held_out(problem, params, direction)
         axpy_perturbation(params, state.pairs, direction, coeff, held)
     except SubzeroError as exc:
         raise StepFailure(t, str(exc)) from exc

@@ -435,7 +435,6 @@ def _layers(params: Sequence[np.ndarray], direction: Direction,
 
 def held_out_factors(
     params: Sequence[np.ndarray],
-    pairs: Sequence[Optional[ProjectionPair]],
     direction: Direction,
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The layers a loss can take in factored form, as ``{i: (u, Z, v)}``,

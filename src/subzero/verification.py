@@ -13,17 +13,19 @@ because the sample count was too small to resolve a discrepancy.
 
 Every check, the convergence battery included, runs on blocks and never
 touches the parameters.  It forms many perturbations as stacked rows (the
-seeded families' from ``uint64`` seeds and stream values, with one
-``einsum`` per matrix layer; the dense family's by replaying the
-estimator's own stored direction) and probes every row out of place with one central difference,
-on the full batch: by the problem's row-wise ``losses(xs)`` where it has
-one, one ``loss`` call per row otherwise.  Seeds, stream values, and the
-rows of vector layers and of the dense family are bit for bit the
-estimator's; matrix-layer rows and rho agree with it to rounding.  The
-first 64 samples of every Monte Carlo sampler call also run through the
-family's own estimator, and :class:`~subzero.errors.BlockMismatch` is
-raised if one disagrees with its block row.  Each block's guarded rows are
-compared in one pass, in two arrays of at most the block's own size.
+seeded families' from ``uint64`` seeds and stream values as one block per
+layer of all rows, with one ``einsum`` per matrix layer, stacked by
+:func:`~subzero.numcore.stack_rows`; the dense family's from the
+estimator's own stored direction) and probes every row out of place with
+one central difference, on the full batch: by the problem's row-wise
+``losses(xs)`` where it has one, one ``loss`` call per row otherwise.
+Seeds, stream values, and the rows of vector layers and of the dense
+family are bit for bit the estimator's; matrix-layer rows and rho agree
+with it to rounding.  The first 64 samples of every Monte Carlo sampler
+call also run through the family's own estimator, and
+:class:`~subzero.errors.BlockMismatch` is raised if one disagrees with its
+block row.  Each block's guarded rows are compared in one pass, in two
+arrays of at most the block's own size.
 
 Also here: the curvature-bias measurement (via a control variate that
 cancels the zero-bias part of each sample, so the tiny ``epsilon**2`` bias
@@ -43,7 +45,7 @@ from .errors import (BlockMismatch, BudgetExceeded, ConfigError,
                      DegenerateGradient, ScaleRefused, ShapeError)
 from .numcore import (GaussianStream, derive_seed, derive_seeds,
                       gaussian_matrix, normals_block, stack_params,
-                      unstack_params)
+                      stack_rows, unstack_params)
 from .perturbation import (ProjectionPair, build_pairs,
                            iter_perturbation_layers, subspace_dimension)
 from .estimators import _dense_direction, dense_subspace_probe, subzero_estimate
@@ -80,13 +82,15 @@ def materialize_projector(
     A ``None`` entry stands for a vector layer, whose perturbation is a full
     Gaussian; its block is the identity of the layer's size, read from the
     matching position of ``vector_sizes`` (one entry per layer, aligned with
-    ``pairs``; entries under matrix layers are ignored and may be anything).
-    Column-major flattening per layer makes each
+    ``pairs``, else ``ShapeError``; entries under matrix layers are ignored
+    and may be anything).  Column-major flattening per layer makes each
     Kronecker block map ``vec(Z_i)`` to ``vec(U_i Z_i V_i^T)``.  Refuses,
     before allocating anything, to materialize beyond ``PROJECTOR_DIM_CAP``
     rows; the point of the layer-wise estimator is that this matrix never
     exists at scale.
     """
+    if vector_sizes is not None and len(vector_sizes) != len(pairs):
+        raise ShapeError(f"{len(vector_sizes)} vector_sizes for {len(pairs)} layers")
     sizes = []
     for i, pair in enumerate(pairs):
         if pair is None:
@@ -215,17 +219,15 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
     """
     batch = full_batch(problem)
     x0 = stack_params(params)
-    nones = [None] * len(params)
     size = max(1, _BLOCK_FLOATS // x0.size)
     stop = first + n_mc
     for start in range(first, stop, size):
         seeds = derive_seeds(seed, _TAG_MC, last=np.arange(start, min(start + size, stop)))
         if dense_q is None:
             delta = _delta_rows(params, pairs, seeds)
-        else:   # the estimator's stored direction, replayed as its passes read it
-            delta = np.array([stack_params(list(iter_perturbation_layers(
-                params, nones, _dense_direction(params, dense_q, s))))
-                for s in seeds.tolist()])
+        else:   # the estimator's stored direction, every layer kept
+            delta = np.array([stack_params(_dense_direction(params, dense_q, s).layers)
+                              for s in seeds.tolist()])
         rho = _central_difference(problem, params, x0, delta, epsilon)
         guarded = []
         for s in seeds[:max(0, first + _GUARD_SAMPLES - start)].tolist():
@@ -247,15 +249,11 @@ def _guard(guarded, seeds: np.ndarray, rho: np.ndarray, delta: np.ndarray,
     disagrees.  Each entry goes through the arithmetic of comparing one
     row at a time, in the same order, so the same rows fail.  The
     estimates are gathered, one layer of all ``k`` rows at a time, into one
-    ``(k, d)`` array, flattened as :func:`stack_params` does, and the gaps
-    take one ``(k, d)`` scratch; ``k`` is at most the block's rows."""
-    k, col = len(guarded), 0
-    want = np.empty((k, delta.shape[1]))
-    for j, layer in enumerate(guarded[0][1].layers):
-        # column-major per 2-D layer: row i of the view is est.layers[j].T
-        want[:, col:col + layer.size].reshape(k, *layer.shape[::-1])[...] = np.array(
-            [est.layers[j] for _, est in guarded]).swapaxes(1, -1)
-        col += layer.size
+    ``(k, d)`` array by :func:`stack_rows`, and the gaps take one ``(k, d)``
+    scratch; ``k`` is at most the block's rows."""
+    k = len(guarded)
+    want = stack_rows([np.array(layer)
+                       for layer in zip(*(est.layers for _, est in guarded))])
     plus, minus, est_rho = np.array(
         [(ld.loss_plus, ld.loss_minus, ld.rho) for ld, _ in guarded]).T
     gap = np.multiply(delta[:k], est_rho[:, None])
@@ -299,29 +297,25 @@ def _delta_rows(params, pairs, seeds: np.ndarray) -> np.ndarray:
     """Stacked unit perturbations, one row per seed.  Each seed's first q
     stream values are cut into the layers in stream order; a matrix layer's
     ``r * r`` values are its core ``Z`` (row-major), formed as ``U Z V^T`` in
-    the pair's geometry, read row-major into the layer's shape and flattened
-    column-major, as :func:`iter_perturbation_layers` and
-    :func:`stack_params` do one seed at a time."""
+    the pair's geometry and read row-major into the layer's shape, as
+    :func:`iter_perturbation_layers` does one seed at a time.  Each layer
+    of all rows is one ``(k, *w.shape)`` block, and :func:`stack_rows`
+    stacks the blocks as :func:`stack_params` flattens one seed's layers.
+    The blocks live until they are stacked, so the peak is about two arrays
+    of the result's size: 2.2 times the result for 2000 rows of the
+    identity cell, the stream values included."""
     k = seeds.size
     values = normals_block(seeds, subspace_dimension(params, pairs))
-    rows = np.empty((k, sum(w.size for w in params)))
-    at = col = 0
+    blocks, at = [], 0
     for w, pair in zip(params, pairs):
-        if pair is None:
-            n = w.size
-            layer = values[:, at:at + n]
-        else:
-            r = pair.rank
-            n = r * r
-            z = values[:, at:at + n].reshape(k, r, r)
+        n = w.size if pair is None else pair.rank ** 2
+        layer = values[:, at:at + n]
+        if pair is not None:
+            z = layer.reshape(k, pair.rank, pair.rank)
             layer = np.einsum("ia,kab,jb->kij", pair.u, z, pair.v)
         at += n
-        layer = layer.reshape(k, *w.shape)
-        if w.ndim == 2:
-            layer = layer.transpose(0, 2, 1)
-        rows[:, col:col + w.size] = layer.reshape(k, w.size)
-        col += w.size
-    return rows
+        blocks.append(layer.reshape(k, *w.shape))
+    return stack_rows(blocks)
 
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -660,10 +654,7 @@ def convergence_battery(problems: Sequence, cfg: ConvergenceConfig,
     cell is hit and the slope lies in the configured band."""
     cells: list[ConvergenceCell] = []
     for i, problem in enumerate(problems):
-        template = problem.initial_params()
-        pairs = build_pairs(
-            GaussianStream(derive_seed(cfg.master_seed, _TAG_PAIRS, i)),
-            template, cfg.rank, reshape="never")
+        pairs = _pinned_pairs(problem.initial_params(), cfg.rank, cfg.master_seed, i)
         cells.extend(convergence_hitting_times(problem, pairs, eps_targets, cfg))
     return _slope_report(cells, cfg.slope_band)
 
@@ -699,13 +690,18 @@ COSINE_CELLS: tuple[tuple[int, tuple[tuple[int, int], ...], int], ...] = (
 BIAS_EPSILONS: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
 
 
+def _pinned_pairs(params, rank: int, seed: int, i: int = 0) -> list:
+    """The battery's pinned pairs for cell ``i`` of a seed, each in its
+    layer's native geometry."""
+    return build_pairs(GaussianStream(derive_seed(seed, _TAG_PAIRS, i)),
+                       params, rank, reshape="never")
+
+
 def battery_cell(shapes: tuple[tuple[int, int], ...], rank: int, seed: int):
     """A quadratic instance plus pinned pairs for one battery cell."""
     problem = QuadraticProblem.generate(seed, list(shapes))
     params = problem.initial_params()
-    pairs = build_pairs(GaussianStream(derive_seed(seed, _TAG_PAIRS, 0)),
-                        params, rank, reshape="never")
-    return problem, params, pairs
+    return problem, params, _pinned_pairs(params, rank, seed)
 
 
 def _structure_defect(cell_seed: int) -> float:
@@ -722,12 +718,8 @@ def _structure_defect(cell_seed: int) -> float:
         gram_defect = float(np.max(np.abs(p.T @ p - np.eye(proj.q))))
         pert_seed = derive_seed(cell_seed, _TAG_MC, 200 + k)
         stacked = stack_params(list(iter_perturbation_layers(params, pairs, pert_seed)))
-        cores = []
         stream = GaussianStream(pert_seed)
-        for pair in pairs:
-            cores.append(np.ravel(gaussian_matrix(stream, pair.rank, pair.rank),
-                                  order="F"))
-        z = np.concatenate(cores)
+        z = stack_params([gaussian_matrix(stream, pair.rank, pair.rank) for pair in pairs])
         stack_defect = float(np.max(np.abs(stacked - p @ z)))
         worst = max(worst, gram_defect, stack_defect)
     return worst
@@ -759,8 +751,7 @@ def run_default_battery(n_mc: int = 20000, n_mc_bias: int = 20000,
 
     quartic = QuarticProblem.generate(base + 2, [(3, 3)])
     q_params = quartic.initial_params()
-    q_pairs = build_pairs(GaussianStream(derive_seed(base + 2, _TAG_PAIRS, 0)),
-                          q_params, 1, reshape="never")
+    q_pairs = _pinned_pairs(q_params, 1, base + 2)
     biases = []
     for eps in BIAS_EPSILONS:
         rep = check_bias_bound(quartic, q_pairs, q_params, eps, n_mc_bias, seed=seed)

@@ -618,6 +618,22 @@ def test_bad_problem_sections_are_config_errors(tmp_path, capsys, command, probl
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+@pytest.mark.parametrize("family, rc", [("quadratic", 2), ("quartic", 2), ("mlp", 0)])
+def test_no_layer_shapes_is_a_config_error_where_they_are_read(tmp_path, capsys,
+                                                               command, family, rc):
+    # the quadratic and quartic families build their layers from
+    # layer_shapes; the MLP reads its widths instead and still runs
+    path = write_config(tmp_path / "cfg.json", {
+        "problem": {"family": family, "layer_shapes": [], "dataset_size": 16},
+        "optimizer": {"steps": 5, "batch_size": 4, "rank": 2},
+        "estimate": {"n_mc": 5}})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == rc
+    if rc:
+        assert capsys.readouterr().err.startswith(
+            f"config error: {family} problems need at least one layer shape")
+
+
 class TestMainEntry:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit) as exc:

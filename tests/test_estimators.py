@@ -353,7 +353,7 @@ class TestHeldOutLayers:
         prob, params, pairs, batch = held_out_setup()
         direction = draw_direction(params, pairs, seed, aligned=True)
         direct = [w.copy() for w in params]
-        held = held_out_factors(direct, pairs, direction)
+        held = held_out_factors(direct, direction)
         u, z, v = held[0]
         eps = 1e-3
         axpy_perturbation(direct, pairs, direction, eps, held)

@@ -11,8 +11,8 @@ from subzero.errors import RankDeficient, ShapeError
 from oracles import fd_gradient
 from subzero.numcore import (GaussianStream, derive_seed, derive_seeds,
                              gaussian_matrix, normals_block, qr_orthonormal,
-                             stack_params, unstack_params, _BLOCK, _mix64,
-                             _mix64_block)
+                             stack_params, stack_rows, unstack_params, _BLOCK,
+                             _mix64, _mix64_block)
 
 MASK64 = (1 << 64) - 1
 # (seed, first value index) of the ranges the libm equality tests draw; the
@@ -434,6 +434,23 @@ class TestStacking:
     def test_rejects_3d(self):
         with pytest.raises(ShapeError):
             stack_params([np.zeros((2, 2, 2))])
+
+    @pytest.mark.parametrize("fortran", [False, True], ids=["c_order", "fortran_order"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_rows_stack_as_stack_params_bit_for_bit(self, k, fortran):
+        # a native 3x2 layer, a 1-D layer, a square 3x3 layer (where a
+        # row-major copy has the right shape but not the right order) and an
+        # (8, 2) layer whose rows were formed in a 4x4 geometry
+        s = GaussianStream(9)
+        blocks = [s.normals(k * 6).reshape(k, 3, 2), s.normals(k * 5).reshape(k, 5),
+                  s.normals(k * 9).reshape(k, 3, 3),
+                  s.normals(k * 16).reshape(k, 4, 4).reshape(k, 8, 2)]
+        if fortran:
+            blocks = [np.asfortranarray(b) for b in blocks]
+        rows = stack_rows(blocks)
+        assert rows.shape == (k, 6 + 5 + 9 + 16)
+        for i in range(k):
+            assert rows[i].tobytes() == stack_params([b[i] for b in blocks]).tobytes()
 
 
 class _Bowl:

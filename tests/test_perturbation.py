@@ -787,19 +787,17 @@ class TestRowBlockPass:
         native = [i for i, d in enumerate(yielded) if type(d) is tuple
                   and params[i].shape == (pairs[i].u.shape[0], pairs[i].v.shape[0])]
         assert native == [0, 6] and type(yielded[2]) is tuple
-        held = perturbation.held_out_factors(params, pairs, direction)
+        held = perturbation.held_out_factors(params, direction)
         assert sorted(held) == native
-        plain = perturbation.held_out_factors(params, pairs,
-                                              draw_direction(params, pairs, 21))
+        plain = perturbation.held_out_factors(params, draw_direction(params, pairs, 21))
         for i in native:
             u, z, v = yielded[i]
             held_u, held_z, held_v = held[i]
             assert held_u is u and held_v is v
             assert np.array_equal(held_z, z)
             assert np.array_equal(held_z, alignment_scale(pairs[i]) * plain[i][1])
-        assert perturbation.held_out_factors(params[4:6], pairs[4:6],
-                                             draw_direction(params[4:6], pairs[4:6],
-                                                            21)) == {}
+        assert perturbation.held_out_factors(
+            params[4:6], draw_direction(params[4:6], pairs[4:6], 21)) == {}
 
 
 class TestPerturbRestore:

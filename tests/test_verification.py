@@ -148,6 +148,12 @@ class TestMaterializeProjector:
         with pytest.raises(ShapeError):
             materialize_projector([None])
 
+    @pytest.mark.parametrize("vector_sizes", [[6], [6, 6, 6]], ids=["short", "long"])
+    def test_vector_sizes_need_one_entry_per_layer(self, vector_sizes):
+        pair = generate_proj_pair(GaussianStream(5), 3, 2, 1)
+        with pytest.raises(ShapeError, match=f"{len(vector_sizes)} vector_sizes for 2 layers"):
+            materialize_projector([pair, None], vector_sizes=vector_sizes)
+
     def test_matrix_entries_of_vector_sizes_ignored(self):
         pair = generate_proj_pair(GaussianStream(5), 4, 2, 2)
         a = materialize_projector([pair, None], vector_sizes=[None, 3])
@@ -1101,11 +1107,14 @@ class TestBattery:
     def test_battery_cell_uses_pinned_generator(self):
         p1, params1, pairs1 = battery_cell(((3, 2), (3, 2)), 1, 11)
         p2, params2, pairs2 = battery_cell(((3, 2), (3, 2)), 1, 11)
+        pinned = build_pairs(GaussianStream(derive_seed(11, 0x64, 0)), params1, 1,
+                             reshape="never")
         for a, b in zip(params1, params2):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(pairs1, pairs2):
+        for a, b, c in zip(pairs1, pairs2, pinned):
             np.testing.assert_array_equal(a.u, b.u)
             np.testing.assert_array_equal(a.v, b.v)
+            assert a.u.tobytes() == c.u.tobytes() and a.v.tobytes() == c.v.tobytes()
 
 
 class TestOrderingAnchor:

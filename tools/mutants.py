@@ -118,6 +118,11 @@ MUTANTS = (
     Mutant("layers-stacked-row-major", "src/subzero/numcore.py",
            'parts.append(w.ravel(order="F"))', "parts.append(w.ravel())",
            ("tests/test_numcore.py::TestStacking::test_column_major_per_layer",)),
+    Mutant("block-rows-stacked-row-major", "src/subzero/numcore.py",
+           ".swapaxes(1, -1)", "",
+           ("tests/test_numcore.py::TestStacking::"
+            "test_rows_stack_as_stack_params_bit_for_bit[1-c_order]",
+            _GUARD + "test_guard_covers_only_the_first_64_samples")),
     Mutant("block-guard-off", _V, "if failed.any():", "if False:",
            (_GUARD + "test_one_corrupt_row_fires[flipped_sign]",
             _GUARD + "test_the_guard_fails_the_rows_the_per_row_loop_fails"
@@ -128,11 +133,13 @@ MUTANTS = (
            (_GUARD + "test_guard_covers_only_the_first_64_samples",
             _GUARD + "test_the_guard_fails_the_rows_the_per_row_loop_fails"
             "[below-or-unguarded]")),
-    Mutant("guard-gathers-row-major", _V, ".swapaxes(1, -1)", "",
-           (_GUARD + "test_guard_covers_only_the_first_64_samples",)),
     Mutant("guard-rho-allowance-dropped", _V,
            "> _GUARD_RHO_UNITS * floor", "> 0.0 * floor",
            (_GUARD + "test_guard_covers_only_the_first_64_samples",)),
+    Mutant("battery-pairs-seed-shifted", _V,
+           "_TAG_PAIRS, i)", "_TAG_PAIRS, i + 1)",
+           (_DIGEST, "tests/test_verification.py::TestBattery::"
+            "test_battery_cell_uses_pinned_generator")),
     Mutant("battery-step-seed-shifted", _V,
            "derive_seeds(masters, _TAG_STEP, last=t)",
            "derive_seeds(masters, _TAG_STEP, last=t + 1)",
