@@ -187,7 +187,8 @@ def init_state(problem, config: OptimizerConfig,
                params: Optional[Sequence[np.ndarray]] = None,
                pairs: Optional[list[Optional[ProjectionPair]]] = None) -> TrainerState:
     """Set up a run: copy the starting point and pin the given pairs, if
-    any (``subzero`` only; other families refuse them)."""
+    any (``subzero`` only; other families refuse them).  Given ``params``
+    must have the problem's ``layer_shapes``, else ``ShapeError``."""
     if pairs is not None and config.family != "subzero":
         raise ConfigError(f"only subzero takes pinned pairs, not {config.family!r}")
     if params is None:
@@ -197,6 +198,8 @@ def init_state(problem, config: OptimizerConfig,
     for w in work:
         if w.ndim not in (1, 2):
             raise ShapeError(f"parameters must be 1-D or 2-D, got ndim={w.ndim}")
+    if params is not None and [w.shape for w in work] != list(problem.layer_shapes):
+        raise ShapeError(f"parameters {[w.shape for w in work]} for layers {problem.layer_shapes}")
     state = TrainerState(params=work)
     if pairs is not None:
         if len(pairs) != len(work):

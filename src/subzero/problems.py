@@ -101,12 +101,14 @@ def _check_finite_rows(values: np.ndarray, what: str) -> np.ndarray:
 class _Problem:
     """The surface every problem shares: ``layer_shapes``, ``dimension``,
     ``dataset_size`` and a stored start point that ``initial_params()``
-    copies."""
+    copies.  A problem without parameters is a ``ShapeError``."""
 
     def __init__(self, params0, dataset_size: int):
         self._params0 = [np.array(w, dtype=np.float64) for w in params0]
         self.layer_shapes = [w.shape for w in self._params0]
         self.dimension = sum(w.size for w in self._params0)
+        if not self.dimension:
+            raise ShapeError(f"a problem needs parameters; layers {self.layer_shapes}")
         self.dataset_size = int(dataset_size)
 
     def initial_params(self) -> list[np.ndarray]:

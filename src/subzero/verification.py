@@ -6,10 +6,13 @@ the column space of a block-diagonal orthonormal projection
     P = bdiag(V_1 kron U_1, ..., V_l kron U_l),
 
 so its mean, second moment and directional statistics have closed forms.
-This module materializes the projector at toy scale and confirms each
-closed form by Monte Carlo, with explicit standard errors: a check passes
-only when the deviation is inside ``max(abs_tol, 4 * stderr)``, never
-because the sample count was too small to resolve a discrepancy.
+This module computes each closed form layer by layer, from ``U_i^T G_i V_i``
+with each layer's gradient read in its pair's geometry (native and relayout
+pairs alike), and confirms it by Monte Carlo, with explicit standard
+errors: a check passes only when the deviation is inside ``max(abs_tol, 4 *
+stderr)``, never because the sample count was too small to resolve a
+discrepancy.  The projector itself is materialized, at toy scale, only to
+check its own structure.
 
 Every check, the convergence battery included, runs on blocks and never
 touches the parameters.  It forms many perturbations as stacked rows (the
@@ -118,21 +121,30 @@ def materialize_projector(
     return BlockDiagProjector(matrix=matrix)
 
 
+def _projected_cores(grads, pairs) -> list[np.ndarray]:
+    """``P^T grad`` layer by layer: ``U^T G V`` for a matrix layer, with
+    ``G`` read row-major in the pair's geometry, and a vector layer's
+    gradient as it is."""
+    return [g if p is None else p.u.T @ g.reshape(p.shape.rows, p.shape.cols) @ p.v
+            for g, p in zip(grads, pairs)]
+
+
+def _projected_gradient(grads, pairs) -> list[np.ndarray]:
+    """``P P^T grad`` layer by layer: ``U (U^T G V) V^T`` in the pair's
+    geometry, read back row-major into the layer's shape, as a perturbation
+    is; a vector layer's gradient as it is."""
+    return [core if p is None else (p.u @ core @ p.v.T).reshape(g.shape)
+            for g, p, core in zip(grads, pairs, _projected_cores(grads, pairs))]
+
+
 def projected_gradient_sq_norm(grads: Sequence[np.ndarray],
                                pairs: Sequence[Optional[ProjectionPair]]) -> float:
-    """``||P^T grad||**2`` computed layer by layer, no materialization.
-
-    For a matrix layer this is ``||U^T G V||_F**2`` with ``G`` viewed in the
-    pair's geometry; a vector layer contributes its full squared norm.
-    """
+    """``||P^T grad||**2`` computed layer by layer, no materialization:
+    the sum of the squares of :func:`_projected_cores`, so ``||U^T G V||_F**2``
+    for a matrix layer and the full squared norm for a vector layer."""
     total = 0.0
-    for g, pair in zip(grads, pairs):
-        if pair is None:
-            total += float(np.sum(g * g))
-        else:
-            shape = pair.shape
-            core = pair.u.T @ g.reshape(shape.rows, shape.cols) @ pair.v
-            total += float(np.sum(core * core))
+    for core in _projected_cores(grads, pairs):
+        total += float(np.sum(core * core))
     return total
 
 
@@ -216,9 +228,13 @@ def _estimates(problem, params, pairs, n_mc: int, epsilon: float, seed: int,
     ``_GUARD_DELTA_RTOL`` of its largest entry, or its rho by more than
     ``_GUARD_RHO_UNITS`` of the probe's rounding floor.  A block's guarded
     rows, at most its own rows, are compared in one pass by :func:`_guard`.
+    ``ShapeError`` is raised if there is no parameter, or if ``pairs`` are
+    not one per layer (with ``dense_q`` given, they are not read).
     """
     batch = full_batch(problem)
     x0 = stack_params(params)
+    if not x0.size or dense_q is None and len(pairs) != len(params):
+        raise ShapeError(f"{len(pairs or ())} pairs for {len(params)} layers of {x0.size} entries")
     size = max(1, _BLOCK_FLOATS // x0.size)
     stop = first + n_mc
     for start in range(first, stop, size):
@@ -327,23 +343,16 @@ def check_expectation_identity(problem, pairs, params, n_mc: int, *,
                                rel_tol: float = 0.03) -> MonteCarloReport:
     """Mean of the estimator equals the projected gradient.
 
-    Averages ``n_mc`` independent estimates and compares, entrywise through
-    the materialized projector, with ``P P^T grad``.  The reported deviation
-    is the euclidean norm of the difference of means; the standard error
-    aggregates per-component variances.
+    Averages ``n_mc`` independent estimates and compares them, entrywise,
+    with ``P P^T grad``, computed layer by layer by
+    :func:`_projected_gradient` and stacked: each matrix layer's gradient is
+    read in its pair's geometry, so relayout pairs are checked as well as
+    native ones, and the projector is never materialized.  The reported
+    deviation is the euclidean norm of the difference of means; the
+    standard error aggregates per-component variances.
     """
-    for w, pair in zip(params, pairs):
-        # the stacked projector and the stacked gradient must flatten the
-        # same geometry; relayouted pairs would silently compare different
-        # orderings, so demand native-shape pairs here
-        if pair is not None and (w.ndim != 2 or w.shape != (pair.u.shape[0],
-                                                            pair.v.shape[0])):
-            raise ShapeError(
-                "expectation check needs pairs in each layer's native geometry; "
-                f"got {pair.shape} against {w.shape}")
-    g = stack_params(problem.exact_gradient(params, full_batch(problem)))
-    proj = materialize_projector(pairs, vector_sizes=[w.size for w in params])
-    target_vec = proj.matrix @ (proj.matrix.T @ g)
+    grads = problem.exact_gradient(params, full_batch(problem))
+    target_vec = stack_params(_projected_gradient(grads, pairs))
     mean, stderr = _mc_mean(
         rho[:, None] * delta
         for rho, delta in _estimates(problem, params, pairs, n_mc, epsilon, seed))

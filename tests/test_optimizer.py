@@ -853,6 +853,22 @@ class TestTrainBookkeeping:
         with pytest.raises(ShapeError, match="1-D or 2-D"):
             init_state(prob, cfg, params=[np.zeros(shape), np.zeros(5)])
 
+    def test_init_state_rejects_params_of_another_shape(self):
+        # a 2x3 start for a 3x2 layer would be read column-major as that
+        # layer and come back 2x3
+        prob = QuadraticProblem.generate(2, [(3, 2)])
+        cfg = OptimizerConfig(steps=3, rank=1, batch_size=4)
+        with pytest.raises(ShapeError, match=r"parameters \[\(2, 3\)\] for layers"):
+            train(prob, cfg, params=[np.ones((2, 3))])
+
+    def test_init_state_rejects_transposed_mlp_weights(self):
+        # numpy's matmul error would not be a SubzeroError
+        prob = MlpProblem.generate(5, dataset_size=16)
+        cfg = OptimizerConfig(steps=1, rank=1, batch_size=4)
+        params = [w.T for w in prob.initial_params()]
+        with pytest.raises(ShapeError, match="for layers"):
+            train(prob, cfg, params=params)
+
     @pytest.mark.parametrize("family", ["subzero", "spsa_full",
                                         "spsa_dense_subspace", "exact_sgd"])
     def test_rejects_bad_pinned_pairs(self, family):

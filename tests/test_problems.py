@@ -352,6 +352,17 @@ def test_constructors_reject_misshaped_inputs(build, match):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QuarticProblem.generate(1, []),
+    lambda: QuadraticProblem(np.zeros((0, 0)), []),
+], ids=["quartic-generate", "quadratic"])
+def test_a_problem_without_parameters_is_refused(build):
+    # the shared base refuses it, so no check, step or sampler runs on
+    # zero parameters
+    with pytest.raises(ShapeError, match="a problem needs parameters"):
+        build()
+
+
 def test_start_point_is_copied_at_construction():
     x0 = np.arange(6.0)
     prob = LogisticProblem(np.zeros((5, 6)), np.zeros(5), (2, 3), x0=x0)

@@ -57,7 +57,7 @@ from subzero.errors import (
     ShapeError,
     SubzeroError,
 )
-from subzero.numcore import derive_seeds
+from subzero.numcore import derive_seeds, gaussian_matrix
 from subzero.perturbation import Direction, generate_proj_pair
 from subzero.verification import (
     BATTERY_SHAPES,
@@ -232,6 +232,37 @@ class TestProjectedGradientNorm:
             float(np.sum(core * core)), rel=1e-12)
 
 
+def random_native_layering(seed):
+    """One to three layers, each a vector of 1 to 6 entries or a matrix of
+    1 to 6 rows and columns under a native pair of rank 1 to 3, and a
+    gradient for them."""
+    rng = np.random.default_rng(seed)
+    stream = GaussianStream(derive_seed(seed, 0x64, 0))
+    grads, pairs = [], []
+    for _ in range(rng.integers(1, 4)):
+        if rng.integers(3) == 0:
+            grads.append(stream.normals(int(rng.integers(1, 7))))
+            pairs.append(None)
+        else:
+            m, n = (int(x) for x in rng.integers(1, 7, size=2))
+            r = int(rng.integers(1, min(m, n, 3) + 1))
+            grads.append(gaussian_matrix(stream, m, n))
+            pairs.append(generate_proj_pair(stream, m, n, r))
+    return grads, pairs
+
+
+class TestProjectedGradient:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_materialized_projector(self, seed):
+        grads, pairs = random_native_layering(seed)
+        g = stack_params(grads)
+        p = materialize_projector(pairs, vector_sizes=[w.size for w in grads]).matrix
+        want = p @ (p.T @ g)
+        projected = verification._projected_gradient(grads, pairs)
+        assert [w.shape for w in projected] == [w.shape for w in grads]
+        assert np.max(np.abs(stack_params(projected) - want)) <= 1e-12
+
+
 class TestExpectationIdentity:
     def test_passes_on_low_rank_quadratic(self):
         problem, params, pairs = quadratic_cell(12, [(4, 3), (3, 3)], 2)
@@ -274,13 +305,17 @@ class TestExpectationIdentity:
         assert rep.target == pytest.approx(0.0, abs=1e-10)
         assert rep.passed, rep
 
-    def test_rejects_relayouted_pairs(self):
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_passes_on_relayout_pairs(self, rank):
+        # the (8, 2) layer is relaid to 4x4; its target reads the gradient
+        # row-major in that geometry, as the perturbation is formed.  At
+        # rank 4 the subspace is the whole layer, at rank 3 it is not
         problem = QuadraticProblem.generate(16, [(8, 2)])
         params = problem.initial_params()
-        pairs = build_pairs(GaussianStream(2), params, 4)  # auto relayout
+        pairs = build_pairs(GaussianStream(2), params, rank)  # auto relayout
         assert pairs[0].shape.rows == 4 and pairs[0].shape.cols == 4
-        with pytest.raises(ShapeError):
-            check_expectation_identity(problem, pairs, params, 10)
+        rep = check_expectation_identity(problem, pairs, params, 20000, seed=3)
+        assert rep.passed, rep
 
 
 class TestSecondMoment:
@@ -845,12 +880,8 @@ ENTRY_POINTS = {
 }
 
 
-def entry_point_cell(cell, name):
-    if cell != "quadratic":
-        return {"quartic": quartic_cell, "mlp": mlp_cell,
-                "logistic": logistic_cell}[cell]()
-    # the projector check needs native pairs; a vector layer stays
-    return mixed_cell(reshape="never" if name == "expectation_identity" else "auto")
+ENTRY_POINT_CELLS = {"quadratic": mixed_cell, "quartic": quartic_cell,
+                     "mlp": mlp_cell, "logistic": logistic_cell}
 
 
 def _numbers(result) -> dict:
@@ -868,10 +899,30 @@ def assert_same_numbers(got: dict, want: dict):
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("cell", ["quadratic", "quartic", "mlp", "logistic"])
 def test_checks_leave_the_parameters_bytes_unchanged(name, cell):
-    problem, params, pairs = entry_point_cell(cell, name)
+    problem, params, pairs = ENTRY_POINT_CELLS[cell]()
     before = [w.tobytes() for w in params]
     ENTRY_POINTS[name](problem, pairs, params)
     assert [w.tobytes() for w in params] == before
+
+
+# the entry points that read the pairs they are given
+PAIRED_ENTRY_POINTS = sorted(name for name in ENTRY_POINTS if "spsa" not in name)
+
+
+@pytest.mark.parametrize("cut", ["short", "long"])
+@pytest.mark.parametrize("name", PAIRED_ENTRY_POINTS)
+def test_pairs_not_one_per_layer_are_a_shape_error(name, cut):
+    problem, params, pairs = mixed_cell()
+    pairs = pairs[:1] if cut == "short" else pairs + [None]
+    with pytest.raises(ShapeError, match=f"{len(pairs)} pairs for 3 layers"):
+        ENTRY_POINTS[name](problem, pairs, params)
+
+
+@pytest.mark.parametrize("family", ["subzero", "spsa_full", "spsa_dense_subspace"])
+def test_no_parameters_are_a_shape_error(family):
+    problem, _, _ = mixed_cell()
+    with pytest.raises(ShapeError, match="0 pairs for 0 layers of 0 entries"):
+        estimator_diagnostics(problem, [], family, 10, pairs=[], dense_q=2)
 
 
 class TestLoopAgainstBlock:
@@ -881,7 +932,7 @@ class TestLoopAgainstBlock:
 
     @staticmethod
     def run(name, cell):
-        problem, params, pairs = entry_point_cell(cell, name)
+        problem, params, pairs = ENTRY_POINT_CELLS[cell]()
         return _numbers(ENTRY_POINTS[name](problem, pairs, params))
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))

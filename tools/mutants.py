@@ -49,6 +49,9 @@ _DIGEST = ("tests/test_determinism.py::"
            "test_digest_tool_prints_six_sections_and_a_combined_hash")
 _V = "src/subzero/verification.py"
 _GUARD = "tests/test_verification.py::TestBlockGuard::"
+_PROJECTED = "tests/test_verification.py::TestProjectedGradient::"
+_EXPECT = "tests/test_verification.py::TestExpectationIdentity::"
+_NORM = "tests/test_verification.py::TestProjectedGradientNorm::"
 
 MUTANTS = (
     # draw_direction's walk
@@ -136,6 +139,21 @@ MUTANTS = (
     Mutant("guard-rho-allowance-dropped", _V,
            "> _GUARD_RHO_UNITS * floor", "> 0.0 * floor",
            (_GUARD + "test_guard_covers_only_the_first_64_samples",)),
+    # the layer-wise targets (test_01's cores are 1x1, so it misses the first)
+    Mutant("expectation-target-core-transposed", _V,
+           "(p.u @ core @ p.v.T)", "(p.u @ core.T @ p.v.T)",
+           (_PROJECTED + "test_matches_the_materialized_projector[10]",
+            _EXPECT + "test_passes_on_low_rank_quadratic")),
+    Mutant("projection-reads-the-layer-shape", _V,
+           "g.reshape(p.shape.rows, p.shape.cols)", "g",
+           (_EXPECT + "test_passes_on_relayout_pairs[3]",
+            _NORM + "test_reshaped_pair_uses_its_own_geometry")),
+    Mutant("projection-reads-column-major", _V,
+           "g.reshape(p.shape.rows, p.shape.cols)",
+           'g.reshape(p.shape.rows, p.shape.cols, order="F")',
+           (_EXPECT + "test_passes_on_relayout_pairs[3]",
+            _EXPECT + "test_passes_on_relayout_pairs[4]",
+            _NORM + "test_reshaped_pair_uses_its_own_geometry")),
     Mutant("battery-pairs-seed-shifted", _V,
            "_TAG_PAIRS, i)", "_TAG_PAIRS, i + 1)",
            (_DIGEST, "tests/test_verification.py::TestBattery::"
