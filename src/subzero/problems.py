@@ -129,9 +129,11 @@ def _start_layers(x0: np.ndarray | None,
 class QuadraticProblem(_Problem):
     """``f(x) = x^T H x + b^T x`` over a layered parameter vector.
 
-    ``H`` is symmetric positive definite, so the loss is strongly convex
-    with curvature known in closed form: the gradient is ``2 H x + b`` and
-    the gradient Lipschitz constant is twice the largest eigenvalue.
+    ``H`` is stored as its symmetric part ``(H + H^T) / 2``, which gives
+    the same loss, so the gradient is ``2 H x + b`` for any ``H`` given.
+    For a positive semidefinite ``H`` the gradient Lipschitz constant is
+    twice the largest eigenvalue; :meth:`generate`'s is positive definite,
+    so its loss is strongly convex.
     Layer shapes define how ``x`` is split into parameter matrices under the
     package's column-major flattening.
     """
@@ -144,6 +146,7 @@ class QuadraticProblem(_Problem):
         self.h = np.asarray(h, dtype=np.float64)
         if self.h.shape != (d, d):
             raise ShapeError(f"H must be {(d, d)} for these layers, got {self.h.shape}")
+        self.h = 0.5 * (self.h + self.h.T)
         self.b = np.zeros(d) if b is None else np.asarray(b, dtype=np.float64)
         if self.b.shape != (d,):
             raise ShapeError(f"b must have shape {(d,)}, got {self.b.shape}")
@@ -158,12 +161,11 @@ class QuadraticProblem(_Problem):
         stream = GaussianStream(seed)
         q = qr_orthonormal(gaussian_matrix(stream, d, d))
         lams = np.geomspace(lam_max / kappa, lam_max, d)
-        h = (q * lams) @ q.T
-        h = 0.5 * (h + h.T)
         x0 = stream.normals(d)
         x0 /= np.linalg.norm(x0)
-        return cls(h=h, layer_shapes=layer_shapes, x0=x0,
-                   dataset_size=dataset_size)
+        # H in numpy's own C loop, not BLAS: the same on any BLAS thread count
+        return cls(h=np.einsum("ik,jk->ij", q * lams, q), layer_shapes=layer_shapes,
+                   x0=x0, dataset_size=dataset_size)
 
     def loss(self, params, batch) -> float:
         x = stack_params(params)

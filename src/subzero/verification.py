@@ -121,12 +121,21 @@ def materialize_projector(
     return BlockDiagProjector(matrix=matrix)
 
 
+def _fitted(layers, pairs) -> Iterator[tuple]:
+    """``zip(layers, pairs)``; ``ShapeError`` at a pair whose geometry does
+    not hold its layer's entries."""
+    for w, p in zip(layers, pairs):
+        if p is not None and w.size != p.shape.size:
+            raise ShapeError(f"pair geometry {p.shape} does not cover {w.shape}")
+        yield w, p
+
+
 def _projected_cores(grads, pairs) -> list[np.ndarray]:
     """``P^T grad`` layer by layer: ``U^T G V`` for a matrix layer, with
     ``G`` read row-major in the pair's geometry, and a vector layer's
     gradient as it is."""
     return [g if p is None else p.u.T @ g.reshape(p.shape.rows, p.shape.cols) @ p.v
-            for g, p in zip(grads, pairs)]
+            for g, p in _fitted(grads, pairs)]
 
 
 def _projected_gradient(grads, pairs) -> list[np.ndarray]:
@@ -323,7 +332,7 @@ def _delta_rows(params, pairs, seeds: np.ndarray) -> np.ndarray:
     k = seeds.size
     values = normals_block(seeds, subspace_dimension(params, pairs))
     blocks, at = [], 0
-    for w, pair in zip(params, pairs):
+    for w, pair in _fitted(params, pairs):
         n = w.size if pair is None else pair.rank ** 2
         layer = values[:, at:at + n]
         if pair is not None:
@@ -587,7 +596,7 @@ def subspace_start(problem, pairs, seed: int, value: float) -> list[np.ndarray]:
     """
     stream = GaussianStream(seed)
     params = []
-    for w, pair in zip(problem.initial_params(), pairs):
+    for w, pair in _fitted(problem.initial_params(), pairs):
         if pair is None:
             raise ShapeError("subspace starts need low-rank pairs on every layer")
         core = gaussian_matrix(stream, pair.rank, pair.rank)

@@ -1,9 +1,9 @@
 """Name the build the stream and digest pins ran on, in every log of this
 suite: the stream's values depend on numpy's float64 ``log`` and ``cos``
 loops and on the C library behind them, and the digest's also on the BLAS
-library, the kernels it picks for the CPU and the threads it splits over."""
+library and the kernels it and numpy pick for the CPU.  The BLAS thread
+count is not named: no pinned number depends on it."""
 
-import os
 import platform
 
 import numpy as np
@@ -11,9 +11,8 @@ import numpy as np
 
 def build_stamp() -> str:
     """One line naming everything the digest pins are known to depend on:
-    numpy, its BLAS, the C library, the machine, whether the CPU has
-    AVX-512, and what sets the BLAS thread count (the CPUs this process may
-    run on, and any thread variable in the environment)."""
+    numpy, its BLAS, the C library, the machine and whether the CPU has
+    AVX-512."""
     libc, version = platform.libc_ver()
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -25,14 +24,8 @@ def build_stamp() -> str:
             avx512f = "yes" if "avx512f" in fh.read().split() else "no"
     except OSError:
         avx512f = "unknown"
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())
-    threads = "".join(f", {var}={os.environ[var]}" for var in (
-        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-        if var in os.environ)
     return (f"numpy {np.__version__}, blas {blas}, libc {libc or 'unknown'} "
-            f"{version}, machine {platform.machine()}, avx512f {avx512f}, "
-            f"cpus {cpus}{threads}")
+            f"{version}, machine {platform.machine()}, avx512f {avx512f}")
 
 
 def pytest_report_header(config):

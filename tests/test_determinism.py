@@ -17,13 +17,14 @@ matmuls too.  The trajectory pins therefore compare at ``rtol=1e-9``; a
 change in the perturbation draws, the pass sequence or the update rule
 moves them by far more than that.
 
-What the BLAS thread count moves: on one numpy build and CPU, training
-trajectories and convergence hitting times are bit-identical under one
-and two OpenBLAS threads, and a Monte Carlo report moves by rounding only
-(9e-16 relative on the battery's ``variance_ordering`` row, when measured).
+What the BLAS thread count moves: nothing pinned, on the build measured.
+There the one number that moved with it was the quadratic's ``H``, a BLAS
+product at d = 100, and ``QuadraticProblem.generate`` now forms ``H`` in
+numpy's own ``einsum`` loop.  ``tools/digest.py`` prints the same bytes
+under the default thread count and under ``OPENBLAS_NUM_THREADS=1`` and
+``=4``, so a build has one digest pin whatever its thread count.
 """
 
-import json
 import os
 import re
 import subprocess
@@ -95,107 +96,65 @@ def test_twenty_step_trajectory_is_pinned(family):
     np.testing.assert_allclose(got, TRAJECTORY_PINS[family], rtol=1e-9)
 
 
-# 20 steps of each family with train_mlp_wide's settings (spsa_full and
-# spsa_dense_subspace draw d stream values a pass, so they train on
-# train_mlp_fullspace's problem), the small convergence cell's hits, and
-# the battery's variance-ordering estimate
-THREADS_SCRIPT = """
-import hashlib, json
-import numpy as np
-import subzero as sz
-from subzero import cli
-from subzero.verification import convergence_hitting_times
-
-h = hashlib.sha256()
-wide = cli.build_problem(cli.ProblemSpec(family="mlp", n_features=512, hidden=(512,),
-                                         n_outputs=8, dataset_size=256))
-small = cli.build_problem(cli.ProblemSpec(family="mlp", n_features=64, hidden=(64,),
-                                          n_outputs=16, dataset_size=256))
-for problem, family in ((wide, "subzero"), (wide, "exact_sgd"),
-                        (small, "spsa_full"), (small, "spsa_dense_subspace")):
-    config = sz.OptimizerConfig(family=family, steps=20, batch_size=32, rank=16,
-                                learning_rate=5e-3, epsilon=1e-3, refresh_period=50)
-    state = sz.init_state(problem, config)
-    for _ in range(config.steps):
-        rec = sz.step(problem, state, config)
-        h.update(np.array([rec.loss_plus, rec.loss_minus, rec.rho]).tobytes())
-    for w in state.params:
-        h.update(np.ascontiguousarray(w).tobytes())
-problem = sz.QuadraticProblem.generate(34, [(6, 6)])
-pairs = sz.build_pairs(sz.GaussianStream(sz.derive_seed(3, 0x64, 0)),
-                       problem.initial_params(), 2, reshape="never")
-cfg = sz.ConvergenceConfig(rank=2, runs=6, step_cap=30_000, master_seed=3)
-cells = convergence_hitting_times(problem, pairs, [0.1, 0.05, 0.025], cfg)
-ordering = [r.estimate for r in sz.run_default_battery(n_mc=300, n_mc_bias=300)
-            if r.check == "variance_ordering"]
-print(json.dumps({"hash": h.hexdigest(), "hits": [c.hit for c in cells],
-                  "variance_ordering": ordering[0]}))
-"""
+DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
+# the variables OpenBLAS reads its thread count from
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def test_blas_thread_count_moves_no_trajectory():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    # the thread count is set in the two subprocesses' environment only
-    procs = [subprocess.Popen([sys.executable, "-c", THREADS_SCRIPT],
-                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                                       PYTHONPATH=path),
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for threads in ("1", "2")]
-    results = []
-    for proc in procs:
-        out, err = proc.communicate(timeout=600)
-        assert proc.returncode == 0, err
-        results.append(json.loads(out))
-    one, two = results
-    assert one["hash"] == two["hash"]
-    assert one["hits"] == two["hits"] == [681, 340, 167]
-    assert one["variance_ordering"] == pytest.approx(two["variance_ordering"],
-                                                     rel=1e-12, abs=0.0)
+def run_digest(threads=None) -> subprocess.Popen:
+    """tools/digest.py started in a subprocess under ``threads`` OpenBLAS
+    threads, or under OpenBLAS's default with ``None``."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.Popen([sys.executable, str(DIGEST)], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def digest_output(proc: subprocess.Popen) -> str:
+    out, err = proc.communicate(timeout=600)
+    assert proc.returncode == 0, err
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_digest() -> str:
+    """tools/digest.py's output under OpenBLAS's default thread count."""
+    return digest_output(run_digest())
+
+
+def test_blas_thread_count_moves_no_trajectory(default_digest):
+    procs = [run_digest(threads) for threads in ("1", "4")]
+    assert [digest_output(proc) for proc in procs] == [default_digest] * 2
 
 
 # tools/digest.py's output, keyed by the build stamp it was measured under
-# (conftest.build_stamp).  Its hashes depend on the numpy, libm and BLAS
-# build and on the BLAS thread count: under OPENBLAS_NUM_THREADS=1 the
-# monte_carlo and diagnostics sections move.  A change that moves a section
-# on purpose updates its pin here and says why.  monte_carlo last moved when
-# the expectation check's target became the layer-wise P P^T grad in place
-# of the materialized projector's product: its three expectation_identity
-# rows moved in their last digits (under 1e-15 relative), no pass changed.
+# (conftest.build_stamp); it depends on the numpy, libm and BLAS build, not
+# on the BLAS thread count.  A change that moves a section on purpose
+# updates its pin here and says why.  Last moves: quadratic, monte_carlo
+# and diagnostics when QuadraticProblem.generate formed H with einsum in
+# place of a BLAS product (H moved by rounding); train_mlp_fullspace when
+# it gained 20 spsa_dense_subspace steps, and monte_carlo when it gained
+# the small convergence cell's hitting times; combined with them.
 DIGEST_PINS = {
     "numpy 2.4.6, blas scipy-openblas 0.3.31.188.0, libc glibc 2.36, "
-    "machine x86_64, avx512f yes, cpus 2": {
+    "machine x86_64, avx512f yes": {
         "train_mlp_wide": "3a79cc6128d5cbdbca41a334822626580c1b693682b4a50aa3b2e075baa0ffc4",
         "train_mlp_fullspace":
-            "9587fe1e18c260c16fc69387e45fbc32411e07b5999c89b60a70a84063dfcca4",
-        "quadratic": "3aa83482800392f0dc1a39efe40e322efa19d1d777c3357804d30ddd713c2ca9",
-        "monte_carlo": "f9dc666cf9de62854128f70f373829ce2675f3e9ac170f3c10c566eb13c4e91c",
-        "diagnostics": "6b92f20f8ff19a930b3d72d23070d0e0e13a99d53a589ef5f9189c5c8f51afcd",
+            "9d61b4046aba9a74d04ebc8b46aae1be3ef2cdb1d8189010d39eb3ddc145171a",
+        "quadratic": "dee84aff898fd663a4d8a0e3fa830af2235d1435973fd5dd1cdeac05383dcecc",
+        "monte_carlo": "402cb8e37e0cedee63ed187742f7bc669b56669ab2332721e050a1ab81832a55",
+        "diagnostics": "02d177b5c5e7c45ca84adafd25a843985ece2504fa90f3e3e62886c4e5295edb",
         "exact_sgd": "441ce35e67a53852ab4974668fe84f4c6b8472f19f31189147c8c408f48fc32f",
-        "combined": "6f95ce0d2156a88cdb53ad5c5ffb2f42737a327374d13833bea1957630a50ba5",
-    },
-    "numpy 2.4.6, blas scipy-openblas 0.3.31.188.0, libc glibc 2.36, "
-    "machine x86_64, avx512f yes, cpus 2, OPENBLAS_NUM_THREADS=1": {
-        "train_mlp_wide": "3a79cc6128d5cbdbca41a334822626580c1b693682b4a50aa3b2e075baa0ffc4",
-        "train_mlp_fullspace":
-            "9587fe1e18c260c16fc69387e45fbc32411e07b5999c89b60a70a84063dfcca4",
-        "quadratic": "3aa83482800392f0dc1a39efe40e322efa19d1d777c3357804d30ddd713c2ca9",
-        "monte_carlo": "570664a1a31bb3535082226fe8f67ce001ac4b67393e34839ec1d41c15da313b",
-        "diagnostics": "a6082a44117626da326865f84760305e61566a88e9dac5242c296d93b9ef275c",
-        "exact_sgd": "441ce35e67a53852ab4974668fe84f4c6b8472f19f31189147c8c408f48fc32f",
-        "combined": "8c1e1a8145741e9f169f6025541030459cf60974bc50f83c24bdde63460e743f",
+        "combined": "b7a434e683b233dd6722c5487f0aa06142e902a67e32d53bc6745a50353f8d3b",
     },
 }
 
 
-def test_digest_tool_prints_six_sections_and_a_combined_hash():
+def test_digest_tool_prints_six_sections_and_a_combined_hash(default_digest):
     # tools/digest.py is what every bit-identity claim cites; its output is
     # compared with the pin of this build, if one is recorded
-    digest = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
-    proc = subprocess.run([sys.executable, str(digest)], capture_output=True,
-                          text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    *sections, combined = proc.stdout.splitlines()
+    *sections, combined = default_digest.splitlines()
     assert [line.split()[0] for line in sections] == [
         "train_mlp_wide", "train_mlp_fullspace", "quadratic", "monte_carlo",
         "diagnostics", "exact_sgd"]

@@ -261,10 +261,10 @@ class TestDenseSubspace:
     # (loss_plus, loss_minus) and the last estimate layer, as float.hex, of
     # the probe at the initial parameters on the full batch, q=4, seed=7
     PINS = {
-        "quadratic": (("0x1.dee7398509249p-2", "0x1.ddb3ffb9bc8e7p-2"),
-                      ["0x1.d7d4635747bb2p-2", "-0x1.550af2c561e11p-1",
-                       "0x1.9966e9bf31770p-7", "0x1.f15390879b6e6p+0",
-                       "0x1.ce7a7e5824b36p-1"]),
+        "quadratic": (("0x1.dee7398509249p-2", "0x1.ddb3ffb9bc8e6p-2"),
+                      ["0x1.d7d4635747d3bp-2", "-0x1.550af2c561f2dp-1",
+                       "0x1.9966e9bf318c5p-7", "0x1.f15390879b884p+0",
+                       "0x1.ce7a7e5824cb7p-1"]),
         "mlp": (("0x1.dd5b39c8b918bp-1", "0x1.dc87024300c9cp-1"),
                 ["-0x1.61ac6f1513699p-4", "-0x1.7ad93f1c98034p-1",
                  "0x1.ecb682f75551cp-6", "-0x1.11a84e346b47ep-3"]),

@@ -99,6 +99,15 @@ class TestQuadratic:
         with pytest.raises(ShapeError):
             QuadraticProblem(h=np.eye(3), layer_shapes=[(2, 2)])
 
+    def test_an_asymmetric_h_is_read_as_its_symmetric_part(self):
+        prob = QuadraticProblem(h=[[2.0, 1.0], [0.0, 3.0]], layer_shapes=[(2,)],
+                                x0=[1.0, -2.0])
+        params = prob.initial_params()
+        np.testing.assert_array_equal(prob.exact_gradient(params, None)[0], [2.0, -11.0])
+        assert_gradients_match(prob, params, full_batch(prob), rtol=1e-6, atol=1e-9)
+        # the symmetric part's eigenvalues are (5 -+ sqrt(2)) / 2
+        assert prob.smoothness == pytest.approx(5.0 + math.sqrt(2.0), rel=1e-12)
+
     def test_row_losses_match_loss(self):
         assert_row_losses_match_loss(self.prob)
 

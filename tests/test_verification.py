@@ -909,12 +909,19 @@ def test_checks_leave_the_parameters_bytes_unchanged(name, cell):
 PAIRED_ENTRY_POINTS = sorted(name for name in ENTRY_POINTS if "spsa" not in name)
 
 
-@pytest.mark.parametrize("cut", ["short", "long"])
+@pytest.mark.parametrize("cut", ["short", "long", "misfit"])
 @pytest.mark.parametrize("name", PAIRED_ENTRY_POINTS)
 def test_pairs_not_one_per_layer_are_a_shape_error(name, cut):
-    problem, params, pairs = mixed_cell()
-    pairs = pairs[:1] if cut == "short" else pairs + [None]
-    with pytest.raises(ShapeError, match=f"{len(pairs)} pairs for 3 layers"):
+    if cut == "misfit":   # one pair, but in a 3x3 geometry for a (4, 4) layer
+        problem = QuadraticProblem.generate(29, [(4, 4)])
+        params = problem.initial_params()
+        pairs = build_pairs(GaussianStream(29), [np.zeros((3, 3))], 2)
+        match = r"pair geometry .*rows=3, cols=3.* does not cover \(4, 4\)"
+    else:
+        problem, params, pairs = mixed_cell()
+        pairs = pairs[:1] if cut == "short" else pairs + [None]
+        match = f"{len(pairs)} pairs for 3 layers"
+    with pytest.raises(ShapeError, match=match):
         ENTRY_POINTS[name](problem, pairs, params)
 
 
@@ -1036,6 +1043,12 @@ class TestConvergence:
         # double the hitting time
         for wide, tight in zip(hits, hits[1:]):
             assert 1.4 <= tight / wide <= 3.0, hits
+
+    def test_a_pair_that_does_not_fit_its_layer_is_a_shape_error(self):
+        problem = QuadraticProblem.generate(29, [(4, 4)])
+        pairs = build_pairs(GaussianStream(29), [np.zeros((3, 3))], 2)
+        with pytest.raises(ShapeError, match=r"does not cover \(4, 4\)"):
+            convergence_hitting_times(problem, pairs, [0.1], SMALL_CFG)
 
     def test_runs_stop_at_the_tightest_hit(self, monkeypatch):
         problem = QuadraticProblem.generate(34, [(6, 6)])

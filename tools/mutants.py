@@ -47,6 +47,7 @@ _KEPT = "tests/test_perturbation.py::TestKeptLayers::"
 _INJECT = "tests/test_optimizer.py::test_failed_pass_leaves_params_where_it_found_them"
 _DIGEST = ("tests/test_determinism.py::"
            "test_digest_tool_prints_six_sections_and_a_combined_hash")
+_MISFIT = "tests/test_verification.py::test_pairs_not_one_per_layer_are_a_shape_error"
 _V = "src/subzero/verification.py"
 _GUARD = "tests/test_verification.py::TestBlockGuard::"
 _PROJECTED = "tests/test_verification.py::TestProjectedGradient::"
@@ -154,6 +155,10 @@ MUTANTS = (
            (_EXPECT + "test_passes_on_relayout_pairs[3]",
             _EXPECT + "test_passes_on_relayout_pairs[4]",
             _NORM + "test_reshaped_pair_uses_its_own_geometry")),
+    Mutant("verification-pair-geometry-unchecked", _V,
+           "if p is not None and w.size != p.shape.size:", "if False:",
+           (_MISFIT + "[expectation_identity-misfit]",
+            _MISFIT + "[diagnostics_subzero-misfit]")),
     Mutant("battery-pairs-seed-shifted", _V,
            "_TAG_PAIRS, i)", "_TAG_PAIRS, i + 1)",
            (_DIGEST, "tests/test_verification.py::TestBattery::"
@@ -163,6 +168,16 @@ MUTANTS = (
            "derive_seeds(masters, _TAG_STEP, last=t + 1)",
            ("tests/test_verification.py::TestConvergence::"
             "test_block_positions_follow_the_trainer[34-shapes0]",)),
+    # the quadratic's H: formed without BLAS, so no digest section moves with
+    # the BLAS thread count, and read as its symmetric part
+    Mutant("quadratic-h-through-blas", "src/subzero/problems.py",
+           'np.einsum("ik,jk->ij", q * lams, q)', "(q * lams) @ q.T",
+           ("tests/test_determinism.py::test_blas_thread_count_moves_no_trajectory",
+            _DIGEST)),
+    Mutant("quadratic-h-not-symmetrized", "src/subzero/problems.py",
+           "self.h = 0.5 * (self.h + self.h.T)", "pass",
+           ("tests/test_problems.py::TestQuadratic::"
+            "test_an_asymmetric_h_is_read_as_its_symmetric_part",)),
 )
 
 
