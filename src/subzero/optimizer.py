@@ -22,10 +22,13 @@ the probe passes ``A`` to the loss with its own perturbation.  The merge
 layer; it runs when the pairs refresh, under the outgoing pairs, and
 whenever :attr:`TrainerState.params` is read.  Peak transient memory of a
 layer-wise step is therefore the drawn direction plus one buffer of at
-most a small layer or a 256 kB row block of a large one, or the loss
-evaluation's activations if they are larger, however many layers the model
-has; on ``train_mlp_wide`` the probe's loss evaluations set it, and a
-merge step adds one row block.  A failed step leaves the parameters and
+most a small layer, a 256 kB row block of a large one or a 16 kB chunk of
+replayed vector values, or the loss evaluation's activations if they are
+larger, however many layers the model has.  The loss adds each bias in
+blocks of rows, so it holds no broadcast buffer beyond 4 kB.  On
+``train_mlp_wide`` the probe's loss evaluations set the peak, and a merge
+step adds one row block; on ``spsa_full``'s ``train_mlp_fullspace`` no
+replayed layer exists whole, and the loss evaluations set it too.  A failed step leaves the parameters and
 the pending cores where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``

@@ -31,8 +31,11 @@ skipped layer costs a pass nothing.  Across them a step holds
 ``8 (q + kept vector values)`` bytes of direction, plus at most
 ``_KEPT_BYTES`` of formed layers.  A pass adds one transient buffer at a
 time: a kept layer's product with the pass's coefficient, the whole delta
-of another layer of at most ``_DOT_MAX_ENTRIES`` entries, or a row block
-of at most 256 kB of a larger matrix layer.
+of another layer of at most ``_DOT_MAX_ENTRIES`` entries, a row block of
+at most 256 kB of a larger matrix layer, or a chunk of at most
+``_CHUNK_VALUES`` (2048 values, 16 kB) of replayed values.  A pass streams
+each run of adjacent replayed layers that are C-contiguous, so no
+replayed layer exists whole; a column-major one is drawn whole.
 """
 
 from __future__ import annotations
@@ -257,9 +260,18 @@ def build_pairs(stream: GaussianStream, params: Sequence[np.ndarray], rank: int,
 # peak step bytes by 13 %, so it stays formed in each pass.  16 kB is half
 # the whole delta a pass of a small layer may already hold, so only layers
 # below the cut-over are ever kept.
+#
+# A pass streams replayed vector values in chunks of _CHUNK_VALUES, the
+# kept budget's 2048 values (16 kB), fixed when the module loads, so a
+# budget patched to 0 (nothing formed) still streams.  On
+# train_mlp_fullspace's 5200 replayed values a pass then draws 11 stream
+# blocks in 3 calls, where one call per layer drew 12 in 4, and peaks at
+# 34.8 kB under tracemalloc against 50.6 kB with W1's 4096 values drawn
+# whole (the delta plus the stream's block scratch).
 _DOT_MAX_ENTRIES = 4096
 _BLOCK_ENTRIES = 32768
 _KEPT_BYTES = 16384
+_CHUNK_VALUES = _KEPT_BYTES // 8
 
 
 class Direction:
@@ -277,7 +289,8 @@ class Direction:
       if drawn so and a view of the stream call that drew it: a matrix
       layer each pass forms, or adds in row blocks, or the probe holds
       out.
-    * an int: a vector layer replayed from the stream at that counter.
+    * an int: a vector layer replayed from the stream at that counter, by
+      each pass in chunks of at most ``_CHUNK_VALUES`` values.
 
     The constructor marks every kept array read-only, so no pass scales
     one in place: a pass adds ``coeff * delta``, which rounds as scaling a
@@ -398,7 +411,9 @@ def iter_perturbation_layers(
     walk alone, and the caller may scale it in place.  Every pass of
     :func:`axpy_perturbation` walks this sequence with ``factored`` set:
     then a matrix layer above ``_DOT_MAX_ENTRIES`` that is C-contiguous or
-    in the pair's geometry is yielded as the tuple ``(u, Z, v)`` instead.
+    in the pair's geometry is yielded as the tuple ``(u, Z, v)`` instead,
+    and a replayed C-contiguous layer as its stream counter, an int, which
+    the pass streams; nothing is drawn for it here.
     """
     direction = draw_direction(params, pairs, seed)
     if direction.kept:
@@ -408,7 +423,6 @@ def iter_perturbation_layers(
 
 def _layers(params: Sequence[np.ndarray], direction: Direction,
             factored: bool) -> Iterator[np.ndarray]:
-    stream = None
     for w, layer in zip(params, direction.layers):
         if type(layer) is tuple:
             u, z, v = layer
@@ -423,12 +437,11 @@ def _layers(params: Sequence[np.ndarray], direction: Direction,
                 delta = u @ (z @ v.T)
             if delta.shape != w.shape:
                 delta = delta.reshape(w.shape)
-        elif type(layer) is int:
-            if stream is None:
-                stream = GaussianStream(direction.seed)
+        elif type(layer) is int and not (factored and w.flags.c_contiguous):
+            stream = GaussianStream(direction.seed)
             stream.reset(layer)
             delta = stream.normals(w.size).reshape(w.shape)
-        else:
+        else:   # kept, or a replayed layer a factored pass streams
             delta = layer
         yield delta
 
@@ -490,6 +503,51 @@ def _block(buf: np.ndarray, u_rows: np.ndarray, core: np.ndarray,
     return block
 
 
+def _run_end(params: Sequence[np.ndarray], layers: list, i: int,
+             skip: Collection[int]) -> int:
+    """The counter where the run of replayed layers from layer ``i`` ends:
+    the layers a pass streams (C-contiguous, not skipped) whose counters
+    follow one another."""
+    end = layers[i]
+    while (i < len(layers) and type(layers[i]) is int and layers[i] == end
+           and i not in skip and params[i].flags.c_contiguous):
+        end, i = end + params[i].size, i + 1
+    return end
+
+
+class _Replay:
+    """The rest of a run of replayed layers in one pass, added from chunks
+    of at most ``_CHUNK_VALUES`` stream values, each scaled in place by
+    ``coeff`` and drawn when the last is used up.  ``chunk`` holds the
+    scaled values drawn and not added yet, and ``end`` is the counter where
+    the run ends (:func:`_run_end`): a chunk never reaches past it, so it
+    continues into a layer only when that layer's counter is where the
+    chunk stands."""
+
+    def __init__(self, seed: int, coeff: float, end: int):
+        self.stream, self.coeff, self.chunk, self.end = GaussianStream(seed), coeff, (), end
+
+    def add(self, flat: np.ndarray, at: int) -> None:
+        """Add the scaled values from counter ``at`` on to the 1-D view
+        ``flat`` in place.  Atomic: if a draw or an add raises, the values
+        already added are redrawn and taken back first."""
+        done = 0
+        try:
+            while done < flat.size:
+                if not len(self.chunk):
+                    self.chunk = ()     # released before the next is drawn
+                    self.stream.reset(at + done)
+                    self.chunk = self.stream.normals(min(_CHUNK_VALUES, self.end - at - done))
+                    self.chunk *= self.coeff
+                take = min(len(self.chunk), flat.size - done)
+                target = flat[done:done + take]
+                target += self.chunk[:take]
+                self.chunk, done = self.chunk[take:], done + take
+        except BaseException:
+            _Replay(self.stream.seed, -self.coeff, at + done).add(flat[:done], at)
+            raise
+
+
 def axpy_perturbation(
     params: Sequence[np.ndarray],
     pairs: Sequence[Optional[ProjectionPair]],
@@ -506,14 +564,20 @@ def axpy_perturbation(
     another layer of at most ``_DOT_MAX_ENTRIES`` entries is formed whole
     in one transient buffer, scaled there and added; a larger matrix layer
     is added in row blocks of at most 256 kB (:func:`_add_rows`), and a
-    skipped large layer costs nothing.  So peak extra memory is the drawn
-    direction plus one such buffer, never the full parameter count.
-    Atomic: if anything raises partway, the layers already added are
-    replayed with ``-coeff``, skipping the same ones, before the error
-    propagates.
+    skipped large layer costs nothing.  Each run of adjacent replayed
+    layers that are C-contiguous and not skipped is added from chunks of
+    at most ``_CHUNK_VALUES`` values, one stream call each, drawn after the
+    last is released, scaled in place and added through each layer's flat
+    view (:class:`_Replay`); a chunk runs on into the next layer when that
+    layer's counter is where it stands.  Every value rounds as in the whole
+    delta.  So peak extra memory is the drawn direction plus one such
+    buffer or chunk, never a replayed layer and never the full parameter
+    count.  Atomic: a layer whose row blocks or chunks raise partway takes
+    back what it added, and then the layers already added are replayed
+    with ``-coeff``, skipping the same ones, before the error propagates.
     """
     direction = draw_direction(params, pairs, seed)
-    done = 0
+    replay, done = None, 0
     try:
         # factored=True goes positionally: the benchmark's tracer wraps the
         # generator with four positional parameters and forwards them as given
@@ -523,6 +587,12 @@ def axpy_perturbation(
                 pass
             elif type(delta) is tuple:
                 _add_rows(w, *delta, coeff)
+            elif type(delta) is int:
+                if replay is None or not len(replay.chunk):
+                    # a run starts, or its last chunk ended with the last layer
+                    replay = _Replay(direction.seed, coeff,
+                                     _run_end(params, direction.layers, done, skip))
+                replay.add(w.reshape(-1), delta)
             elif delta.shape != w.shape:
                 raise ShapeError(f"kept layer {delta.shape} does not fit {w.shape}")
             else:   # a kept delta is read-only, and never scaled in place

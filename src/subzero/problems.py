@@ -48,12 +48,11 @@ class Minibatch:
 
 @dataclass(frozen=True, eq=False)
 class ProductBatch(Minibatch):
-    """A minibatch whose MLP first-layer input products are formed: the
-    targets, ``xw = x @ W1`` and ``xu = x @ u`` for the rows ``x`` the
-    indices select, without ``x``, and the ``u`` they were formed with; see
+    """A minibatch whose MLP first-layer input products are formed:
+    ``xw = x @ W1`` and ``xu = x @ u`` for the rows ``x`` the indices
+    select, without ``x``, and the ``u`` they were formed with; see
     :meth:`MlpProblem.probe_batch`."""
 
-    targets: np.ndarray
     xw: np.ndarray
     xu: np.ndarray
     u: np.ndarray
@@ -336,10 +335,6 @@ class MlpProblem(_Problem):
         params0 = cls._draw_params(stream, widths)
         return cls(inputs=inputs, targets=targets, params0=params0)
 
-    def _batch_data(self, batch):
-        idx = batch.indices
-        return self.inputs[idx], self.targets[idx]
-
     def probe_batch(self, params, batch, held) -> Minibatch:
         """``batch`` as the probe's two loss calls take it, given the
         probe's held-out factors ``held`` (``{i: (u, Z, v)}``).  When layer
@@ -354,21 +349,17 @@ class MlpProblem(_Problem):
             return batch
         idx, u = batch.indices, held[0][0]
         x = self.inputs[idx]
-        return ProductBatch(indices=idx, targets=self.targets[idx],
-                            xw=x @ params[0], xu=x @ u, u=u)
+        return ProductBatch(indices=idx, xw=x @ params[0], xu=x @ u, u=u)
 
     def loss(self, params, batch, low_rank=None) -> float:
-        if isinstance(batch, ProductBatch):
-            out = _forward(params, None, low_rank,
-                           (batch.xw, batch.xu, batch.u))[-1]
-            y = batch.targets
-        else:
-            x, y = self._batch_data(batch)
-            out = _forward(params, x, low_rank)[-1]
+        first = (batch.xw, batch.xu, batch.u) if isinstance(batch, ProductBatch) else None
+        x = None if first else self.inputs[batch.indices]
+        out = _forward(params, x, low_rank, first)[-1]
+        y = self.targets[batch.indices]     # gathered after the forward
         return _check_finite(float(np.mean((out - y) ** 2)), "mlp loss")
 
     def exact_gradient(self, params, batch) -> list[np.ndarray]:
-        x, y = self._batch_data(batch)
+        x, y = self.inputs[batch.indices], self.targets[batch.indices]
         acts = _forward(params, x)
         out = acts[-1]
         grads: list[np.ndarray] = [np.empty(0)] * len(params)
@@ -413,20 +404,28 @@ def _forward(params: list[np.ndarray], x: np.ndarray | None,
             _, c, v = factors
             h = (xu @ c) @ v.T
             h += xw
-            # row by row: a broadcast ``h += b`` takes a buffer of up to
-            # 64 kB, held beside the shared ``x @ W1``
-            for row in h:
-                row += b
         else:
             h_in, h = h, h @ w
             if factors is not None:
                 u, c, v = factors
                 h += ((h_in @ u) @ c) @ v.T
-            h += b
+        _add_bias(h, b)
         if i < n_layers - 1:
             np.tanh(h, out=h)
         acts.append(h)
     return acts
+
+
+def _add_bias(h: np.ndarray, b: np.ndarray) -> None:
+    """``h += b`` in blocks of rows of at most 512 entries, bit for bit the
+    same additions.  numpy gives a broadcast in-place add an iterator
+    buffer the size of its operand, up to 64 kB; a block's is at most
+    4 kB.  A block of one row is a 1-D row of ``h``, whose add broadcasts
+    nothing and takes no buffer (half the time of a ``(1, n)`` block)."""
+    rows = max(1, 512 // b.size)
+    for start in range(0, len(h), rows):
+        block = h[start] if rows == 1 else h[start:start + rows]
+        block += b
 
 
 def full_batch(problem) -> Minibatch:

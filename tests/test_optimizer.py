@@ -285,6 +285,10 @@ class TestFailureHandling:
 
 # native 4x3, relayout of 8x2 to 4x4 at rank 3, and a vector layer
 _INJECT_LAYERS = ((4, 3), (8, 2), (5,))
+# a native 4x3 at rank 3 and two vector layers whose 13 values exceed its 12
+# entries, so every pass replays them: the kept 4x3 is added, then one chunk
+# of 13 values is drawn and added to each vector layer in turn
+_INJECT_STREAMED_LAYERS = ((4, 3), (6,), (7,))
 # passes per target: subzero's seeded probe and step, then the writes of a
 # stored direction (the dense-subspace probe and step, the exact-SGD update)
 _INJECT_PASSES = {"probe": 3, "step": 4, "dense_probe": 3, "dense_step": 4,
@@ -321,6 +325,19 @@ def _injection_cases():
             for exc in _INJECT_EXCEPTIONS:
                 yield pytest.param(target + "_draw", k, exc,
                                    id=f"{target}-draw-call{k}-{exc.__name__}")
+    # the streamed layout: each add of every probe and step pass, and each
+    # stream call, the direction's draw and then one chunk per pass
+    n = len(_INJECT_STREAMED_LAYERS)
+    for target in ("probe", "step"):
+        for k in range(_INJECT_PASSES[target] * n):
+            for exc in _INJECT_EXCEPTIONS:
+                yield pytest.param(
+                    target + "_streamed", k, exc,
+                    id=f"{target}-streamed-pass{k // n}-layer{k % n}-{exc.__name__}")
+        for k in range(1 + _INJECT_PASSES[target]):
+            for exc in _INJECT_EXCEPTIONS:
+                yield pytest.param(target + "_streamed_draw", k, exc,
+                                   id=f"{target}-streamed-draw-call{k}-{exc.__name__}")
     # the k-th row-block add of each probe and step pass on large layers
     n = len(_INJECT_LARGE_ADDS)
     for target in ("probe", "step"):
@@ -353,13 +370,15 @@ def _large_problem():
 def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
                                                        monkeypatch):
     large = target.endswith("_large")
-    target = target.removesuffix("_large")
+    streamed = "_streamed" in target
+    target = target.removesuffix("_large").replace("_streamed", "")
     if target.startswith("held"):
         prob = _held_mlp()
     elif large:
         prob, rank = _large_problem(), 16
     else:
-        prob = QuadraticProblem.generate(6, list(_INJECT_LAYERS), dataset_size=32)
+        layers = _INJECT_STREAMED_LAYERS if streamed else _INJECT_LAYERS
+        prob = QuadraticProblem.generate(6, list(layers), dataset_size=32)
         rank = 3
     touches = 0
 
@@ -434,14 +453,28 @@ def test_failed_pass_leaves_params_where_it_found_them(target, fail_at, exc,
             step(prob, state, cfg)
     assert state.step == t0
     for w, b in zip(state.layers, before):
-        # the draw precedes every write, and the merge fails at its first block
-        if in_draw or target == "held_merge":
+        # the direction's draw precedes every write (a streamed pass's chunk
+        # draws follow them), and the merge fails at its first block
+        if (in_draw and not (streamed and fail_at)) or target == "held_merge":
             assert np.array_equal(w, b)
         assert np.max(np.abs(w - b)) <= 1e-12
     assert state.pending.keys() == cores.keys()
     for i, a in cores.items():
         assert np.array_equal(state.pending[i], a)
     assert all(p is q for p, q in zip(state.pairs, pairs0))
+
+
+def test_the_streamed_injection_layout_draws_one_chunk_per_pass():
+    # the injection cases above count on this: the direction's draw of the
+    # 4x3 core, then one 13-value chunk for the vector layers in each pass
+    prob = QuadraticProblem.generate(6, list(_INJECT_STREAMED_LAYERS), dataset_size=32)
+    cfg = OptimizerConfig(family="subzero", steps=1, batch_size=8, rank=3,
+                          alignment="scale_z", master_seed=2)
+    pairs = build_pairs(GaussianStream(1), prob.initial_params(), 3)
+    state = init_state(prob, cfg, pairs=pairs)
+    direction = draw_direction(state.params, pairs, 5, aligned=True)
+    assert [type(layer) for layer in direction.layers] == [np.ndarray, int, int]
+    assert stream_calls(step, prob, state, cfg) == [(0, 9)] + [(9, 13)] * 4
 
 
 @pytest.mark.parametrize("family, held", [
@@ -538,6 +571,29 @@ def test_vectors_beyond_the_largest_matrix_layer_replay_every_pass(call, monkeyp
     drawn, q, vectors = _values_drawn(((4, 3), (6,), (7,)), call, monkeypatch)
     assert (q, vectors) == (9, 13)
     assert drawn == q + 4 * vectors
+
+
+def test_spsa_full_step_holds_no_layer_sized_replay():
+    # the benchmark's train_mlp_fullspace workload at seed 1 (a 64-64-16 MLP,
+    # d = 5200, batch 32), measured as acceptance test 8 measures a step.
+    # A pass streams the 4096-value W1 replay in 16 kB chunks and each bias
+    # is added in blocks of rows, so the loss sets the peak: 43.6 kB, where
+    # a whole W1 delta and a broadcast bias buffer made it 55.6 kB
+    from subzero.cli import ProblemSpec, build_problem
+    prob = build_problem(ProblemSpec(family="mlp", n_features=64, hidden=(64,),
+                                     n_outputs=16, dataset_size=256,
+                                     seed=derive_seed(1, 1)))
+    cfg = OptimizerConfig(family="spsa_full", batch_size=32, learning_rate=3e-3,
+                          epsilon=1e-3, master_seed=derive_seed(1, 2))
+    state = init_state(prob, cfg)
+    step(prob, state, cfg)      # warm-up: caches, lazy imports
+    tracemalloc.start()
+    try:
+        step(prob, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45_000, peak
 
 
 def test_step_on_a_512x512_layer_peaks_below_one_layer_buffer():

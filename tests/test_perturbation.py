@@ -685,6 +685,139 @@ class TestKeptLayers:
         assert [d.tobytes() for d in got] == [s.normals(w.size).tobytes() for w in params]
 
 
+def whole_delta_pass(params, pairs, direction, coeff, skip=()):
+    """What a pass added before replayed layers were streamed: each layer's
+    whole delta from the plain walk, scaled in a copy and added, on copies
+    of ``params``."""
+    work = [w.copy() for w in params]
+    for i, (w, delta) in enumerate(zip(work, iter_perturbation_layers(params, pairs,
+                                                                      direction))):
+        if i not in skip:
+            w += np.multiply(delta, coeff)
+    return work
+
+
+def streamed_layouts(n):
+    """Random ``spsa_full``-style layouts as ``(params, pairs, skip)``: two
+    to five layers drawn from vectors of 1, 2047, 2048, 2049 and 5000
+    values, 64x64 matrices with no pair, and a 6x5 matrix at rank 2 whose
+    core, drawn between the replayed layers, breaks a run.  A quarter of
+    them skip one layer."""
+    rng = np.random.default_rng(20261021)
+    kinds = [(1,), (2047,), (2048,), (2049,), (5000,), (64, 64), (6, 5)]
+    for _ in range(n):
+        shapes = [kinds[k] for k in rng.integers(0, len(kinds), int(rng.integers(2, 6)))]
+        params = [rng.standard_normal(s) for s in shapes]
+        pairs = [generate_proj_pair(GaussianStream(int(rng.integers(0, 2 ** 62))), 6, 5, 2)
+                 if s == (6, 5) else None for s in shapes]
+        skip = {int(rng.integers(0, len(shapes)))} if rng.random() < 0.25 else set()
+        yield params, pairs, skip
+
+
+class TestStreamedReplay:
+    """A pass adds the vector layers a direction replays from chunks of at
+    most ``_CHUNK_VALUES`` stream values, one run of adjacent layers at a
+    time, and adds what the whole-delta replay adds, bit for bit."""
+
+    def test_streamed_passes_equal_the_whole_delta_replay_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        runs = set()
+        for params, pairs, skip in streamed_layouts(60):
+            direction = draw_direction(params, pairs, int(rng.integers(0, 2 ** 62)))
+            replayed = [i for i, layer in enumerate(direction.layers)
+                        if type(layer) is int and i not in skip]
+            runs.add(len(replayed))
+            coeff = float(rng.uniform(-2.0, 2.0))
+            work = [w.copy() for w in params]
+            axpy_perturbation(work, pairs, direction, coeff, skip)
+            expected = whole_delta_pass(params, pairs, direction, coeff, skip)
+            assert [w.tobytes() for w in work] == [w.tobytes() for w in expected]
+            # the rollback replays a prefix of the direction, streamed too
+            for k in range(1, len(params)):
+                prefix = Direction(direction.seed, direction.layers[:k])
+                work = [w.copy() for w in params[:k]]
+                axpy_perturbation(work, pairs[:k], prefix, -coeff, skip)
+                expected = whole_delta_pass(params[:k], pairs[:k], prefix, -coeff, skip)
+                assert [w.tobytes() for w in work] == [w.tobytes() for w in expected]
+        assert {0, 1, 2, 3} <= runs
+
+    def test_a_pass_of_the_fullspace_layout_draws_one_call_per_chunk(self):
+        # train_mlp_fullspace's 64-64-16 MLP under spsa_full: one run of 5200
+        # values in chunks of 2048, 2048 and 1104, where each layer was one
+        # call of its own size
+        params = [np.zeros(s) for s in ((64, 64), (64,), (64, 16), (16,))]
+        direction = draw_direction(params, [None] * 4, 5)
+        calls = stream_calls(axpy_perturbation, params, [None] * 4, direction, 0.5)
+        assert calls == [(0, 2048), (2048, 2048), (4096, 1104)]
+        assert perturbation._CHUNK_VALUES == perturbation._KEPT_BYTES // 8 == 2048
+
+    def test_a_chunk_does_not_continue_across_a_gap(self):
+        # two replayed layers whose counters do not follow one another, and
+        # a skipped layer inside a run: each starts a chunk of its own
+        params = [np.zeros(2000), np.zeros(1000)]
+        direction = Direction(3, [0, 3000])
+        work = [w.copy() for w in params]
+        calls = stream_calls(axpy_perturbation, work, [None] * 2, direction, 0.5)
+        assert calls == [(0, 2000), (3000, 1000)]
+        expected = whole_delta_pass(params, [None] * 2, direction, 0.5)
+        assert [w.tobytes() for w in work] == [w.tobytes() for w in expected]
+        params = [np.zeros(100), np.zeros(50), np.zeros(30)]
+        direction = draw_direction(params, [None] * 3, 4)
+        work = [w.copy() for w in params]
+        calls = stream_calls(axpy_perturbation, work, [None] * 3, direction, 0.5, {1})
+        assert calls == [(0, 100), (150, 30)]
+        expected = whole_delta_pass(params, [None] * 3, direction, 0.5, {1})
+        assert [w.tobytes() for w in work] == [w.tobytes() for w in expected]
+
+    def test_a_fortran_ordered_replayed_matrix_takes_the_whole_delta_path(self):
+        s = GaussianStream(9)
+        params = [s.normals(300), np.asfortranarray(s.normals(4096).reshape(64, 64)),
+                  s.normals(50)]
+        direction = draw_direction(params, [None] * 3, 11)
+        walked = list(iter_perturbation_layers(params, [None] * 3, direction, True))
+        assert [type(d) for d in walked] == [int, np.ndarray, int]
+        work = [w.copy(order="K") for w in params]
+        calls = stream_calls(axpy_perturbation, work, [None] * 3, direction, -0.3)
+        assert calls == [(0, 300), (300, 4096), (4396, 50)]
+        expected = whole_delta_pass(params, [None] * 3, direction, -0.3)
+        assert work[1].flags.f_contiguous
+        assert [w.tobytes() for w in work] == [w.tobytes() for w in expected]
+
+    @pytest.mark.parametrize("fail_at", range(1, 6))
+    def test_a_failed_chunk_add_takes_back_what_its_layer_added(self, fail_at):
+        # one run of 2049 + 5000 values in chunks of 2048: the adds are
+        # layer 0's two and then layer 1's three, so a failure in layer 1
+        # takes back its own adds before layer 0 is rolled back
+        s = GaussianStream(2)
+        params = [s.normals(2049), s.normals(5000)]
+        direction = draw_direction(params, [None] * 2, 6)
+        work = [w.copy() for w in params]
+        with pytest.raises(Injected):
+            axpy_perturbation(failing_views(work, fail_at), [None] * 2, direction, 0.7)
+        for w, b in zip(work, params):
+            assert np.max(np.abs(w - b)) <= 1e-12
+
+    @pytest.mark.parametrize("fail_at", range(4))
+    def test_a_failed_chunk_draw_takes_back_what_was_added(self, fail_at, monkeypatch):
+        s = GaussianStream(2)
+        params = [s.normals(2049), s.normals(5000)]
+        direction = draw_direction(params, [None] * 2, 6)
+        work = [w.copy() for w in params]
+        normals, calls = GaussianStream.normals, []
+
+        def failing_normals(self, n):
+            calls.append(n)
+            if len(calls) == fail_at + 1:
+                raise Injected("injected")
+            return normals(self, n)
+
+        monkeypatch.setattr(GaussianStream, "normals", failing_normals)
+        with pytest.raises(Injected):
+            axpy_perturbation(work, [None] * 2, direction, 0.7)
+        for w, b in zip(work, params):
+            assert np.max(np.abs(w - b)) <= 1e-12
+
+
 class TestRowBlockPass:
     """A matrix layer above ``_DOT_MAX_ENTRIES`` is added in row blocks."""
 

@@ -12,7 +12,7 @@ from subzero.numcore import (_GOLDEN, GaussianStream, _mix64, derive_seed,
                              unstack_params)
 from subzero.problems import (_TAG_BATCH, LogisticProblem, Minibatch, MlpProblem,
                               ProductBatch, QuadraticProblem, QuarticProblem,
-                              _forward, full_batch, sample_minibatch)
+                              _add_bias, _forward, full_batch, sample_minibatch)
 
 
 def flatten_colmajor(params):
@@ -315,6 +315,39 @@ class TestMlp:
         m, n = params[2].shape
         held = {2: (np.ones((m, 1)), np.ones((1, 1)), np.ones((n, 1)))}
         assert self.prob.probe_batch(params, batch, held) is batch
+
+    @pytest.mark.parametrize("shape", [(32, 512), (32, 64), (256, 64), (1, 8), (37, 24)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_bias_blocks_add_what_a_broadcast_adds(self, shape):
+        # one 1-D row per block at 512 columns, 8 rows at 64, one short
+        # block at (1, 8), and a last partial block of 16 rows at (37, 24)
+        s = GaussianStream(21)
+        h, b = s.normals(math.prod(shape)).reshape(shape), s.normals(shape[1])
+        expected = h.copy()
+        expected += b
+        _add_bias(h, b)
+        assert h.tobytes() == expected.tobytes()
+
+    def test_a_loss_holds_no_broadcast_buffer(self):
+        # a plain (32, 64) batch through a 64-64-16 MLP: the gathered rows
+        # x and the hidden activation h (16 kB each), at most 4 kB of
+        # iterator buffer per bias block, and as slack the (32, 16) output
+        # (4 kB) and 4 kB of Python objects.  A broadcast ``h += b`` took a
+        # 16 kB buffer here (54.7 kB in all, against 42.6 kB)
+        b, n = 32, 64
+        prob = MlpProblem.generate(1, n_features=n, hidden=(n,), n_outputs=16,
+                                   dataset_size=256)
+        params = prob.initial_params()
+        batch = sample_minibatch(prob, 1, 0, b)
+        prob.loss(params, batch)
+        tracemalloc.start()
+        try:
+            prob.loss(params, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x = h = 8 * b * n
+        assert peak < x + h + 4096 + (8 * b * 16 + 4096), peak
 
     def test_product_batch_needs_the_first_layer_factors(self):
         params = self.prob.initial_params()

@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 _P = "src/subzero/perturbation.py"
 _DRAWN = "tests/test_perturbation.py::TestDrawnDirection::"
 _KEPT = "tests/test_perturbation.py::TestKeptLayers::"
+_STREAMED = "tests/test_perturbation.py::TestStreamedReplay::"
+_BIAS = "tests/test_problems.py::TestMlp::test_bias_blocks_add_what_a_broadcast_adds"
 _INJECT = "tests/test_optimizer.py::test_failed_pass_leaves_params_where_it_found_them"
 _DIGEST = ("tests/test_determinism.py::"
            "test_digest_tool_prints_six_sections_and_a_combined_hash")
@@ -95,6 +97,18 @@ MUTANTS = (
     Mutant("kept-layer-shape-unchecked", _P,
            "elif delta.shape != w.shape:", "elif False:",
            (_DRAWN + "test_a_kept_layer_of_another_shape_raises",)),
+    # the streamed replay of a pass's vector layers
+    Mutant("replay-chunk-not-scaled", _P,
+           "self.chunk *= self.coeff", "self.chunk *= 1.0",
+           (_STREAMED + "test_streamed_passes_equal_the_whole_delta_replay_bit_for_bit",
+            _DIGEST)),
+    Mutant("replay-chunk-continued-across-a-gap", _P,
+           "type(layers[i]) is int and layers[i] == end", "type(layers[i]) is int",
+           (_STREAMED + "test_a_chunk_does_not_continue_across_a_gap",)),
+    # the MLP forward's bias blocks
+    Mutant("bias-last-partial-block-skipped", "src/subzero/problems.py",
+           "range(0, len(h), rows)", "range(0, len(h) - rows + 1, rows)",
+           (_BIAS + "[1x8]", _BIAS + "[37x24]")),
     # the passes and the step
     Mutant("kept-arrays-left-writeable", _P,
            "layer.setflags(write=False)", "pass",
