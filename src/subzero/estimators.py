@@ -17,7 +17,9 @@ estimator keeps its q core values, its small layers formed once (within
 16 kB) and the vector values that fit, and regenerates the rest from the
 seed.
 Full-space SPSA is the layer-wise estimator with every pair ``None``, so
-every layer takes the full Gaussian fallback.  The dense-subspace baseline
+every layer takes the full Gaussian fallback: the layers that fit within
+16 kB, taken first fit in layer order, are drawn once and kept, and the
+others are replayed from the seed in each pass.  The dense-subspace baseline
 materializes its d-by-q projection and stores its direction ``P z`` whole,
 as a direction that keeps every layer, which is exactly the memory cost
 the layer-wise estimator avoids, and refuses projections beyond an entry
@@ -41,7 +43,7 @@ from .perturbation import (Direction, ProjectionPair, axpy_perturbation,
 DENSE_ENTRY_CAP = 10 ** 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossDifference:
     """The two probe losses of a step and the probe radius that linked them."""
 

@@ -4,7 +4,8 @@ A step of every zeroth-order family never forms a gradient object.  It
 draws its direction once from the step seed (the q matrix-layer core
 values, each multiplied under ``scale_z`` by the norm-alignment scale
 ``sqrt(m * n) / r`` read from its pair, and the vector layers' values when
-they fit the largest matrix layer; for ``spsa_dense_subspace`` the stored
+they fit the largest matrix layer, or, for ``spsa_full``, those that fit
+within 16 kB, taken first fit; for ``spsa_dense_subspace`` the stored
 ``P z``) and probes the loss twice along it in three passes.  Exact SGD,
 the backpropagation reference, takes its minibatch gradient arrays as the
 direction instead, every layer kept and none copied, and does not probe.
@@ -25,11 +26,13 @@ layer-wise step is therefore the drawn direction plus one buffer of at
 most a small layer, a 256 kB row block of a large one or a 16 kB chunk of
 replayed vector values, or the loss evaluation's activations if they are
 larger, however many layers the model has.  The loss adds each bias in
-blocks of rows, so it holds no broadcast buffer beyond 4 kB.  On
-``train_mlp_wide`` the probe's loss evaluations set the peak, and a merge
-step adds one row block; on ``spsa_full``'s ``train_mlp_fullspace`` no
-replayed layer exists whole, and the loss evaluations set it too.  A failed step leaves the parameters and
-the pending cores where it found them.
+blocks of rows, so it holds no broadcast buffer beyond 4 kB, and it holds
+one layer's input and output at a time.  On ``train_mlp_wide`` the probe's
+loss evaluations set the peak, and a merge step adds one row block; on
+``spsa_full``'s ``train_mlp_fullspace`` no replayed layer exists whole,
+and a pass's 16 kB chunk draw, beside the 8.8 kB of kept b1, W2 and b2
+values, sets it.  A failed step leaves the parameters and the pending
+cores where it found them.
 
 Seed lineage: everything a run consumes is derived from ``master_seed``
 through tagged hashes, with the step index mixed in.  Per-step perturbation

@@ -13,8 +13,11 @@ Every write to a model's parameters, probe and update of every family, is
 a pass of :func:`axpy_perturbation` along one direction.  A step draws its
 direction once: :func:`draw_direction` sizes it, then walks the layers
 once, in stream order.  A matrix layer draws the ``r**2`` values of its
-core; a vector layer draws its ``size`` values when the vector layers
-total at most the largest matrix layer's size, and otherwise skips them.
+core.  In a model with a matrix layer, a vector layer draws its ``size``
+values when the vector layers total at most the largest matrix layer's
+size, and otherwise skips them; in a model with none (``spsa_full``, every
+pair ``None``), the vector layers are kept first fit in layer order while
+they total at most ``_KEPT_BYTES`` (2048 values), and the rest skipped.
 Each run of adjacent drawn layers is one stream call, and each layer's
 core or vector values are a view of that call's array, each core
 multiplied as it is drawn by the norm-alignment scale ``sqrt(m * n) / r``
@@ -29,7 +32,9 @@ direction with coefficients ``+eps``, ``-2 eps``, ``+eps`` and then
 trainer's passes skip the layers its loss takes in factored form, and a
 skipped layer costs a pass nothing.  Across them a step holds
 ``8 (q + kept vector values)`` bytes of direction, plus at most
-``_KEPT_BYTES`` of formed layers.  A pass adds one transient buffer at a
+``_KEPT_BYTES`` of formed layers (kept vector values are within
+``_KEPT_BYTES`` too when no layer is a matrix, or within the largest
+matrix layer's size).  A pass adds one transient buffer at a
 time: a kept layer's product with the pass's coefficient, the whole delta
 of another layer of at most ``_DOT_MAX_ENTRIES`` entries, a row block of
 at most 256 kB of a larger matrix layer, or a chunk of at most
@@ -263,11 +268,14 @@ def build_pairs(stream: GaussianStream, params: Sequence[np.ndarray], rank: int,
 #
 # A pass streams replayed vector values in chunks of _CHUNK_VALUES, the
 # kept budget's 2048 values (16 kB), fixed when the module loads, so a
-# budget patched to 0 (nothing formed) still streams.  On
-# train_mlp_fullspace's 5200 replayed values a pass then draws 11 stream
-# blocks in 3 calls, where one call per layer drew 12 in 4, and peaks at
-# 34.8 kB under tracemalloc against 50.6 kB with W1's 4096 values drawn
-# whole (the delta plus the stream's block scratch).
+# budget patched to 0 (nothing formed) still streams.  A model with no
+# matrix layer keeps its vector layers first fit within _KEPT_BYTES, read
+# at each draw.  On train_mlp_fullspace the direction keeps b1, W2 and b2
+# (1104 values, 3 stream blocks) and a pass replays W1 in 2 calls of 8
+# blocks, so a step draws 17 488 values in 35 blocks where replaying all
+# 5200 values in each pass drew 20 800 in 44.  A pass peaks at 34.7 kB
+# under tracemalloc (a 16 kB chunk plus the stream's block scratch), and
+# with the 8.8 kB of kept values it sets the step's peak.
 _DOT_MAX_ENTRIES = 4096
 _BLOCK_ENTRIES = 32768
 _KEPT_BYTES = 16384
@@ -281,10 +289,12 @@ class Direction:
     * an array in the layer's shape: the layer's values, kept.  A matrix
       layer of at most ``_DOT_MAX_ENTRIES`` entries is formed once, as
       ``u.dot(z.dot(v.T))``, while the formed layers total at most
-      ``_KEPT_BYTES`` (16 kB), in layer order; a vector layer's values are
-      kept when all of them total at most the largest matrix layer's size,
-      so a model of vector layers only holds no parameter-sized draw.
-      Kept vector values are a view of the stream call that drew them.
+      ``_KEPT_BYTES`` (16 kB), in layer order.  A vector layer's values
+      are kept when all of them total at most the largest matrix layer's
+      size, or, in a model of vector layers only, first fit in layer order
+      while the kept ones total at most ``_KEPT_BYTES``, so no model holds
+      a parameter-sized draw.  Kept vector values are a view of the stream
+      call that drew them.
     * ``(u, Z, v)``, with ``Z`` the layer's ``(r, r)`` core, norm-aligned
       if drawn so and a view of the stream call that drew it: a matrix
       layer each pass forms, or adds in row blocks, or the probe holds
@@ -329,10 +339,13 @@ def draw_direction(params: Sequence[np.ndarray],
                    seed: int | Direction, aligned: bool = False) -> Direction:
     """Draw a seeded perturbation and record its layout (see
     :class:`Direction`): after sizing the draw, one walk over the layers in
-    stream order draws, forms and records each.  Each run of adjacent
-    drawn layers is one stream call, whose array holds each matrix layer's
-    ``Z`` and each kept vector layer's values as views; a replayed vector
-    layer draws nothing, skips its values and ends the run.  A layer whose
+    stream order draws, forms and records each.  The sizing pass decides
+    which vector layers are kept: all or none by the largest matrix
+    layer's size, or first fit within ``_KEPT_BYTES`` when no layer is a
+    matrix.  Each run of adjacent drawn layers is one stream call, whose
+    array holds each matrix layer's ``Z`` and each kept vector layer's
+    values as views; a replayed vector layer draws nothing, skips its
+    values and ends the run.  A layer whose
     pair's geometry does not cover it raises ``ShapeError``.
     ``aligned`` (norm alignment, ``"scale_z"``) multiplies each core as it
     is drawn by ``sqrt(m * n) / r``, read from its pair, so the low-rank
@@ -350,25 +363,30 @@ def draw_direction(params: Sequence[np.ndarray],
         if len(seed.layers) != len(params):
             raise ShapeError("a direction has one layer per parameter")
         return seed
-    sizes, vectors, largest = [], 0, 0
+    sizes, vectors, largest, room, replayed = [], 0, 0, _KEPT_BYTES // 8, []
     for w, pair in zip(params, pairs):
-        if pair is None:
-            sizes.append(w.size)
-            vectors += w.size
-        else:
+        if pair is not None:
             sizes.append(pair.u.shape[1] ** 2)
             largest = max(largest, w.size)
-    replayed = not 0 < vectors <= largest   # then no vector layer is drawn
+            continue
+        if w.size > room:   # first fit, the rule when no layer is a matrix
+            replayed.append(len(sizes))
+        else:
+            room -= w.size
+        sizes.append(w.size)
+        vectors += w.size
+    if largest:     # every vector layer is drawn, or none is
+        replayed = () if vectors <= largest else [i for i, p in enumerate(pairs) if p is None]
     stream = GaussianStream(seed)
     layers, run, at, formed = [], (), 0, 0  # formed: entries of formed layers
     for w, pair, size in zip(params, pairs, sizes):
-        if pair is None and replayed:
+        if pair is None and len(layers) in replayed:
             layers.append(stream.index)
             stream.skip(size)
             continue
         if at == len(run):  # the first of a run of drawn layers: one draw
             start = end = len(layers)
-            while end < len(pairs) and not (replayed and pairs[end] is None):
+            while end < len(pairs) and end not in replayed:
                 end += 1
             run, at = stream.normals(sum(sizes[start:end])), 0
         values = run[at:at + size]
@@ -523,6 +541,8 @@ class _Replay:
     the run ends (:func:`_run_end`): a chunk never reaches past it, so it
     continues into a layer only when that layer's counter is where the
     chunk stands."""
+
+    __slots__ = ("stream", "coeff", "chunk", "end")
 
     def __init__(self, seed: int, coeff: float, end: int):
         self.stream, self.coeff, self.chunk, self.end = GaussianStream(seed), coeff, (), end

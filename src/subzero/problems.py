@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .numcore import (GaussianStream, derive_seeds, gaussian_matrix,
 _TAG_BATCH = 0x53
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Minibatch:
     """Indices of the examples a loss evaluation averages over."""
 
@@ -46,7 +47,7 @@ class Minibatch:
         return int(self.indices.size)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProductBatch(Minibatch):
     """A minibatch whose MLP first-layer input products are formed:
     ``xw = x @ W1`` and ``xu = x @ u`` for the rows ``x`` the indices
@@ -329,7 +330,7 @@ class MlpProblem(_Problem):
         stream = GaussianStream(seed)
         inputs = gaussian_matrix(stream, dataset_size, n_features)
         teacher = cls._draw_params(stream, widths)
-        targets = _forward(teacher, inputs)[-1]
+        *_, targets = _forward(teacher, inputs)
         if noise:
             targets = targets + noise * gaussian_matrix(stream, *targets.shape)
         params0 = cls._draw_params(stream, widths)
@@ -353,14 +354,16 @@ class MlpProblem(_Problem):
 
     def loss(self, params, batch, low_rank=None) -> float:
         first = (batch.xw, batch.xu, batch.u) if isinstance(batch, ProductBatch) else None
-        x = None if first else self.inputs[batch.indices]
-        out = _forward(params, x, low_rank, first)[-1]
+        # only the last output is held, and the gathered rows only by _forward
+        for out in _forward(params, None if first else self.inputs[batch.indices],
+                            low_rank, first):
+            pass
         y = self.targets[batch.indices]     # gathered after the forward
         return _check_finite(float(np.mean((out - y) ** 2)), "mlp loss")
 
     def exact_gradient(self, params, batch) -> list[np.ndarray]:
         x, y = self.inputs[batch.indices], self.targets[batch.indices]
-        acts = _forward(params, x)
+        acts = [x, *_forward(params, x)]
         out = acts[-1]
         grads: list[np.ndarray] = [np.empty(0)] * len(params)
         delta = 2.0 * (out - y) / out.size
@@ -374,15 +377,19 @@ class MlpProblem(_Problem):
         return grads
 
 
-def _forward(params: list[np.ndarray], x: np.ndarray | None,
-             low_rank=None, first=None) -> list[np.ndarray]:
-    """Activations per layer; hidden layers tanh, final layer linear.
+def _forward(params: list[np.ndarray], h: np.ndarray | None,
+             low_rank=None, first=None) -> Iterator[np.ndarray]:
+    """Each layer's output in turn, from the input rows ``h``; hidden
+    layers tanh, final layer linear.  Only a layer's input and output are
+    held while it is computed: the input rows are dropped once layer 0 has
+    run, and an output once the next layer's has replaced it, unless the
+    caller keeps them.
 
     A weight layer ``k`` in ``low_rank``, with factors ``(u, c, v)``,
     computes ``h @ W + ((h @ u) @ c) @ v.T``: the ``(r, r)`` core stays
     factored, so the perturbed layer is never formed.  ``first``, layer
     0's input products and their ``u``, ``(x @ W1, x @ u, u)``, formed once
-    by :meth:`MlpProblem.probe_batch`, stands in for ``x`` (then ``None``):
+    by :meth:`MlpProblem.probe_batch`, stands in for ``h`` (then ``None``):
     layer 0 is formed as ``((x u) c) v^T``, and ``x @ W1`` is added into
     that fresh term, the same sum bit for bit, since IEEE addition is
     commutative.  Layer 0's factors must then carry that same ``u`` array:
@@ -390,8 +397,6 @@ def _forward(params: list[np.ndarray], x: np.ndarray | None,
     """
     if len(params) < 2 or len(params) % 2 != 0:
         raise ShapeError("mlp parameters must alternate weight and bias")
-    acts = [x]
-    h = x
     n_layers = len(params) // 2
     for i in range(n_layers):
         w, b = params[2 * i], params[2 * i + 1]
@@ -405,15 +410,15 @@ def _forward(params: list[np.ndarray], x: np.ndarray | None,
             h = (xu @ c) @ v.T
             h += xw
         else:
-            h_in, h = h, h @ w
+            out = h @ w
             if factors is not None:
                 u, c, v = factors
-                h += ((h_in @ u) @ c) @ v.T
+                out += ((h @ u) @ c) @ v.T
+            h = out
         _add_bias(h, b)
         if i < n_layers - 1:
             np.tanh(h, out=h)
-        acts.append(h)
-    return acts
+        yield h
 
 
 def _add_bias(h: np.ndarray, b: np.ndarray) -> None:
@@ -422,9 +427,13 @@ def _add_bias(h: np.ndarray, b: np.ndarray) -> None:
     buffer the size of its operand, up to 64 kB; a block's is at most
     4 kB.  A block of one row is a 1-D row of ``h``, whose add broadcasts
     nothing and takes no buffer (half the time of a ``(1, n)`` block)."""
-    rows = max(1, 512 // b.size)
+    rows = 512 // b.size
+    if rows <= 1:
+        for row in h:
+            row += b
+        return
     for start in range(0, len(h), rows):
-        block = h[start] if rows == 1 else h[start:start + rows]
+        block = h[start:start + rows]
         block += b
 
 

@@ -129,8 +129,11 @@ def test_blas_thread_count_moves_no_trajectory(default_digest):
 
 
 # tools/digest.py's output, keyed by the build stamp it was measured under
-# (conftest.build_stamp); it depends on the numpy, libm and BLAS build, not
-# on the BLAS thread count.  A change that moves a section on purpose
+# (conftest.build_stamp); it depends on the numpy, libm and BLAS build and
+# on the BLAS kernel, not on the BLAS thread count under the kernel pinned
+# (under Haswell's, monte_carlo and diagnostics do move with the thread
+# count, and that is not pinned).  Re-keyed with the same hashes when the
+# stamp began to name the kernel.  A change that moves a section on purpose
 # updates its pin here and says why.  Last moves: quadratic, monte_carlo
 # and diagnostics when QuadraticProblem.generate formed H with einsum in
 # place of a BLAS product (H moved by rounding); train_mlp_fullspace when
@@ -138,7 +141,7 @@ def test_blas_thread_count_moves_no_trajectory(default_digest):
 # the small convergence cell's hitting times; combined with them.
 DIGEST_PINS = {
     "numpy 2.4.6, blas scipy-openblas 0.3.31.188.0, libc glibc 2.36, "
-    "machine x86_64, avx512f yes": {
+    "machine x86_64, avx512f yes, blas core SkylakeX": {
         "train_mlp_wide": "3a79cc6128d5cbdbca41a334822626580c1b693682b4a50aa3b2e075baa0ffc4",
         "train_mlp_fullspace":
             "9d61b4046aba9a74d04ebc8b46aae1be3ef2cdb1d8189010d39eb3ddc145171a",

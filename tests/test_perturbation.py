@@ -468,18 +468,26 @@ class TestDrawnDirection:
             pairs = build_pairs(GaussianStream(1), params, 1)
             direction = draw_direction(params, pairs, 17)
             assert layer_kinds(params, pairs, direction) == ["formed", kind]
+        # with no matrix layer the rule is first fit within 2048 values: 2049
+        # values are replayed and the 6 after them kept
+        params = [np.zeros(2049), np.zeros(6)]
         full_space = draw_direction(params, [None, None], 17)
-        assert full_space.layers == [0, 6]
+        assert layer_kinds(params, [None, None], full_space) == ["replayed", "kept"]
+        s = GaussianStream(17)
+        s.skip(2049)
+        assert full_space.layers[0] == 0
+        assert full_space.layers[1].tobytes() == s.normals(6).tobytes()
 
     @pytest.mark.parametrize("shapes, rank, calls", [
         (((512, 512), (512,), (512, 8), (8,)), 16, [(0, 512 + 520)]),
         (((3, 2), (3, 2)), 1, [(0, 2)]),
-        (((64, 64), (64,), (64, 16), (16,)), None, []),
+        (((64, 64), (64,), (64, 16), (16,)), None, [(4096, 64 + 1024 + 16)]),
     ], ids=["train_mlp_wide", "mc_identity", "train_mlp_fullspace"])
     def test_one_stream_call_per_run_of_drawn_layers(self, shapes, rank, calls):
         # the benchmark's models: the wide MLP's cores (q = 512) and its
         # bias values (520) are one run, and so are the identity cell's two
-        # 1x1 cores; the full-space MLP replays every layer and draws none
+        # 1x1 cores; the full-space MLP replays W1 (4096 values) and keeps
+        # b1, W2 and b2, one run after W1's skipped range
         params = [np.zeros(shape) for shape in shapes]
         pairs = (build_pairs(GaussianStream(1), params, rank) if rank
                  else [None] * len(params))
@@ -674,14 +682,38 @@ class TestKeptLayers:
             "factors", "kept", "factors", "kept"]
         assert direction.layers[1].size + direction.layers[3].size == 520
 
-    def test_spsa_full_forms_nothing_and_replays_every_layer(self):
-        # train_mlp_fullspace's 64-64-16 MLP with every pair None: no core,
-        # no kept value, each layer drawn from the stream in each pass
+    def test_spsa_full_replays_w1_and_keeps_the_small_layers(self):
+        # train_mlp_fullspace's 64-64-16 MLP with every pair None: no core
+        # and nothing formed; W1's 4096 values exceed the 2048 a model with
+        # no matrix layer keeps, so each pass replays them, and b1, W2 and
+        # b2 (1104 values) are kept, views of one stream call
         params = [np.zeros(s) for s in ((64, 64), (64,), (64, 16), (16,))]
         direction = draw_direction(params, [None] * 4, 5)
-        assert direction.layers == [0, 4096, 4160, 5184]
+        assert layer_kinds(params, [None] * 4, direction) == [
+            "replayed", "kept", "kept", "kept"]
+        assert direction.layers[0] == 0
+        run = direction.layers[1].base
+        assert run.size == 1104
+        assert all(layer.base is run for layer in direction.layers[1:])
         s = GaussianStream(5)
         got = iter_perturbation_layers(params, [None] * 4, direction)
+        assert [d.tobytes() for d in got] == [s.normals(w.size).tobytes() for w in params]
+
+    @pytest.mark.parametrize("sizes, kinds", [
+        ((2049, 2048, 1), ["replayed", "kept", "replayed"]),
+        ((2000, 48, 1), ["kept", "kept", "replayed"]),
+        ((2000, 49, 48), ["kept", "replayed", "kept"]),
+    ], ids=["2049-then-2048", "2048-in-two", "first-fit"])
+    def test_vector_layers_are_kept_first_fit_within_2048_values(self, sizes, kinds):
+        # a model with no matrix layer keeps its vector layers in layer
+        # order while they fit 2048 values: exactly 2048 fit, 2049 do not,
+        # and a later layer that fits is kept after one that did not
+        params = [np.zeros(n) for n in sizes]
+        direction = draw_direction(params, [None] * 3, 5)
+        assert layer_kinds(params, [None] * 3, direction) == kinds
+        assert sum(w.size for w, kind in zip(params, kinds) if kind == "kept") <= 2048
+        s = GaussianStream(5)
+        got = iter_perturbation_layers(params, [None] * 3, direction)
         assert [d.tobytes() for d in got] == [s.normals(w.size).tobytes() for w in params]
 
 
@@ -742,13 +774,18 @@ class TestStreamedReplay:
         assert {0, 1, 2, 3} <= runs
 
     def test_a_pass_of_the_fullspace_layout_draws_one_call_per_chunk(self):
-        # train_mlp_fullspace's 64-64-16 MLP under spsa_full: one run of 5200
-        # values in chunks of 2048, 2048 and 1104, where each layer was one
-        # call of its own size
+        # train_mlp_fullspace's 64-64-16 MLP under spsa_full: the direction
+        # keeps b1, W2 and b2 (1104 values, one call), and a pass replays
+        # W1's 4096 values in chunks of 2048, where it replayed all 5200
         params = [np.zeros(s) for s in ((64, 64), (64,), (64, 16), (16,))]
+        calls = stream_calls(axpy_perturbation, params, [None] * 4, 5, 0.5)
+        assert calls == [(4096, 1104), (0, 2048), (2048, 2048)]
         direction = draw_direction(params, [None] * 4, 5)
-        calls = stream_calls(axpy_perturbation, params, [None] * 4, direction, 0.5)
-        assert calls == [(0, 2048), (2048, 2048), (4096, 1104)]
+        work = [w.copy() for w in params]
+        calls = stream_calls(axpy_perturbation, work, [None] * 4, direction, 0.5)
+        assert calls == [(0, 2048), (2048, 2048)]
+        expected = whole_delta_pass(params, [None] * 4, direction, 0.5)
+        assert [w.tobytes() for w in work] == [w.tobytes() for w in expected]
         assert perturbation._CHUNK_VALUES == perturbation._KEPT_BYTES // 8 == 2048
 
     def test_a_chunk_does_not_continue_across_a_gap(self):
@@ -762,7 +799,7 @@ class TestStreamedReplay:
         expected = whole_delta_pass(params, [None] * 2, direction, 0.5)
         assert [w.tobytes() for w in work] == [w.tobytes() for w in expected]
         params = [np.zeros(100), np.zeros(50), np.zeros(30)]
-        direction = draw_direction(params, [None] * 3, 4)
+        direction = Direction(4, [0, 100, 150])
         work = [w.copy() for w in params]
         calls = stream_calls(axpy_perturbation, work, [None] * 3, direction, 0.5, {1})
         assert calls == [(0, 100), (150, 30)]
@@ -773,7 +810,7 @@ class TestStreamedReplay:
         s = GaussianStream(9)
         params = [s.normals(300), np.asfortranarray(s.normals(4096).reshape(64, 64)),
                   s.normals(50)]
-        direction = draw_direction(params, [None] * 3, 11)
+        direction = Direction(11, [0, 300, 4396])   # each layer replayed
         walked = list(iter_perturbation_layers(params, [None] * 3, direction, True))
         assert [type(d) for d in walked] == [int, np.ndarray, int]
         work = [w.copy(order="K") for w in params]

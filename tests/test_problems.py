@@ -300,10 +300,11 @@ class TestMlp:
         assert isinstance(products, ProductBatch)
         assert np.array_equal(products.indices, batch.indices)
         low_rank = {0: (u, coeff * z, v)}
-        gathered = _forward(params, prob.inputs[batch.indices], low_rank)
+        gathered = list(_forward(params, prob.inputs[batch.indices], low_rank))
         assert products.u is u
-        shared = _forward(params, None, low_rank, (products.xw, products.xu, u))
-        for a, b in zip(gathered[1:], shared[1:]):
+        shared = list(_forward(params, None, low_rank, (products.xw, products.xu, u)))
+        assert len(gathered) == len(shared) == 3
+        for a, b in zip(gathered, shared):
             assert a.tobytes() == b.tobytes()
         got = prob.loss(params, products, low_rank=low_rank)
         assert got.hex() == prob.loss(params, batch, low_rank=low_rank).hex()
@@ -348,6 +349,37 @@ class TestMlp:
             tracemalloc.stop()
         x = h = 8 * b * n
         assert peak < x + h + 4096 + (8 * b * 16 + 4096), peak
+
+    @pytest.mark.parametrize("path", ["gathered", "products"])
+    def test_a_loss_holds_one_activation_pair(self, path):
+        # train_mlp_fullspace's shapes, a (32, 64) batch through a 64-64-16
+        # MLP: the loss keeps only the last output and no gathered rows, so
+        # it peaks at one layer's input and output (16 kB each) plus at most
+        # 4 kB of bias buffer; holding every activation and the rows took
+        # 42.6 kB.  Its value is the mean over the last output, bit for bit
+        b, n = 32, 64
+        prob = MlpProblem.generate(1, n_features=n, hidden=(n,), n_outputs=16,
+                                   dataset_size=256)
+        params = prob.initial_params()
+        batch = sample_minibatch(prob, 1, 0, b)
+        x, y = prob.inputs[batch.indices], prob.targets[batch.indices]
+        if path == "gathered":
+            low_rank, first = None, None
+        else:
+            u, c, v = self.first_layer_factors(params, r=8)
+            low_rank = {0: (u, c, v)}
+            batch = prob.probe_batch(params, batch, low_rank)
+            assert isinstance(batch, ProductBatch)
+            x, first = None, (batch.xw, batch.xu, u)
+        expected = np.mean((list(_forward(params, x, low_rank, first))[-1] - y) ** 2)
+        assert prob.loss(params, batch, low_rank).hex() == float(expected).hex()
+        tracemalloc.start()
+        try:
+            prob.loss(params, batch, low_rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36_000, peak
 
     def test_product_batch_needs_the_first_layer_factors(self):
         params = self.prob.initial_params()

@@ -59,7 +59,7 @@ _NORM = "tests/test_verification.py::TestProjectedGradientNorm::"
 MUTANTS = (
     # draw_direction's walk
     Mutant("run-not-broken-at-replayed-layer", _P,
-           "while end < len(pairs) and not (replayed and pairs[end] is None):",
+           "while end < len(pairs) and end not in replayed:",
            "while end < len(pairs):",
            (_DRAWN + "test_a_replayed_vector_layer_ends_a_run",)),
     Mutant("aligned-scale-dropped", _P,
@@ -72,17 +72,23 @@ MUTANTS = (
            (_KEPT + "test_train_mlp_wide_keeps_no_4096_entry_delta",
             _KEPT + "test_small_layers_are_kept_in_layer_order_within_the_budget")),
     Mutant("vectors-kept-past-the-largest-matrix-layer", _P,
-           "replayed = not 0 < vectors <= largest", "replayed = not 0 < vectors",
+           "replayed = () if vectors <= largest else [",
+           "replayed = () if True else [",
            (_DRAWN + "test_vectors_beyond_the_largest_matrix_layer_are_not_drawn",
-            _KEPT + "test_spsa_full_forms_nothing_and_replays_every_layer")),
+            _DRAWN + "test_a_replayed_vector_layer_ends_a_run")),
     Mutant("vectors-at-the-largest-matrix-layer-replayed", _P,
-           "replayed = not 0 < vectors <= largest",
-           "replayed = not 0 < vectors < largest",
+           "if vectors <= largest else", "if vectors < largest else",
            (_DRAWN + "test_vectors_beyond_the_largest_matrix_layer_are_not_drawn",)),
+    Mutant("vector-budget-off-by-one", _P,
+           "if w.size > room:", "if w.size >= room:",
+           (_KEPT + "test_vector_layers_are_kept_first_fit_within_2048_values"
+            "[2049-then-2048]",
+            _KEPT + "test_vector_layers_are_kept_first_fit_within_2048_values"
+            "[2048-in-two]")),
     Mutant("replayed-range-not-skipped", _P,
            "stream.skip(size)", "stream.skip(0)",
            (_DRAWN + "test_a_replayed_vector_layer_ends_a_run",
-            _KEPT + "test_spsa_full_forms_nothing_and_replays_every_layer")),
+            _KEPT + "test_spsa_full_replays_w1_and_keeps_the_small_layers")),
     Mutant("kept-layer-formed-by-matmul", _P,
            "values = u.dot(z.dot(v.T))", "values = u @ z @ v.T",
            (_DIGEST,)),
@@ -105,10 +111,15 @@ MUTANTS = (
     Mutant("replay-chunk-continued-across-a-gap", _P,
            "type(layers[i]) is int and layers[i] == end", "type(layers[i]) is int",
            (_STREAMED + "test_a_chunk_does_not_continue_across_a_gap",)),
-    # the MLP forward's bias blocks
+    # the MLP forward's bias blocks, and the activations a loss holds
     Mutant("bias-last-partial-block-skipped", "src/subzero/problems.py",
            "range(0, len(h), rows)", "range(0, len(h) - rows + 1, rows)",
            (_BIAS + "[1x8]", _BIAS + "[37x24]")),
+    Mutant("loss-keeps-the-gathered-rows", "src/subzero/problems.py",
+           "None if first else self.inputs[batch.indices]",
+           "(x := None if first else self.inputs[batch.indices])",
+           ("tests/test_problems.py::TestMlp::test_a_loss_holds_one_activation_pair"
+            "[gathered]",)),
     # the passes and the step
     Mutant("kept-arrays-left-writeable", _P,
            "layer.setflags(write=False)", "pass",
